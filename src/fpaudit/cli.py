@@ -2,7 +2,8 @@
 verify outsourced audit logs.
 
 Exit codes: 0 success/compliant, 1 non-compliant or validation failure,
-2 inconsistency, transport failure or malformed input.
+2 inconsistency, a target check left undecided by the test budget,
+transport failure or malformed input.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ def cmd_audit(args) -> int:
         return 2
 
     reports = []
+    budget_stopped = False
     for i in range(max(args.repeat, 1)):
         rng = RandomnessSource(seed=args.seed + i if args.seed is not None else None)
         try:
@@ -140,6 +142,7 @@ def cmd_audit(args) -> int:
         except Exception as exc:
             print(f"audit failed: {exc}", file=sys.stderr)
             return 2
+        budget_stopped = budget_stopped or log.stop_reason == "budget"
         reports.append(build_report(log, db, target=target, claimed_version=claim))
 
     report = reports[0]
@@ -154,6 +157,10 @@ def cmd_audit(args) -> int:
     else:
         _print_table(report)
     if report.inconsistency or not agreed:
+        return 2
+    if target is not None and budget_stopped:
+        print("audit stopped on its test budget before converging; compliance is undecided",
+              file=sys.stderr)
         return 2
     if report.compliant is False:
         return 1
@@ -174,7 +181,7 @@ def _print_table(report) -> None:
         return
     print(f"candidates      : {', '.join(report.candidate_set.labels()) or '(none)'}")
     if report.target is not None:
-        state = "compliant" if report.compliant else "NOT compliant"
+        state = {True: "compliant", False: "NOT compliant", None: "undecided"}[report.compliant]
         print(f"target {report.target}  -> {state}")
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -54,6 +55,22 @@ from .versions import Version, VersionSet, branch_origin, parse_version, render_
 _IDENT_RE = re.compile(r"[a-z0-9_]+")
 
 DEFAULT_WAIT_MS = 200
+
+# The "defaultvalues" block of every database this package authors.
+DEFAULT_VALUES = {
+    "version.test.challenge.setstarttag": "true",
+    "version.test.challenge.setendtag": "false",
+    "version.test.expect.setstarttag": "false",
+    "version.test.expect.setendtag": "false",
+    "version.test.challenge.starttag": "<?php ",
+    "version.test.challenge.endtag": " ?>",
+    "version.test.expect.type": "string",
+    "version.test.label": "0",
+    "version.test.variables.type": "rand",
+    "version.test.variables.format": "value",
+    "version.test.waittime.amount": DEFAULT_WAIT_MS,
+    "version.test.waittime.type": "milliseconds",
+}
 
 # Keys understood in the "defaultvalues" block.  The tag *value* keys carry
 # the strings that get prepended/appended when the corresponding flag is set.
@@ -517,14 +534,23 @@ def resolve_plan(db: Database, v: Version) -> TestPlan:
     return tuple(steps)
 
 
+def fold_constraints(db: Database, observations: Iterable[tuple[Version, bool]],
+                     members: Iterable[Version] | None = None) -> set[Version]:
+    """``members`` (default: the family) narrowed by ``(version, observed)`` pairs:
+    a passed intrinsic test keeps where its function is available, a failed one the rest."""
+    members = set(db.family.versions if members is None else members)
+    for version, observed in observations:
+        avail = db.availability.get(version)
+        if avail is None:
+            raise ValueError(f"version {render_version(version)} has no intrinsic test to observe")
+        members = members & avail if observed else members - avail
+    return members
+
+
 def plan_truth_set(db: Database, v: Version) -> frozenset[Version]:
     """Family versions at which the full plan for ``v`` passes."""
     plan = resolve_plan(db, v)
-    members = set(db.family.versions)
-    for step in plan:
-        a = db.availability[step.version]
-        members &= a if step.expect_pass else (set(db.family.versions) - a)
-    return frozenset(members)
+    return frozenset(fold_constraints(db, ((step.version, step.expect_pass) for step in plan)))
 
 
 # ---------------------------------------------------------------------------
@@ -643,26 +669,13 @@ def _variable_doc(spec: VariableSpec) -> dict[str, object]:
     return doc
 
 
-def new_database(service_name: str, *, wait_ms: float = DEFAULT_WAIT_MS) -> Database:
+def new_database(service_name: str) -> Database:
     """Fresh empty database with metadata stamped now."""
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     meta = DatabaseMeta(
         creation_timestamp=now,
         last_update_timestamp=now,
-        default_values={
-            "version.test.challenge.setstarttag": "true",
-            "version.test.challenge.setendtag": "false",
-            "version.test.expect.setstarttag": "false",
-            "version.test.expect.setendtag": "false",
-            "version.test.challenge.starttag": "<?php ",
-            "version.test.challenge.endtag": " ?>",
-            "version.test.expect.type": "string",
-            "version.test.label": "0",
-            "version.test.variables.type": "rand",
-            "version.test.variables.format": "value",
-            "version.test.waittime.amount": wait_ms,
-            "version.test.waittime.type": "milliseconds",
-        },
+        default_values=dict(DEFAULT_VALUES),
         challenge_interface="loopback-sim",
         response_interface="loopback-sim",
         strategies=tuple(STRATEGY_ALIASES.values()),

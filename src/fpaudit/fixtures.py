@@ -16,7 +16,7 @@ artifacts.
 
 from __future__ import annotations
 
-import json
+from .database import DEFAULT_VALUES
 
 FAMILY_NAME = "php-like"
 
@@ -136,20 +136,7 @@ def build_db_doc() -> dict:
     return {
         "creationTimestamp": CREATED,
         "lastUpdateTimestamp": UPDATED,
-        "defaultvalues": {
-            "version.test.challenge.setstarttag": "true",
-            "version.test.challenge.setendtag": "false",
-            "version.test.expect.setstarttag": "false",
-            "version.test.expect.setendtag": "false",
-            "version.test.challenge.starttag": "<?php ",
-            "version.test.challenge.endtag": " ?>",
-            "version.test.expect.type": "string",
-            "version.test.label": "0",
-            "version.test.variables.type": "rand",
-            "version.test.variables.format": "value",
-            "version.test.waittime.amount": 200,
-            "version.test.waittime.type": "milliseconds",
-        },
+        "defaultvalues": dict(DEFAULT_VALUES),
         "settings": {
             "interface.challenges": "loopback-sim",
             "interface.responses": "loopback-sim",
@@ -184,10 +171,3 @@ FAKER_PROVIDER = {
     "seed": 1,
 }
 
-
-def db_json() -> bytes:
-    return json.dumps(build_db_doc(), indent=2).encode("utf-8")
-
-
-def sim_json(provider: dict | None = None) -> bytes:
-    return json.dumps(build_sim_doc(provider), indent=2).encode("utf-8")

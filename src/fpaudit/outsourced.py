@@ -28,6 +28,7 @@ chain-verifies on its own; liability still rests on the canonical tuples.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import time
 from collections import Counter
@@ -42,9 +43,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .challenge import Binding, RandomnessSource, draw_binding, render, tags_for
-from .database import STRATEGY_SHORT, Database, resolve_plan
-from .protocol import SubOutcome, TestOutcome
-from .strategies import STRATEGIES, AuditContext, _mid, default_budget
+from .database import Database
+from .strategies import DecisionLog, drive_audit
 from .transport import ExchangeRecord
 from .versions import Version, parse_version, render_version
 
@@ -293,52 +293,16 @@ class OutsourcedSession:
     auditor: AuditorParty
     budget: int | None = None
 
-    def run(self):
-        short = strategy_short_name(self.strategy_name)
-        strategy = STRATEGIES[short]()
-        ctx = AuditContext(self.db)
-        ctx.log.strategy = short
-        budget = self.budget if self.budget is not None else default_budget(self.db)
-        round_no = 0
-        tests = 0
-        while tests < budget:
-            informative = ctx.informative()
-            if not informative:
-                break
-            pick = strategy.pick(ctx) or _mid(informative)
-            plan = resolve_plan(self.db, pick)
-            prior = ctx.log.intrinsic_observations()
-            subs: list[SubOutcome] = []
-            records: list[ExchangeRecord] = []
-            delta = True
-            for step in plan:
-                if step.version in prior:
-                    observed = prior[step.version]
-                    subs.append(SubOutcome(step.version, step.expect_pass, observed,
-                                           None if observed else "mismatch", "implied"))
-                else:
-                    round_no += 1
-                    result = run_round(self.auditor, self.user, self.provider,
-                                       step.version, round_no)
-                    observed = result.delta
-                    subs.append(SubOutcome(step.version, step.expect_pass, observed,
-                                           result.reason, "exchanged"))
-                    records.append(ExchangeRecord(b"", result.e_prime, 0.0,
-                                                  result.elapsed, result.elapsed))
-                if observed != step.expect_pass:
-                    delta = False
-                    break
-            ctx.apply(TestOutcome(pick, delta, tuple(subs), tuple(records)))
-            tests += 1
-        return ctx.log
+    def run(self) -> DecisionLog:
+        """Run the shared audit loop, each new sub-test one signed round."""
+        rounds = itertools.count(1)
 
+        def probe(version: Version):
+            result = run_round(self.auditor, self.user, self.provider, version, next(rounds))
+            record = ExchangeRecord(b"", result.e_prime, 0.0, result.elapsed, result.elapsed)
+            return result.delta, result.reason, record
 
-def strategy_short_name(name: str) -> str:
-    if name in STRATEGIES:
-        return name
-    if name in STRATEGY_SHORT:
-        return STRATEGY_SHORT[name]
-    raise OutsourcedAuditError(f"unknown strategy {name!r}")
+        return drive_audit(self.db, self.strategy_name, probe, self.budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,27 @@
-"""Execution of one resolved test plan: render, exchange, judge.
+"""Execution of one resolved test plan against a probe.
 
 A plan is a conjunction of sub-tests, each expected to pass or (for a
 deprecated-function boundary) to fail.  Evaluation short-circuits at the
 first sub-test whose observation violates its expected polarity.  Sub-tests
 already decided earlier in the audit are reused without a fresh exchange.
+
+A *probe* decides one intrinsic sub-test: it maps the tested version to
+``(observed, reason, ExchangeRecord)``.  ``transport_probe`` renders a
+fresh challenge, exchanges it over the endpoints and judges the response;
+the outsourced auditor's probe runs one signed round instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .challenge import RandomnessSource, judge, render_test
 from .database import Database, TestPlan
 from .transport import ExchangeRecord, InterfaceEndpoint, exchange
 from .versions import Version
+
+Probe = Callable[[Version], tuple[bool, "str | None", ExchangeRecord]]
 
 
 @dataclass(frozen=True)
@@ -38,22 +45,37 @@ class TestOutcome:
     exchanges: tuple[ExchangeRecord, ...]
 
 
-def run_test(
-    plan: TestPlan,
-    version: Version,
+def transport_probe(
     endpoints: tuple[InterfaceEndpoint, InterfaceEndpoint],
     rng: RandomnessSource,
     db: Database,
+) -> Probe:
+    """Probe that renders, exchanges and judges one challenge per call."""
+    challenge_ep, response_ep = endpoints
+
+    def probe(version: Version):
+        rendered = render_test(db, version, rng)
+        record = exchange(challenge_ep, response_ep, rendered.challenge_payload, rendered.deadline)
+        verdict = judge(record.response_bytes, rendered.expected_payload,
+                        record.elapsed, rendered.deadline, record.transport_error)
+        return verdict.delta, verdict.reason, record
+
+    return probe
+
+
+def run_test(
+    plan: TestPlan,
+    version: Version,
+    probe: Probe,
     prior: Mapping[Version, bool] | None = None,
 ) -> TestOutcome:
-    """Run one plan against the provider.
+    """Run one plan, deciding each new sub-test with ``probe``.
 
     ``prior`` maps versions to intrinsic-test observations already made in
     this audit; matching sub-tests are reused as implied outcomes.  An empty
     plan is vacuously true with zero exchanges.
     """
     prior = prior or {}
-    challenge_ep, response_ep = endpoints
     subs: list[SubOutcome] = []
     records: list[ExchangeRecord] = []
     delta = True
@@ -63,40 +85,12 @@ def run_test(
             subs.append(SubOutcome(step.version, step.expect_pass, observed,
                                    None if observed else "mismatch", "implied"))
         else:
-            rendered = render_test(db, step.version, rng)
-            record = exchange(challenge_ep, response_ep, rendered.challenge_payload, rendered.deadline)
-            verdict = judge(record.response_bytes, rendered.expected_payload,
-                            record.elapsed, rendered.deadline, record.transport_error)
+            observed, reason, record = probe(step.version)
             records.append(record)
-            observed = verdict.delta
             subs.append(SubOutcome(step.version, step.expect_pass, observed,
-                                   verdict.reason, "exchanged"))
+                                   reason, "exchanged"))
         if observed != step.expect_pass:
             delta = False
             break
     return TestOutcome(version=version, delta=delta,
                        sub_outcomes=tuple(subs), exchanges=tuple(records))
-
-
-def repeat_test(
-    plan: TestPlan,
-    version: Version,
-    endpoints: tuple[InterfaceEndpoint, InterfaceEndpoint],
-    rng: RandomnessSource,
-    db: Database,
-    n: int,
-    prior: Mapping[Version, bool] | None = None,
-) -> list[TestOutcome]:
-    """Run a plan ``n`` times with fresh randomness each run."""
-    if n < 1:
-        raise ValueError("repeat count must be at least 1")
-    return [run_test(plan, version, endpoints, rng, db, prior) for _ in range(n)]
-
-
-def aggregate(outcomes: list[TestOutcome], mode: str = "all") -> bool:
-    """Combine repeated runs; the default is all-must-agree."""
-    if mode == "all":
-        return all(o.delta for o in outcomes)
-    if mode == "majority":
-        return sum(o.delta for o in outcomes) * 2 > len(outcomes)
-    raise ValueError(f"unknown aggregation mode {mode!r}")

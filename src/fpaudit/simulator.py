@@ -57,9 +57,6 @@ class SimFamily:
     family: VersionSet
     functions: dict[str, FunctionSpec]
 
-    def hard_functions(self) -> list[str]:
-        return [name for name, fn in self.functions.items() if fn.hard]
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -149,13 +146,6 @@ def _evaluate_behavior(fn: FunctionSpec, arg: bytes, v: Version, claim: str) -> 
     raise SimConfigError(f"unknown behavior {fn.behavior!r} for function {fn.name!r}")
 
 
-class ClaimFakerResponder(HonestResponder):
-    """Alters only the version-claim output; every other function is genuine."""
-
-    def __init__(self, sim: SimFamily, src_version: Version, fake_label: str, **kw):
-        super().__init__(sim, src_version, claim_label=fake_label, **kw)
-
-
 class CacherResponder:
     """Replays a recorded transcript and fails closed on unseen challenges."""
 
@@ -221,8 +211,9 @@ def produce(sim: SimFamily, cfg: SimProviderConfig):
     if cfg.behavior == "claim-faker":
         if not cfg.claim_label:
             raise SimConfigError("claim-faker needs a claim label")
-        return ClaimFakerResponder(sim, cfg.src_version, cfg.claim_label,
-                                   latency=cfg.latency, seed=cfg.seed)
+        # Only the version-claim output is altered; every other function is genuine.
+        return HonestResponder(sim, cfg.src_version, claim_label=cfg.claim_label,
+                               latency=cfg.latency, seed=cfg.seed)
     if cfg.behavior == "cacher":
         return CacherResponder(cfg.cache_store or {}, latency=cfg.latency, seed=cfg.seed)
     if cfg.behavior == "proxy":

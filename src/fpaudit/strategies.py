@@ -1,11 +1,13 @@
 """Test-order strategies and the audit loop driving them.
 
 Every strategy is a policy answering "which version should be tested
-next?"; the surrounding loop is shared.  It keeps the decision log, reuses
-already-decided sub-tests, maintains the set of candidate versions that is
-still consistent with every observation, and stops when no untested entry
-could shrink that set further (or the test budget runs out).  This shared
-stopping rule is what makes all strategies land on the same candidate set.
+next?"; the surrounding loop is shared by direct and outsourced audits,
+which differ only in the probe that decides each sub-test.  The loop keeps
+the decision log, reuses already-decided sub-tests, maintains the set of
+candidate versions that is still consistent with every observation, and
+stops when no untested entry could shrink that set further (or the test
+budget runs out).  This shared stopping rule is what makes all strategies
+land on the same candidate set.
 
 Strategy names: BS (bisection over the sorted family), CBS (cascaded
 bisections over major, then minor, then patch), HTL (descend from the
@@ -20,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 from .challenge import RandomnessSource
-from .database import Database, STRATEGY_SHORT, plan_truth_set, resolve_plan
-from .protocol import TestOutcome, run_test
+from .database import Database, STRATEGY_SHORT, fold_constraints, plan_truth_set, resolve_plan
+from .protocol import Probe, TestOutcome, run_test, transport_probe
 from .transport import InterfaceEndpoint
 from .versions import Version, render_version
 
@@ -45,6 +47,7 @@ class DecisionLog:
     """Append-only record of every decided version; no version repeats."""
 
     strategy: str = ""
+    stop_reason: str = ""  # "converged", or "budget" if it ran out with informative entries left
     rows: list[LogRow] = field(default_factory=list)
 
     def versions(self) -> set[Version]:
@@ -100,10 +103,9 @@ class AuditContext:
 
     def apply(self, outcome: TestOutcome) -> None:
         self.log.append_outcome(outcome)
-        fam = set(self.db.family.versions)
-        for sub in outcome.sub_outcomes:
-            avail = self.db.availability[sub.version]
-            self.candidates &= avail if sub.observed else (fam - avail)
+        self.candidates = fold_constraints(
+            self.db, ((sub.version, sub.observed) for sub in outcome.sub_outcomes),
+            self.candidates)
 
     def status(self, v: Version) -> bool | None:
         """Decided result for testing ``v``: True/False, or None if unknown."""
@@ -309,7 +311,13 @@ def run_audit(
     rng: RandomnessSource,
     budget: int | None = None,
 ) -> DecisionLog:
-    """Drive successive tests until the candidate set cannot shrink."""
+    """Audit the provider behind ``endpoints`` until the candidate set cannot shrink."""
+    return drive_audit(db, strategy_name, transport_probe(endpoints, rng, db), budget)
+
+
+def drive_audit(db: Database, strategy_name: str, probe: Probe,
+                budget: int | None = None) -> DecisionLog:
+    """Drive successive tests, each sub-test decided by ``probe``."""
     short = STRATEGY_SHORT.get(strategy_name, strategy_name)
     if short not in STRATEGIES:
         raise AuditError(f"unknown strategy {strategy_name!r}")
@@ -323,9 +331,10 @@ def run_audit(
     budget = budget if budget is not None else default_budget(db)
 
     tests_run = 0
-    while tests_run < budget:
+    while True:
         informative = ctx.informative()
-        if not informative:
+        if not informative or tests_run >= budget:
+            ctx.log.stop_reason = "budget" if informative else "converged"
             break
         pick = strategy.pick(ctx)
         if pick is None:
@@ -333,8 +342,7 @@ def run_audit(
         if pick in ctx.log.versions():
             raise AuditError(f"strategy repeated version {render_version(pick)}")
         plan = resolve_plan(db, pick)
-        outcome = run_test(plan, pick, endpoints, rng, db,
-                           prior=ctx.log.intrinsic_observations())
+        outcome = run_test(plan, pick, probe, prior=ctx.log.intrinsic_observations())
         ctx.apply(outcome)
         tests_run += 1
     return ctx.log

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .database import DEFAULT_VALUES
 from .fixtures import CREATED, UPDATED
 
 
@@ -143,17 +144,7 @@ def synth_docs(seed: int, max_versions: int = 50) -> tuple[dict, dict]:
     db_doc = {
         "creationTimestamp": CREATED,
         "lastUpdateTimestamp": UPDATED,
-        "defaultvalues": {
-            "version.test.challenge.setstarttag": "true",
-            "version.test.challenge.setendtag": "false",
-            "version.test.expect.setstarttag": "false",
-            "version.test.expect.setendtag": "false",
-            "version.test.challenge.starttag": "<?php ",
-            "version.test.challenge.endtag": " ?>",
-            "version.test.expect.type": "string",
-            "version.test.waittime.amount": 200,
-            "version.test.waittime.type": "milliseconds",
-        },
+        "defaultvalues": dict(DEFAULT_VALUES),
         "settings": {
             "interface.challenges": "loopback-sim",
             "interface.responses": "loopback-sim",

@@ -2,9 +2,10 @@
 
 A challenge may travel over one channel and its response over another; the
 two endpoints of an exchange are therefore passed separately.  All timing
-is measured on the verifier side, from the last challenge byte sent to the
-last response byte received.  Credentials come from configuration or the
-environment, never from command lines.
+is measured on the verifier side, up to the last response byte received,
+from before the challenge PUT on HTTP and from the written file on file
+drop.  Credentials come from configuration or the environment, never from
+command lines.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def _http_auth(ep: InterfaceEndpoint):
 def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
                    payload: bytes, deadline: float) -> ExchangeRecord:
     budget = deadline + chl.timeout_cap
+    # The clock starts before the PUT: a provider that holds the delivery
+    # acknowledgement while it forwards the challenge pays for the hold.
+    sent = time.monotonic()
     try:
         put = requests.put(chl.address, data=payload, auth=_http_auth(chl), timeout=budget)
     except requests.RequestException as exc:
@@ -111,8 +115,12 @@ def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
         raise TransportError("auth")
     if put.status_code >= 400:
         raise TransportError(f"challenge delivery rejected: HTTP {put.status_code}")
+    return _poll_http(rsp, payload, sent, budget)
 
-    sent = time.monotonic()
+
+def _poll_http(rsp: InterfaceEndpoint, payload: bytes, sent: float,
+               budget: float) -> ExchangeRecord:
+    """GET the response until ready (404 is not yet) or ``budget`` s after ``sent``."""
     while True:
         remaining = budget - (time.monotonic() - sent)
         if remaining <= 0:
@@ -144,22 +152,7 @@ def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
     sent = time.monotonic()
 
     if rsp.kind == "http-fetch":
-        budget = deadline + chl.timeout_cap
-        while True:
-            remaining = budget - (time.monotonic() - sent)
-            if remaining <= 0:
-                now = time.monotonic()
-                return ExchangeRecord(payload, None, sent, now, now - sent)
-            try:
-                got = requests.get(rsp.address, auth=_http_auth(rsp), timeout=max(remaining, 0.05))
-            except requests.RequestException as exc:
-                raise TransportError(f"response fetch failed: {exc}") from exc
-            if got.status_code == 200:
-                now = time.monotonic()
-                return ExchangeRecord(payload, got.content, sent, now, now - sent)
-            if got.status_code in (401, 403):
-                raise TransportError("auth")
-            time.sleep(min(0.01, max(remaining, 0.0)))
+        return _poll_http(rsp, payload, sent, deadline + chl.timeout_cap)
     if rsp.kind == "file-drop":
         source = Path(rsp.address) / rsp.filename
         budget = deadline + chl.timeout_cap

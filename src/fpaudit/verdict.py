@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .challenge import RandomnessSource, render_test
-from .database import Database, plan_truth_set, resolve_plan
+from .database import Database, fold_constraints, plan_truth_set, resolve_plan
 from .simulator import HonestResponder, LatencyModel, SimFamily
 from .strategies import DecisionLog
 from .versions import Version, render_version
@@ -68,21 +68,10 @@ class CandidateSet:
         return [render_version(v) for v in self.members]
 
 
-def _constraint_set(db: Database, version: Version, observed: bool) -> frozenset[Version]:
-    avail = db.availability.get(version)
-    if avail is None:
-        raise ValueError(f"version {render_version(version)} has no intrinsic test to observe")
-    if observed:
-        return avail
-    return frozenset(db.family.versions) - avail
-
-
 def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     """Interpret the log's observations; raises on a contradictory log."""
     observations = _collect_observations(log)
-    members = set(db.family.versions)
-    for version, observed in observations:
-        members &= _constraint_set(db, version, observed)
+    members = fold_constraints(db, observations)
     if not members and observations:
         raise InconsistentLogError(*_name_conflict(db, observations))
 
@@ -129,9 +118,9 @@ def _collect_observations(log: DecisionLog) -> list[tuple[Version, bool]]:
 
 def _name_conflict(db: Database, observations: list[tuple[Version, bool]]):
     for i, (v1, o1) in enumerate(observations):
-        s1 = _constraint_set(db, v1, o1)
+        s1 = fold_constraints(db, [(v1, o1)])
         for v2, o2 in observations[i + 1:]:
-            if not s1 & _constraint_set(db, v2, o2):
+            if not fold_constraints(db, [(v2, o2)], s1):
                 msg = (f"inconsistent log: {render_version(v1)}={o1} conflicts with "
                        f"{render_version(v2)}={o2}")
                 return msg, (v1, v2)
@@ -144,10 +133,7 @@ def candidates(bounds: Bounds, db: Database) -> CandidateSet:
     Versions without database entries ride along with whichever decided
     neighbours they are indistinguishable from.
     """
-    members = set(db.family.versions)
-    for version, observed in bounds.constraints:
-        members &= _constraint_set(db, version, observed)
-    return CandidateSet(tuple(sorted(members)))
+    return CandidateSet(tuple(sorted(fold_constraints(db, bounds.constraints))))
 
 
 def compliance(c: CandidateSet, target: Version) -> bool:
@@ -249,7 +235,9 @@ def build_report(log: DecisionLog, db: Database, target: Version | None = None,
             rows=tuple(log.rows),
         )
     c = candidates(b, db)
-    compliant = compliance(c, target) if target is not None else None
+    # An audit cut short by its budget has not earned a compliance verdict.
+    decided = target is not None and log.stop_reason != "budget"
+    compliant = compliance(c, target) if decided else None
     return VerdictReport(
         strategy=log.strategy, bounds=b, candidate_set=c, target=target,
         compliant=compliant, claimed_version=claimed_version, inconsistency=None,

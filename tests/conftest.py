@@ -48,5 +48,7 @@ def rng():
     return RandomnessSource(seed=1234)
 
 
-def load_db_doc():
+@pytest.fixture
+def db_doc():
+    """A fresh copy of the fixture database document, free to mutate."""
     return json.loads((FIXTURES / "php_like_db.json").read_text())

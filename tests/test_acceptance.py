@@ -14,6 +14,7 @@ import copy
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ from fpaudit.outsourced import (
     PartyIdentity,
     verify_liability,
 )
-from fpaudit.protocol import run_test
+from fpaudit.protocol import run_test, transport_probe
 from fpaudit.simulator import (
     CacherResponder,
     LatencyModel,
@@ -48,8 +49,7 @@ from fpaudit.transport import make_loopback, probe_version_claim
 from fpaudit.verdict import build_report, oracle_candidates
 from fpaudit.versions import Version, parse_version as pv
 
-from tests.conftest import FIXTURES
-
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRIAL_COUNT = 200
 TRIAL_SEED_BASE = 52000
 
@@ -181,7 +181,7 @@ def test_criterion_7_proxy_soundness(db, sim_family):
     plan = resolve_plan(db, pv("7.2.0"))
     failed = 0
     for _ in range(100):
-        outcome = run_test(plan, pv("7.2.0"), endpoints, rng, db)
+        outcome = run_test(plan, pv("7.2.0"), transport_probe(endpoints, rng, db))
         if outcome.delta is False and outcome.sub_outcomes[0].reason == "timeout":
             failed += 1
     assert failed == 100
@@ -203,8 +203,8 @@ def test_criterion_8_hard_function_boundary(db, sim_family):
         faker_eps = make_loopback(produce(sim_family, faker_cfg))
         for tested in db.entries:
             plan = resolve_plan(db, tested)
-            a = run_test(plan, tested, honest_eps, rng, db)
-            b = run_test(plan, tested, faker_eps, rng, db)
+            a = run_test(plan, tested, transport_probe(honest_eps, rng, db))
+            b = run_test(plan, tested, transport_probe(faker_eps, rng, db))
             checked += 1
             if a.delta != b.delta:
                 flips += 1
@@ -274,7 +274,7 @@ def test_criterion_9_hierarchy_case_tables(db, sim_family):
         endpoints = make_loopback(produce(sim_family, cfg))
         for tested in db.entries:
             plan = resolve_plan(db, tested)
-            outcome = run_test(plan, tested, endpoints, rng, db)
+            outcome = run_test(plan, tested, transport_probe(endpoints, rng, db))
             expected = _frozen_delta(str(tested), src)
             assert outcome.delta == expected, (str(src), str(tested))
             checked += 1

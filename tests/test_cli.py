@@ -3,8 +3,8 @@ from pathlib import Path
 
 
 from fpaudit.cli import main
-from tests.conftest import FIXTURES, load_db_doc
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DB = str(FIXTURES / "php_like_db.json")
 SIM_HONEST = str(FIXTURES / "php_like_sim_honest.json")
 SIM_FAKER = str(FIXTURES / "php_like_sim_faker.json")
@@ -30,6 +30,17 @@ def test_audit_honest_compliant_exit_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "compliant" in out
+
+
+def test_audit_budget_stop_leaves_target_undecided(capsys):
+    # One HTL test cannot narrow the 24-version family to a single
+    # candidate, so the audit must not certify the target.
+    code = run(["audit", "--database", DB, "--sim-config", SIM_HONEST,
+                "--strategy", "HTL", "--budget", "1", "--target", "7.2.14", "--seed", "11"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "budget" in captured.err
+    assert "-> undecided" in captured.out
 
 
 def test_audit_json_report(capsys):
@@ -75,8 +86,8 @@ def test_db_validate_fixture_ok(capsys):
     assert "perfect" in out
 
 
-def test_db_validate_dangling_fixture(tmp_path, capsys):
-    doc = load_db_doc()
+def test_db_validate_dangling_fixture(tmp_path, capsys, db_doc):
+    doc = db_doc
     doc["service"]["versions"]["7.2.9"]["test"]["branching"]["9.9.9"] = "1"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

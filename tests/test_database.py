@@ -8,6 +8,7 @@ from fpaudit.database import (
     SchemaError,
     VariableSpec,
     add_entry,
+    fold_constraints,
     load_database,
     new_database,
     plan_truth_set,
@@ -160,6 +161,16 @@ def test_plan_truth_set_matches_referral_conjunction(db):
     truth = plan_truth_set(db, pv("7.2.9"))
     expected = {v for v in db.family.versions if v >= pv("7.2.9")}
     assert truth == expected
+
+
+def test_fold_constraints_keeps_availability_or_its_complement(db):
+    avail = db.availability[pv("7.0.22")]
+    assert fold_constraints(db, [(pv("7.0.22"), True)]) == avail
+    assert fold_constraints(db, [(pv("7.0.22"), False)]) == set(db.family.versions) - avail
+    narrowed = fold_constraints(db, [(pv("7.1.0"), False)], avail)
+    assert narrowed == {v for v in avail if v < pv("7.1.0")}
+    with pytest.raises(ValueError, match="7.2.9"):
+        fold_constraints(db, [(pv("7.2.9"), True)])
 
 
 def test_strategy_independence_clean_fixture(db):

@@ -1,8 +1,10 @@
 import copy
+import json
 
 import pytest
 
 from fpaudit.challenge import RandomnessSource
+from fpaudit.database import load_database
 from fpaudit.outsourced import (
     AuditorParty,
     ProviderParty,
@@ -18,6 +20,8 @@ from fpaudit.outsourced import (
     write_log,
 )
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
+from fpaudit.strategies import STRATEGIES, AuditError, run_audit
+from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
 from fpaudit.versions import parse_version as pv
 
@@ -100,18 +104,44 @@ def test_user_randomness_is_fresh_and_seedable(db):
     assert again.draw_randomness(db, pv("7.2.0")).values == a.values
 
 
-def test_session_runs_strategy_and_matches_direct_audit(trio):
+def rows_of(log):
+    return [(row.version, row.delta, row.testorder, row.origin) for row in log.rows]
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_session_runs_strategy_and_matches_direct_audit(trio, sim_family, strategy):
     identities, user, auditor, provider = trio
-    session = OutsourcedSession(db=auditor.db, strategy_name="CBS", user=user,
+    session = OutsourcedSession(db=auditor.db, strategy_name=strategy, user=user,
                           provider=provider, auditor=auditor)
     log = session.run()
     report = build_report(log, auditor.db)
     assert report.candidate_set.labels() == ["7.2.14"]
-    assert len(auditor.log) >= 5
+
+    # The same strategy over the transport against the same honest source
+    # takes the same path: both audits run the one strategy loop.
+    cfg = SimProviderConfig(src_version=pv("7.2.14"), latency=LatencyModel(0.001, 0.0), seed=6)
+    direct = run_audit(auditor.db, strategy, make_loopback(produce(sim_family, cfg)),
+                       RandomnessSource(seed=77))
+    assert rows_of(log) == rows_of(direct)
+    assert report.candidate_set == build_report(direct, auditor.db).candidate_set
+    assert len(auditor.log) == direct.exchange_count()
+
     verdicts = verify_liability(
         {"user": user.log, "auditor": auditor.log, "provider": provider.log},
         keys_of(identities), auditor.db)
     assert all(v.status == "compliant" for v in verdicts.values())
+
+
+def test_session_rejects_strategy_the_database_does_not_enable(trio, db_doc):
+    identities, user, _, provider = trio
+    db_doc["settings"]["strategies"] = ["HighToLow"]
+    db = load_database(json.dumps(db_doc).encode())
+    auditor = AuditorParty(identity=identities["auditor"], db=db)
+    session = OutsourcedSession(db=db, strategy_name="CBS", user=user,
+                                provider=provider, auditor=auditor)
+    with pytest.raises(AuditError, match="not enabled"):
+        session.run()
+    assert provider.log == []
 
 
 def test_log_files_round_trip(tmp_path, trio):

@@ -1,12 +1,12 @@
 from fpaudit.database import resolve_plan
-from fpaudit.protocol import aggregate, repeat_test, run_test
+from fpaudit.protocol import run_test, transport_probe
 from fpaudit.versions import parse_version as pv
 
 
 def test_compound_plan_passes_against_newer_honest(db, honest_endpoints, rng):
     endpoints = honest_endpoints("7.2.14")
     plan = resolve_plan(db, pv("7.2.9"))
-    outcome = run_test(plan, pv("7.2.9"), endpoints, rng, db)
+    outcome = run_test(plan, pv("7.2.9"), transport_probe(endpoints, rng, db))
     assert outcome.delta is True
     assert len(outcome.exchanges) == 2
     assert all(s.provenance == "exchanged" for s in outcome.sub_outcomes)
@@ -14,7 +14,7 @@ def test_compound_plan_passes_against_newer_honest(db, honest_endpoints, rng):
 
 def test_empty_plan_vacuously_true(db, honest_endpoints, rng):
     endpoints = honest_endpoints("7.2.14")
-    outcome = run_test((), pv("7.2.13"), endpoints, rng, db)
+    outcome = run_test((), pv("7.2.13"), transport_probe(endpoints, rng, db))
     assert outcome.delta is True
     assert outcome.exchanges == ()
 
@@ -22,7 +22,7 @@ def test_empty_plan_vacuously_true(db, honest_endpoints, rng):
 def test_plan_fails_against_older_honest(db, honest_endpoints, rng):
     endpoints = honest_endpoints("7.1.1")
     plan = resolve_plan(db, pv("7.2.0"))
-    outcome = run_test(plan, pv("7.2.0"), endpoints, rng, db)
+    outcome = run_test(plan, pv("7.2.0"), transport_probe(endpoints, rng, db))
     assert outcome.delta is False
     assert outcome.sub_outcomes[0].reason == "mismatch"
 
@@ -32,7 +32,7 @@ def test_short_circuit_stops_exchanges(db, honest_endpoints, rng):
     # the referred test must not run.
     endpoints = honest_endpoints("7.1.1")
     plan = resolve_plan(db, pv("7.2.9"))
-    outcome = run_test(plan, pv("7.2.9"), endpoints, rng, db)
+    outcome = run_test(plan, pv("7.2.9"), transport_probe(endpoints, rng, db))
     assert outcome.delta is False
     assert len(outcome.exchanges) == 1
     assert [str(s.version) for s in outcome.sub_outcomes] == ["7.2.0"]
@@ -42,7 +42,7 @@ def test_prior_decisions_reused_as_implied(db, honest_endpoints, rng):
     endpoints = honest_endpoints("7.2.14")
     plan = resolve_plan(db, pv("7.2.9"))
     prior = {pv("7.2.0"): True}
-    outcome = run_test(plan, pv("7.2.9"), endpoints, rng, db, prior=prior)
+    outcome = run_test(plan, pv("7.2.9"), transport_probe(endpoints, rng, db), prior=prior)
     assert outcome.delta is True
     assert len(outcome.exchanges) == 1
     assert outcome.sub_outcomes[0].provenance == "implied"
@@ -54,43 +54,19 @@ def test_expect_fail_subtest_inverts_polarity(db, honest_endpoints, rng):
     # boundary observation.
     endpoints = honest_endpoints("7.0.26")
     plan = resolve_plan(db, pv("7.0.22"))
-    outcome = run_test(plan, pv("7.0.22"), endpoints, rng, db)
+    outcome = run_test(plan, pv("7.0.22"), transport_probe(endpoints, rng, db))
     assert outcome.delta is True
     boundary = outcome.sub_outcomes[-1]
     assert boundary.expect_pass is False and boundary.observed is False
 
     endpoints = honest_endpoints("7.1.1")
-    outcome = run_test(plan, pv("7.0.22"), endpoints, rng, db)
+    outcome = run_test(plan, pv("7.0.22"), transport_probe(endpoints, rng, db))
     assert outcome.delta is False
 
 
 def test_fresh_randomness_each_subtest(db, honest_endpoints, rng):
     endpoints = honest_endpoints("7.2.14")
     plan = resolve_plan(db, pv("7.2.0"))
-    first = run_test(plan, pv("7.2.0"), endpoints, rng, db)
-    second = run_test(plan, pv("7.2.0"), endpoints, rng, db)
+    first = run_test(plan, pv("7.2.0"), transport_probe(endpoints, rng, db))
+    second = run_test(plan, pv("7.2.0"), transport_probe(endpoints, rng, db))
     assert first.exchanges[0].challenge_bytes != second.exchanges[0].challenge_bytes
-
-
-def test_repeat_test_honest_is_stable(db, honest_endpoints, rng):
-    endpoints = honest_endpoints("7.2.14")
-    plan = resolve_plan(db, pv("7.2.0"))
-    outcomes = repeat_test(plan, pv("7.2.0"), endpoints, rng, db, n=3)
-    assert [o.delta for o in outcomes] == [True, True, True]
-    assert aggregate(outcomes) is True
-
-
-def test_repeat_test_singleton(db, honest_endpoints, rng):
-    endpoints = honest_endpoints("7.2.14")
-    outcomes = repeat_test((), pv("7.2.13"), endpoints, rng, db, n=1)
-    assert len(outcomes) == 1
-
-
-def test_aggregate_all_must_agree(db, honest_endpoints, rng):
-    endpoints_new = honest_endpoints("7.2.14")
-    endpoints_old = honest_endpoints("7.1.1")
-    plan = resolve_plan(db, pv("7.2.0"))
-    good = run_test(plan, pv("7.2.0"), endpoints_new, rng, db)
-    bad = run_test(plan, pv("7.2.0"), endpoints_old, rng, db)
-    assert aggregate([good, bad]) is False
-    assert aggregate([good, good, bad], mode="majority") is True

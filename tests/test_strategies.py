@@ -20,15 +20,18 @@ def test_budget_zero_stops_immediately(db, honest_endpoints, rng):
     assert log.rows == []
 
 
+def test_stop_reason_tells_budget_from_convergence(db, honest_endpoints, rng):
+    assert run_audit(db, "HTL", honest_endpoints("7.2.14"), rng, budget=1).stop_reason == "budget"
+    assert run_audit(db, "HTL", honest_endpoints("7.2.14"), rng).stop_reason == "converged"
+
+
 def test_unknown_strategy_rejected(db, honest_endpoints, rng):
     with pytest.raises(AuditError, match="nope"):
         run_audit(db, "nope", honest_endpoints("7.2.14"), rng)
 
 
-def test_disabled_strategy_rejected(honest_endpoints, rng):
-    from tests.conftest import load_db_doc
-
-    doc = load_db_doc()
+def test_disabled_strategy_rejected(honest_endpoints, rng, db_doc):
+    doc = db_doc
     doc["settings"]["strategies"] = ["HighToLow"]
     db = load_database(json.dumps(doc).encode())
     with pytest.raises(AuditError, match="not enabled"):

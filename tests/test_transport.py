@@ -1,6 +1,10 @@
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
-from fpaudit.challenge import render_test
+from fpaudit.challenge import judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
 from fpaudit.simserver import start_server
 from fpaudit.transport import (
@@ -77,6 +81,52 @@ def test_http_wrong_credentials_is_auth_error(http_server):
     record = exchange(chl, rsp, b"<?php phpversion();", 0.5)
     assert record.response_bytes is None
     assert record.transport_error == "auth"
+
+
+class _HeldAckHandler(BaseHTTPRequestHandler):
+    """Holds each PUT's acknowledgement for 300 ms, then answers GET at once."""
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_PUT(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        time.sleep(0.3)
+        self.send_response(204)
+        self.end_headers()
+
+    def do_GET(self) -> None:
+        body = self.server.answer
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_http_held_put_acknowledgement_counts_against_deadline(db, rng):
+    # A provider that forwards the challenge while holding the PUT
+    # acknowledgement, and then serves the right answer at once, must still
+    # miss the 200 ms deadline.
+    rt = render_test(db, pv("7.2.0"), rng)
+    assert rt.deadline == pytest.approx(0.2)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _HeldAckHandler)
+    server.answer = rt.expected_payload
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        chl = InterfaceEndpoint(id="c", kind="http-fetch", address=base + "/challenge")
+        rsp = InterfaceEndpoint(id="r", kind="http-fetch", address=base + "/response")
+        record = exchange(chl, rsp, rt.challenge_payload, rt.deadline)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert record.response_bytes == rt.expected_payload
+    result = judge(record.response_bytes, rt.expected_payload, record.elapsed,
+                   rt.deadline, record.transport_error)
+    assert result.reason == "timeout"
 
 
 def test_file_drop_with_never_materializing_response(tmp_path):

@@ -169,3 +169,11 @@ def test_report_inconsistency_path(db):
     assert report.inconsistency is not None
     assert report.candidate_set is None
     assert report.compliant is None
+
+
+def test_budget_stopped_audit_leaves_compliance_undecided(db, honest_endpoints, rng):
+    log = run_audit(db, "HTL", honest_endpoints("7.2.14"), rng, budget=1)
+    report = build_report(log, db, target=pv("7.2.14"))
+    assert pv("7.2.14") in report.candidate_set
+    assert len(report.candidate_set) > 1
+    assert report.compliant is None
