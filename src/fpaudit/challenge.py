@@ -13,10 +13,9 @@ import re
 import secrets
 from dataclasses import dataclass, field
 
-from .database import Database, VariableSpec, VersionTest
+from .database import _PLACEHOLDER_RE, Database, VariableSpec, VersionTest
 from .versions import Version, VersionSet, render_version
 
-_PLACEHOLDER_RE = re.compile(rb"#([a-z0-9_]+)#")
 _STRING_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
@@ -33,7 +32,6 @@ class RandomnessSource:
     """
 
     def __init__(self, seed: int | None = None):
-        self.seeded = seed is not None
         self._rng = random.Random(seed) if seed is not None else secrets.SystemRandom()
 
     def randint(self, lo: int, hi: int) -> int:
@@ -137,13 +135,9 @@ def render(template: bytes, binding: Binding, tags: Tags = Tags()) -> bytes:
 
 @dataclass(frozen=True)
 class RenderedTest:
-    version_under_test: Version
     challenge_payload: bytes
     expected_payload: bytes
     deadline: float  # seconds
-    binding: Binding
-    challenge_interface: str
-    response_interface: str
 
 
 def render_test(db: Database, version: Version, rng: RandomnessSource) -> RenderedTest:
@@ -154,15 +148,7 @@ def render_test(db: Database, version: Version, rng: RandomnessSource) -> Render
     binding = draw_binding(entry, rng, db.family)
     challenge = render(entry.challenge_template, binding, tags_for(db, entry, "challenge"))
     expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
-    return RenderedTest(
-        version_under_test=version,
-        challenge_payload=challenge,
-        expected_payload=expected,
-        deadline=entry.wait_time,
-        binding=binding,
-        challenge_interface=db.meta.challenge_interface,
-        response_interface=db.meta.response_interface,
-    )
+    return RenderedTest(challenge_payload=challenge, expected_payload=expected, deadline=entry.wait_time)
 
 
 @dataclass(frozen=True)

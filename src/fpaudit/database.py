@@ -44,6 +44,7 @@ zeroed minor and patch); anything else is treated as a back-port partner.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections.abc import Iterable
@@ -53,6 +54,8 @@ from datetime import datetime, timezone
 from .versions import Version, VersionSet, branch_origin, parse_version, render_version
 
 _IDENT_RE = re.compile(r"[a-z0-9_]+")
+# A "#name#" placeholder in a challenge or expect template.
+_PLACEHOLDER_RE = re.compile(rb"#([a-z0-9_]+)#")
 
 DEFAULT_WAIT_MS = 200
 
@@ -67,7 +70,7 @@ DEFAULT_VALUES = {
     "version.test.expect.type": "string",
     "version.test.label": "0",
     "version.test.variables.type": "rand",
-    "version.test.variables.format": "value",
+    "version.test.variables.format": "integer",
     "version.test.waittime.amount": DEFAULT_WAIT_MS,
     "version.test.waittime.type": "milliseconds",
 }
@@ -209,22 +212,37 @@ TestPlan = tuple[PlanStep, ...]
 
 @dataclass(frozen=True)
 class Database:
+    """Entries over a family; construction checks the referrals and derives
+    where each payload entry's function is available."""
+
     meta: DatabaseMeta
     entries: dict[Version, VersionTest]
     family: VersionSet
     # version of a payload entry -> set of family versions where its probed
-    # function is available (derived from the referral structure at load).
-    availability: dict[Version, frozenset[Version]] = field(default_factory=dict, compare=False)
+    # function is available (derived from the referral structure).
+    availability: dict[Version, frozenset[Version]] = field(init=False, repr=False, compare=False)
     availability_windows: dict[Version, tuple[tuple[Version, Version | None], ...]] = field(
-        default_factory=dict, compare=False
+        init=False, repr=False, compare=False
     )
+    entry_versions: tuple[Version, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_referrals(self)
+        _check_cycles(self)
+        avail, windows = _derive_availability(self)
+        object.__setattr__(self, "availability", avail)
+        object.__setattr__(self, "availability_windows", windows)
+        object.__setattr__(self, "entry_versions", tuple(sorted(self.entries)))
+
+    @functools.cached_property
+    def truth(self) -> dict[Version, frozenset[Version]]:
+        """Entry version -> family versions at which its full plan passes,
+        derived on first use."""
+        return {v: plan_truth_set(self, v) for v in self.entry_versions}
 
     @property
     def is_perfect(self) -> bool:
         return set(self.entries) == set(self.family.versions)
-
-    def sorted_entry_versions(self) -> list[Version]:
-        return sorted(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +286,7 @@ def load_database(document: bytes | str) -> Database:
         missing = [render_version(v) for v in entries if v not in family_versions]
         if missing:
             raise SchemaError(f"entries outside the declared family: {', '.join(missing)}")
-    family = VersionSet(meta.service_name, family_versions)
-
-    db = Database(meta=meta, entries=entries, family=family)
-    _check_referrals(db)
-    _check_cycles(db)
-    avail, windows = _derive_availability(db)
-    return replace(db, availability=avail, availability_windows=windows)
+    return Database(meta=meta, entries=entries, family=VersionSet(meta.service_name, family_versions))
 
 
 def _load_meta(doc: dict) -> DatabaseMeta:
@@ -286,6 +298,9 @@ def _load_meta(doc: dict) -> DatabaseMeta:
     for key in defaults:
         if key not in KNOWN_DEFAULTS:
             raise SchemaError(f"unknown default key {key!r}")
+    default_format = defaults.get("version.test.variables.format", "integer")
+    if default_format not in VARIABLE_FORMATS:
+        raise SchemaError(f"default key 'version.test.variables.format': unknown format {default_format!r}")
     amount = defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS)
     if not isinstance(amount, (int, float)) or amount <= 0:
         raise SchemaError(f"waittime amount must be positive, got {amount!r}")
@@ -332,6 +347,10 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     expect_payload = expect.get("payload")
     if (challenge_payload is None) != (expect_payload is None):
         raise SchemaError(f"entry {label!r}: challenge and expect payloads must come together")
+    for payload in (challenge_payload or "", expect_payload or ""):
+        for name in _PLACEHOLDER_RE.findall(payload.encode("utf-8")):
+            if name.decode("ascii") not in variables:
+                raise SchemaError(f"entry {label!r}: no variable binds placeholder #{name.decode('ascii')}#")
 
     expect_type = str(expect.get("type", meta.default_values.get("version.test.expect.type", "string")))
     if expect_type != "string":
@@ -609,7 +628,7 @@ def validate_strategy_independence(db: Database) -> IndependenceReport:
 def serialize_database(db: Database) -> bytes:
     """Canonical JSON form; load(serialize(db)) == db."""
     versions_doc: dict[str, object] = {}
-    for v in db.sorted_entry_versions():
+    for v in db.entry_versions:
         entry = db.entries[v]
         test: dict[str, object] = {}
         if entry.variables:
@@ -693,31 +712,21 @@ def add_entry(
     variables: dict[str, VariableSpec] | None = None,
     branching: list[str] | None = None,
     deprecated: str | None = None,
-    wait_time: float | None = None,
 ) -> Database:
-    """Return a new database with one more entry (revalidated in full)."""
+    """Return a new database with one more entry, checked as the loader checks it."""
     v = parse_version(label)
     if v in db.entries:
         raise DatabaseError(f"entry {label!r} already exists")
-    entry = VersionTest(
-        version=v,
-        variables=dict(variables or {}),
-        challenge_template=challenge.encode("utf-8") if challenge is not None else None,
-        expect_template=expect.encode("utf-8") if expect is not None else None,
-        wait_time=wait_time if wait_time is not None else db.meta.wait_time(),
-        branching_refs=tuple(parse_version(r) for r in (branching or [])),
-        branching_flags={r: "1" for r in (branching or [])},
-        deprecated_ref=parse_version(deprecated) if deprecated else None,
-    )
-    if not entry.has_payload and not entry.branching_refs:
-        raise SchemaError(f"entry {label!r}: has neither a challenge payload nor referrals")
-    entries = dict(db.entries)
-    entries[v] = entry
-    family_versions = set(db.family.versions) | {v}
+    test: dict[str, object] = {
+        "variables": {name: _variable_doc(spec) for name, spec in (variables or {}).items()},
+        "branching": {ref: "1" for ref in branching or []},
+        "deprecated": deprecated,
+    }
+    for side, payload in (("challenge", challenge), ("expect", expect)):
+        if payload is not None:
+            test[side] = {"payload": payload}
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     meta = replace(db.meta, last_update_timestamp=now)
-    out = Database(meta=meta, entries=entries, family=VersionSet(db.family.family_name, tuple(family_versions)))
-    _check_referrals(out)
-    _check_cycles(out)
-    avail, windows = _derive_availability(out)
-    return replace(out, availability=avail, availability_windows=windows)
+    entries = {**db.entries, v: _load_entry(label, v, {"test": test}, meta)}
+    family = VersionSet(db.family.family_name, tuple(set(db.family.versions) | {v}))
+    return Database(meta=meta, entries=entries, family=family)

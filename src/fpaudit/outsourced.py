@@ -42,7 +42,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .challenge import Binding, RandomnessSource, draw_binding, render, tags_for
+from .challenge import Binding, RandomnessSource, draw_binding, judge, render, tags_for
 from .database import Database
 from .strategies import DecisionLog, drive_audit
 from .transport import ExchangeRecord
@@ -267,8 +267,7 @@ def run_round(
 
     expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
     elapsed = _epoch(t4) - _epoch(t2)
-    delta = e_prime == expected and elapsed <= entry.wait_time
-    reason = None if delta else ("mismatch" if elapsed <= entry.wait_time else "timeout")
+    judged = judge(e_prime, expected, elapsed, entry.wait_time)
     auditor.log.append({
         "round": round_no,
         "version": render_version(version),
@@ -277,9 +276,9 @@ def run_round(
         "ePrime": _b64(e_prime),
         "t1": t1, "t2": t2, "t3": t3, "t4": t4,
         "S1": _b64(s1), "S2": _b64(s2), "S3": _b64(s3), "S4": _b64(s4),
-        "delta": delta,
+        "delta": judged.delta,
     })
-    return RoundResult(round_no, version, delta, reason, elapsed, e_prime, expected)
+    return RoundResult(round_no, version, judged.delta, judged.reason, elapsed, e_prime, expected)
 
 
 @dataclass
@@ -405,12 +404,7 @@ def verify_liability(
                         verdicts[role].blame(f"round {round_no}: {sig_name} fails in this log copy")
             else:
                 signer = {"S1": "auditor", "S2": "user", "S3": "provider", "S4": "user"}[sig_name]
-                for role in outcomes:
-                    if role == signer:
-                        verdicts[signer].blame(f"round {round_no}: {sig_name} invalid everywhere")
-                        break
-                else:
-                    verdicts[signer].blame(f"round {round_no}: {sig_name} invalid everywhere")
+                verdicts[signer].blame(f"round {round_no}: {sig_name} invalid everywhere")
 
         # Replay only against a copy whose signatures all verified; corrupted
         # copies were blamed above and must not poison the reference data.
@@ -473,7 +467,7 @@ def verify_liability(
             if auditor_copy is not None and "delta" in auditor_copy and t_vals:
                 expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
                 elapsed = t_vals["t4"] - t_vals["t2"]
-                replayed = e_prime == expected and elapsed <= entry.wait_time
+                replayed = judge(e_prime, expected, elapsed, entry.wait_time).delta
                 if bool(auditor_copy["delta"]) != replayed:
                     verdicts["auditor"].blame(
                         f"round {round_no}: recorded decision contradicts the replayed "

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .challenge import RandomnessSource
-from .database import Database, STRATEGY_SHORT, fold_constraints, plan_truth_set, resolve_plan
+from .database import Database, STRATEGY_SHORT, fold_constraints, resolve_plan
 from .protocol import Probe, TestOutcome, run_test, transport_probe
 from .transport import InterfaceEndpoint
 from .versions import Version, render_version
@@ -49,35 +49,31 @@ class DecisionLog:
     strategy: str = ""
     stop_reason: str = ""  # "converged", or "budget" if it ran out with informative entries left
     rows: list[LogRow] = field(default_factory=list)
-
-    def versions(self) -> set[Version]:
-        return {row.version for row in self.rows}
+    # Kept up to date by ``append_outcome``: logged version -> its row's delta,
+    # and intrinsic sub-test version -> its observation.
+    deltas: dict[Version, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
+    observations: dict[Version, bool] = field(default_factory=dict, init=False, repr=False,
+                                              compare=False)
 
     def append_outcome(self, outcome: TestOutcome) -> None:
-        logged = self.versions()
-        if outcome.version in logged:
+        if outcome.version in self.deltas:
             raise AuditError(f"version {render_version(outcome.version)} already decided")
         for sub in outcome.sub_outcomes:
-            if sub.provenance != "exchanged" or sub.version == outcome.version:
-                continue
-            if sub.version in logged:
-                raise AuditError(f"version {render_version(sub.version)} already decided")
-            logged.add(sub.version)
-            self.rows.append(LogRow(sub.version, sub.observed, len(self.rows) + 1,
-                                    "exchange", time.time()))
-        self.rows.append(LogRow(outcome.version, outcome.delta, len(self.rows) + 1,
-                                "plan", time.time(), outcome))
+            if self.observations.setdefault(sub.version, sub.observed) != sub.observed:
+                raise AuditError(f"version {render_version(sub.version)} observed both true and false")
+            if sub.provenance == "exchanged" and sub.version != outcome.version:
+                self._append_row(sub.version, sub.observed, "exchange")
+        self._append_row(outcome.version, outcome.delta, "plan", outcome)
+
+    def _append_row(self, version: Version, delta: bool, origin: str,
+                    outcome: TestOutcome | None = None) -> None:
+        if version in self.deltas:
+            raise AuditError(f"version {render_version(version)} already decided")
+        self.deltas[version] = delta
+        self.rows.append(LogRow(version, delta, len(self.rows) + 1, origin, time.time(), outcome))
 
     def plan_outcomes(self) -> list[TestOutcome]:
         return [row.outcome for row in self.rows if row.outcome is not None]
-
-    def intrinsic_observations(self) -> dict[Version, bool]:
-        """Per-version intrinsic test observations from all sub-outcomes."""
-        obs: dict[Version, bool] = {}
-        for outcome in self.plan_outcomes():
-            for sub in outcome.sub_outcomes:
-                obs.setdefault(sub.version, sub.observed)
-        return obs
 
     def compound_results(self) -> dict[Version, bool]:
         return {row.version: row.delta for row in self.rows if row.origin == "plan"}
@@ -96,8 +92,8 @@ class AuditContext:
 
     def __init__(self, db: Database):
         self.db = db
-        self.entry_versions = db.sorted_entry_versions()
-        self.truth = {v: plan_truth_set(db, v) for v in self.entry_versions}
+        self.entry_versions = db.entry_versions
+        self.truth = db.truth
         self.candidates: set[Version] = set(db.family.versions)
         self.log = DecisionLog()
 
@@ -119,19 +115,11 @@ class AuditContext:
             return True
         return None
 
-    def row_result(self, v: Version) -> bool | None:
-        """Logged result for ``v`` (plan or referral sub-test), if any."""
-        for row in self.log.rows:
-            if row.version == v:
-                return row.delta
-        return None
-
     def informative(self) -> list[Version]:
         """Untested entries whose outcome would shrink the candidate set."""
-        logged = self.log.versions()
         out = []
         for v in self.entry_versions:
-            if v in logged:
+            if v in self.log.deltas:
                 continue
             hits = self.candidates & self.truth[v]
             if hits and hits != self.candidates:
@@ -143,8 +131,7 @@ class BinarySearch:
     name = "BS"
 
     def pick(self, ctx: AuditContext) -> Version | None:
-        logged = ctx.log.versions()
-        pool = [v for v in ctx.entry_versions if v in ctx.candidates and v not in logged]
+        pool = [v for v in ctx.entry_versions if v in ctx.candidates and v not in ctx.log.deltas]
         return _mid(pool) if pool else None
 
 
@@ -212,7 +199,7 @@ class CascadingBinarySearch:
         the remaining ones are bisected between the greatest value that
         passed and the least that failed, rounding up.
         """
-        results = {val: ctx.row_result(probe_for(val)) for val in values}
+        results = {val: ctx.log.deltas.get(probe_for(val)) for val in values}
         trues = [val for val, res in results.items() if res is True]
         falses = [val for val, res in results.items() if res is False]
         floor = max(trues) if trues else None
@@ -339,10 +326,10 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
         pick = strategy.pick(ctx)
         if pick is None:
             pick = _mid(informative)
-        if pick in ctx.log.versions():
+        if pick in ctx.log.deltas:
             raise AuditError(f"strategy repeated version {render_version(pick)}")
         plan = resolve_plan(db, pick)
-        outcome = run_test(plan, pick, probe, prior=ctx.log.intrinsic_observations())
+        outcome = run_test(plan, pick, probe, prior=ctx.log.observations)
         ctx.apply(outcome)
         tests_run += 1
     return ctx.log

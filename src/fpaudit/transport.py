@@ -159,7 +159,13 @@ def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
         while True:
             if source.exists():
                 now = time.monotonic()
-                return ExchangeRecord(payload, source.read_bytes(), sent, now, now - sent)
+                try:
+                    # Consume the answer so a later exchange cannot read it again.
+                    body = source.read_bytes()
+                    source.unlink()
+                except OSError as exc:
+                    raise TransportError(f"response read failed: {exc}") from exc
+                return ExchangeRecord(payload, body, sent, now, now - sent)
             if time.monotonic() - sent > budget:
                 now = time.monotonic()
                 return ExchangeRecord(payload, None, sent, now, now - sent)

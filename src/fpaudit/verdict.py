@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .challenge import RandomnessSource, render_test
-from .database import Database, fold_constraints, plan_truth_set, resolve_plan
+from .database import Database, fold_constraints, resolve_plan
 from .simulator import HonestResponder, LatencyModel, SimFamily
 from .strategies import DecisionLog
 from .versions import Version, render_version
@@ -39,7 +39,7 @@ class Bounds:
     upper: Version | None
     deprecated_windows: tuple[tuple[Window, ...], ...] = ()
     exclusions: tuple[tuple[Window, ...], ...] = ()
-    constraints: tuple[tuple[Version, bool], ...] = ()
+    members: frozenset[Version] = frozenset()  # family versions the observations admit
 
     def to_doc(self) -> dict:
         return {
@@ -70,7 +70,7 @@ class CandidateSet:
 
 def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     """Interpret the log's observations; raises on a contradictory log."""
-    observations = _collect_observations(log)
+    observations = sorted(log.observations.items())
     members = fold_constraints(db, observations)
     if not members and observations:
         raise InconsistentLogError(*_name_conflict(db, observations))
@@ -80,7 +80,7 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     true_versions = [v for v, d in compound.items() if d]
     lower = max(true_versions) if true_versions else None
     upper_candidates = [v for v, d in compound.items()
-                        if not d and plan_truth_set(db, v) == upward[v]]
+                        if not d and db.truth[v] == upward[v]]
     upper = min(upper_candidates) if upper_candidates else None
 
     deprecated = []
@@ -99,21 +99,8 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
         upper=upper,
         deprecated_windows=tuple(deprecated),
         exclusions=tuple(exclusions),
-        constraints=tuple(observations),
+        members=frozenset(members),
     )
-
-
-def _collect_observations(log: DecisionLog) -> list[tuple[Version, bool]]:
-    seen: dict[Version, bool] = {}
-    for outcome in log.plan_outcomes():
-        for sub in outcome.sub_outcomes:
-            if sub.version in seen and seen[sub.version] != sub.observed:
-                raise InconsistentLogError(
-                    f"version {render_version(sub.version)} observed both true and false",
-                    (sub.version, sub.version),
-                )
-            seen.setdefault(sub.version, sub.observed)
-    return sorted(seen.items())
 
 
 def _name_conflict(db: Database, observations: list[tuple[Version, bool]]):
@@ -133,7 +120,7 @@ def candidates(bounds: Bounds, db: Database) -> CandidateSet:
     Versions without database entries ride along with whichever decided
     neighbours they are indistinguishable from.
     """
-    return CandidateSet(tuple(sorted(fold_constraints(db, bounds.constraints))))
+    return CandidateSet(tuple(v for v in db.family.versions if v in bounds.members))
 
 
 def compliance(c: CandidateSet, target: Version) -> bool:

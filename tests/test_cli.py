@@ -125,6 +125,24 @@ def test_db_add_entry_rejects_dangling(tmp_path, capsys):
     assert code == 1
 
 
+def test_db_add_entry_rejects_challenge_without_expect(tmp_path, capsys):
+    out = tmp_path / "toy.json"
+    run(["db", "new", "--service", "toy", "--out", str(out)])
+    code = run(["db", "add-entry", "--database", str(out), "--version", "1.0.0",
+                "--challenge", "X"])
+    assert code == 1
+    assert "rejected:" in capsys.readouterr().err
+
+
+def test_db_validate_rejects_unbound_placeholder(tmp_path, capsys, db_doc):
+    db_doc["service"]["versions"]["7.2.0"]["test"]["challenge"]["payload"] = "var_dump(a(#zz#));"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(db_doc))
+    assert run(["db", "validate", "--database", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "7.2.0" in err and "#zz#" in err
+
+
 def test_verify_logs_honest_and_corrupted(tmp_path, capsys, db, sim_family):
     from fpaudit.challenge import RandomnessSource
     from fpaudit.outsourced import (

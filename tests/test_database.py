@@ -225,6 +225,18 @@ def test_new_database_and_add_entry_round_trip(tmp_path):
     assert [str(s.version) for s in plan] == ["1.0.0", "1.1.0"]
 
 
+def test_variable_without_format_takes_the_integer_default(db_doc):
+    del db_doc["service"]["versions"]["7.2.0"]["test"]["variables"]["ax"]["format"]
+    db = load_database(json.dumps(db_doc))
+    assert db.entries[pv("7.2.0")].variables["ax"].format == "integer"
+
+
+def test_unknown_default_variable_format_fails_at_load(db_doc):
+    db_doc["defaultvalues"]["version.test.variables.format"] = "value"
+    with pytest.raises(SchemaError, match="version.test.variables.format"):
+        load_database(json.dumps(db_doc))
+
+
 def test_add_entry_rejects_dangling_branch():
     db = new_database("toy")
     with pytest.raises(DanglingReferralError):

@@ -1,0 +1,76 @@
+"""Golden audit matrix: every strategy x every fixture source x four provider
+behaviours, with seeded randomness, must reproduce the recorded audits.
+
+Each line of ``golden_audits.txt`` holds one audit: its log rows
+``(testorder, version, delta, origin)``, the stop reason, the candidates,
+the lower and upper bound, and a short SHA-256 of the exchanged challenge
+bytes.  To re-record the file after a deliberate change of verdicts::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+from pathlib import Path
+
+from fpaudit.challenge import RandomnessSource
+from fpaudit.database import load_database
+from fpaudit.simulator import LatencyModel, SimProviderConfig, load_sim_config, produce
+from fpaudit.strategies import STRATEGIES, run_audit
+from fpaudit.transport import make_loopback
+from fpaudit.verdict import build_report
+from fpaudit.versions import render_version
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).with_name("golden_audits.txt")
+BEHAVIORS = ("honest", "claim-faker", "function-faker", "proxy")
+
+
+def _label(v) -> str:
+    return render_version(v) if v is not None else "-"
+
+
+def audit_lines() -> list[str]:
+    db = load_database((FIXTURES / "php_like_db.json").read_bytes())
+    sim, _ = load_sim_config((FIXTURES / "php_like_sim_honest.json").read_bytes())
+    fakeable = tuple(sorted(n for n, fn in sim.functions.items() if not fn.hard))
+    lines = []
+    for strategy in STRATEGIES:
+        for src in sim.family.versions:
+            for behavior in BEHAVIORS:
+                seed = len(lines)
+                cfg = SimProviderConfig(
+                    src_version=src, behavior=behavior, claim_label="99.0.0-fake",
+                    latency=LatencyModel(0.001, 0.0), fake_functions=fakeable, seed=seed)
+                log = run_audit(db, strategy, make_loopback(produce(sim, cfg)),
+                                RandomnessSource(seed=seed))
+                report = build_report(log, db)
+                digest = hashlib.sha256()
+                for outcome in log.plan_outcomes():
+                    for record in outcome.exchanges:
+                        digest.update(len(record.challenge_bytes).to_bytes(4, "big"))
+                        digest.update(record.challenge_bytes)
+                rows = " ".join(f"{r.testorder}:{_label(r.version)}:{'T' if r.delta else 'F'}:{r.origin}"
+                                for r in log.rows)
+                if report.candidate_set is None:
+                    cands, lower, upper = "inconsistent", "-", "-"
+                else:
+                    cands = ",".join(report.candidate_set.labels())
+                    lower, upper = _label(report.bounds.lower), _label(report.bounds.upper)
+                lines.append(f"{strategy} {_label(src)} {behavior} | {rows} | {log.stop_reason}"
+                             f" | {cands} | {lower} {upper} | {digest.hexdigest()[:16]}")
+    return lines
+
+
+def test_audit_matrix_matches_golden_file():
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    actual = audit_lines()
+    for want, got in zip(expected, actual):
+        audit = " ".join(want.split(" | ")[0].split())
+        assert got == want, f"first differing audit: {audit}\n want: {want}\n  got: {got}"
+    assert len(actual) == len(expected)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("\n".join(audit_lines()) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -2,13 +2,17 @@ import json
 
 import pytest
 
+from fpaudit import database, verdict
 from fpaudit.challenge import RandomnessSource
 from fpaudit.database import load_database
+from fpaudit.protocol import SubOutcome
+from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce, sim_family_from_doc
-from fpaudit.strategies import STRATEGIES, AuditError, AuditContext, run_audit
+from fpaudit.strategies import STRATEGIES, AuditContext, AuditError, DecisionLog, run_audit
 from fpaudit.synth import synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
+from fpaudit.versions import parse_version as pv
 
 
 def trace(log):
@@ -176,3 +180,40 @@ def test_agreement_on_randomized_families():
             assert src in report.candidate_set
             outcomes.add(report.candidate_set.members)
         assert len(outcomes) == 1, (trial, str(src))
+
+
+def test_truth_sets_are_derived_once_per_database(db_doc, sim_family, monkeypatch):
+    fresh = load_database(json.dumps(db_doc))
+    calls = []
+    real = database.plan_truth_set
+    monkeypatch.setattr(database, "plan_truth_set", lambda db, v: calls.append(v) or real(db, v))
+    per_audit = []
+    for source in ("7.2.14", "7.1.1"):
+        cfg = SimProviderConfig(src_version=pv(source), latency=LatencyModel(0.001, 0.0), seed=2)
+        before = len(calls)
+        log = run_audit(fresh, "CBS", make_loopback(produce(sim_family, cfg)),
+                        RandomnessSource(seed=3))
+        build_report(log, fresh)
+        per_audit.append(len(calls) - before)
+    assert per_audit == [len(fresh.entries), 0]
+
+
+def test_log_rejects_a_contradicting_observation():
+    v, w = pv("7.2.0"), pv("7.2.1")
+    log = DecisionLog()
+    log.append_outcome(PlanOutcome(v, True, (SubOutcome(v, True, True, None, "exchanged"),), ()))
+    contradiction = SubOutcome(v, True, False, "mismatch", "implied")
+    with pytest.raises(AuditError, match="observed both"):
+        log.append_outcome(PlanOutcome(w, False, (contradiction,), ()))
+    assert log.deltas == {pv("7.2.0"): True}
+    assert log.observations == {pv("7.2.0"): True}
+
+
+def test_report_folds_a_consistent_log_once(db, honest_endpoints, rng, monkeypatch):
+    log = run_audit(db, "CBS", honest_endpoints("7.2.14"), rng)
+    calls = []
+    real = verdict.fold_constraints
+    monkeypatch.setattr(verdict, "fold_constraints", lambda *a: calls.append(a) or real(*a))
+    report = build_report(log, db)
+    assert report.candidate_set.labels() == ["7.2.14"]
+    assert len(calls) == 1

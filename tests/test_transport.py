@@ -150,6 +150,32 @@ def test_file_drop_reads_response_file(tmp_path):
     assert record.response_bytes == b"answer"
 
 
+def test_file_drop_does_not_replay_a_consumed_response(tmp_path):
+    drop, out = tmp_path / "drop", tmp_path / "out"
+    out.mkdir()
+    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(drop), timeout_cap=0.3)
+    rsp = InterfaceEndpoint(id="r", kind="file-drop", address=str(out),
+                            filename="response.txt", timeout_cap=0.3)
+
+    def answer_once() -> None:
+        # A provider that answers the first challenge it sees, then goes quiet.
+        give_up = time.monotonic() + 5
+        while not (drop / "challenge.txt").exists() and time.monotonic() < give_up:
+            time.sleep(0.005)
+        (out / "response.tmp").write_bytes(b"answer")
+        (out / "response.tmp").replace(out / "response.txt")
+
+    provider = threading.Thread(target=answer_once)
+    provider.start()
+    first = exchange(chl, rsp, b"round 1", 0.1)
+    provider.join(timeout=5)
+    assert not provider.is_alive()
+    second = exchange(chl, rsp, b"round 2", 0.1)
+    assert first.response_bytes == b"answer"
+    assert second.response_bytes is None
+    assert judge(second.response_bytes, b"answer", second.elapsed, 0.1).reason == "timeout"
+
+
 def test_exchange_timestamps_monotone(honest_endpoints):
     chl, rsp = honest_endpoints("7.2.14")
     record = exchange(chl, rsp, b"<?php phpversion();", 0.5)

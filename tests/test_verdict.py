@@ -144,7 +144,7 @@ def test_monotone_consistency_within_branch(db, sim_family):
         endpoints = make_loopback(produce(sim_family, cfg))
         log = run_audit(db, "LTH", endpoints, RandomnessSource(seed=8),
                         budget=len(db.family) + 8)
-        obs = log.intrinsic_observations()
+        obs = log.observations
         for v, seen in obs.items():
             if not seen:
                 continue
