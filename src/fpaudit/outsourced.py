@@ -92,7 +92,7 @@ def phi_bytes(binding: Binding) -> bytes:
 @dataclass
 class PartyIdentity:
     role: str
-    signing_key: Ed25519PrivateKey | None
+    signing_key: Ed25519PrivateKey
     verify_key: Ed25519PublicKey
 
     @classmethod
@@ -103,8 +103,6 @@ class PartyIdentity:
         return cls(role=role, signing_key=key, verify_key=key.public_key())
 
     def sign(self, data: bytes) -> bytes:
-        if self.signing_key is None:
-            raise OutsourcedAuditError(f"{self.role} has no signing key")
         return self.signing_key.sign(data)
 
     def verify(self, signature: bytes, data: bytes) -> bool:
@@ -197,13 +195,10 @@ def _unb64(s: str) -> bytes:
 
 @dataclass(frozen=True)
 class RoundResult:
-    round_no: int
-    version: Version
     delta: bool
     reason: str | None
     elapsed: float
     e_prime: bytes
-    expected: bytes
 
 
 def run_round(
@@ -278,7 +273,7 @@ def run_round(
         "S1": _b64(s1), "S2": _b64(s2), "S3": _b64(s3), "S4": _b64(s4),
         "delta": judged.delta,
     })
-    return RoundResult(round_no, version, judged.delta, judged.reason, elapsed, e_prime, expected)
+    return RoundResult(judged.delta, judged.reason, elapsed, e_prime)
 
 
 @dataclass

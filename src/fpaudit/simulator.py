@@ -62,10 +62,9 @@ class SimFamily:
 class LatencyModel:
     base: float = 0.005  # seconds
     jitter: float = 0.003
-    floor: float = 0.0  # additive, used by the proxy behavior
 
     def sample(self, rng: random.Random) -> float:
-        return self.base + (rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0) + self.floor
+        return self.base + (rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0)
 
 
 @dataclass(frozen=True)

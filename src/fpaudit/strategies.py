@@ -9,16 +9,20 @@ stops when no untested entry could shrink that set further (or the test
 budget runs out).  This shared stopping rule is what makes all strategies
 land on the same candidate set.
 
-Strategy names: BS (bisection over the sorted family), CBS (cascaded
-bisections over major, then minor, then patch), HTL (descend from the
-newest release), LTH (ascend from the oldest), HMSU (start at the highest
-major's branch start and step optimistically upward).
+Each step the loop calls ``pick(ctx, informative)`` with the untested
+entries whose outcome would shrink the candidate set, in ascending order;
+a strategy that returns None gets the middle informative entry.  Strategy
+names: BS (bisection over the sorted family), CBS (cascaded bisections over
+major, then minor, then patch), HTL (the newest informative entry), LTH
+(the oldest informative entry), HMSU (start at the highest major's branch
+start and step optimistically upward).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .challenge import RandomnessSource
@@ -75,9 +79,6 @@ class DecisionLog:
     def plan_outcomes(self) -> list[TestOutcome]:
         return [row.outcome for row in self.rows if row.outcome is not None]
 
-    def compound_results(self) -> dict[Version, bool]:
-        return {row.version: row.delta for row in self.rows if row.origin == "plan"}
-
     def exchange_count(self) -> int:
         return sum(len(o.exchanges) for o in self.plan_outcomes())
 
@@ -104,33 +105,32 @@ class AuditContext:
             self.candidates)
 
     def status(self, v: Version) -> bool | None:
-        """Decided result for testing ``v``: True/False, or None if unknown."""
-        compound = self.log.compound_results()
-        if v in compound:
-            return compound[v]
-        hits = self.candidates & self.truth[v]
-        if not hits:
-            return False
-        if hits == self.candidates and self.candidates:
-            return True
-        return None
+        """Result of testing ``v`` if all candidates agree on it (True/False), else None.
+
+        A tested entry's sub-outcomes are already folded into the candidates,
+        so while any candidate is left this is that test's logged result.
+        """
+        hits = len(self.candidates & self.truth[v])
+        return None if 0 < hits < len(self.candidates) else hits > 0
 
     def informative(self) -> list[Version]:
         """Untested entries whose outcome would shrink the candidate set."""
-        out = []
-        for v in self.entry_versions:
-            if v in self.log.deltas:
-                continue
-            hits = self.candidates & self.truth[v]
-            if hits and hits != self.candidates:
-                out.append(v)
-        return out
+        return [v for v in self.entry_versions
+                if v not in self.log.deltas and self.status(v) is None]
+
+
+def _heads(versions: Iterable[Version], level: str) -> dict[int, Version]:
+    """The lowest of the ascending ``versions`` for each value of ``level``."""
+    heads = {}
+    for v in versions:
+        heads.setdefault(getattr(v, level), v)
+    return heads
 
 
 class BinarySearch:
     name = "BS"
 
-    def pick(self, ctx: AuditContext) -> Version | None:
+    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
         pool = [v for v in ctx.entry_versions if v in ctx.candidates and v not in ctx.log.deltas]
         return _mid(pool) if pool else None
 
@@ -138,79 +138,43 @@ class BinarySearch:
 class HighToLow:
     name = "HTL"
 
-    def pick(self, ctx: AuditContext) -> Version | None:
-        informative = ctx.informative()
-        return informative[-1] if informative else None
+    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
+        return informative[-1]
 
 
 class LowToHigh:
     name = "LTH"
 
-    def pick(self, ctx: AuditContext) -> Version | None:
-        informative = ctx.informative()
-        return informative[0] if informative else None
+    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
+        return informative[0]
 
 
 class CascadingBinarySearch:
     """Bisect majors, then minors of the fixed major, then patches.
 
-    Each level probes the lowest database entry of the candidate branch and
-    bisects the values whose probes are still undecided, rounding up.
+    Each level probes the lowest database entry of each branch and bisects
+    the branches whose probes are untested, between the greatest value
+    that passed and the least that failed, rounding up; the greatest
+    passed value fixes the level.
     """
 
     name = "CBS"
 
-    def pick(self, ctx: AuditContext) -> Version | None:
-        majors = sorted({v.major for v in ctx.entry_versions})
-        probe, fixed_major = self._level_pick(ctx, majors, lambda m: self._lowest(ctx, major=m))
-        if probe is not None:
-            return probe
-        if fixed_major is None:
-            return None
-
-        minors = sorted({v.minor for v in ctx.entry_versions if v.major == fixed_major})
-        probe, fixed_minor = self._level_pick(
-            ctx, minors, lambda n: self._lowest(ctx, major=fixed_major, minor=n))
-        if probe is not None:
-            return probe
-        if fixed_minor is None:
-            return None
-
-        patches = sorted({v.patch for v in ctx.entry_versions
-                          if v.major == fixed_major and v.minor == fixed_minor})
-        probe, _ = self._level_pick(
-            ctx, patches,
-            lambda p: self._lowest(ctx, major=fixed_major, minor=fixed_minor, patch=p))
-        return probe
-
-    @staticmethod
-    def _lowest(ctx: AuditContext, major=None, minor=None, patch=None) -> Version:
-        pool = [v for v in ctx.entry_versions
-                if (major is None or v.major == major)
-                and (minor is None or v.minor == minor)
-                and (patch is None or v.patch == patch)]
-        return pool[0]
-
-    @staticmethod
-    def _level_pick(ctx: AuditContext, values: list, probe_for):
-        """Bisect one level; return (next probe, fixed value when decided).
-
-        Values whose probes were already tested drop out of the window;
-        the remaining ones are bisected between the greatest value that
-        passed and the least that failed, rounding up.
-        """
-        results = {val: ctx.log.deltas.get(probe_for(val)) for val in values}
-        trues = [val for val, res in results.items() if res is True]
-        falses = [val for val, res in results.items() if res is False]
-        floor = max(trues) if trues else None
-        cap = min(falses) if falses else None
-        window = [val for val in values
-                  if results[val] is None
-                  and (floor is None or val > floor)
-                  and (cap is None or val < cap)]
-        if window:
-            return probe_for(_mid(window)), None
-        return None, floor
+    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
+        pool = ctx.entry_versions
+        for level in ("major", "minor", "patch"):
+            heads = _heads(pool, level)
+            results = {val: ctx.log.deltas.get(head) for val, head in heads.items()}
+            floor = max((val for val, res in results.items() if res is True), default=-1)
+            cap = min((val for val, res in results.items() if res is False), default=math.inf)
+            window = [heads[val] for val, res in results.items()
+                      if res is None and floor < val < cap]
+            if window:
+                return _mid(window)
+            if floor < 0:
+                return None
+            pool = [v for v in pool if getattr(v, level) == floor]
+        return None
 
 
 class MajorHighestStepUp:
@@ -220,61 +184,27 @@ class MajorHighestStepUp:
 
     name = "HMSU"
 
-    def pick(self, ctx: AuditContext) -> Version | None:
-        head = self._confirm_major(ctx)
-        if head is None:
+    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
+        for frontier in reversed(_heads(ctx.entry_versions, "major").values()):
+            status = ctx.status(frontier)
+            if status is None:
+                return frontier
+            if status:
+                break
+        else:
             return None
-        if isinstance(head, _Probe):
-            return head.version
-        frontier = head
         while True:
-            nxt = self._next_minor_start(ctx, frontier)
-            if nxt is not None:
-                status = ctx.status(nxt)
-                if status is None:
-                    return nxt
-                if status:
-                    frontier = nxt
-                    continue
-            advanced = False
-            for cand in self._patches_above(ctx, frontier):
+            above = [v for v in ctx.entry_versions if v.major == frontier.major and v > frontier]
+            next_minor = [v for v in above if v.minor > frontier.minor][:1]
+            for cand in next_minor + [v for v in above if v.minor == frontier.minor]:
                 status = ctx.status(cand)
                 if status is None:
                     return cand
                 if status:
                     frontier = cand
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 return None
-
-    def _confirm_major(self, ctx: AuditContext):
-        for major in sorted({v.major for v in ctx.entry_versions}, reverse=True):
-            start = CascadingBinarySearch._lowest(ctx, major=major)
-            status = ctx.status(start)
-            if status is None:
-                return _Probe(start)
-            if status:
-                return start
-        return None
-
-    @staticmethod
-    def _next_minor_start(ctx: AuditContext, frontier: Version) -> Version | None:
-        minors = sorted({v.minor for v in ctx.entry_versions
-                         if v.major == frontier.major and v.minor > frontier.minor})
-        if not minors:
-            return None
-        return CascadingBinarySearch._lowest(ctx, major=frontier.major, minor=minors[0])
-
-    @staticmethod
-    def _patches_above(ctx: AuditContext, frontier: Version) -> list[Version]:
-        return [v for v in ctx.entry_versions
-                if v.major == frontier.major and v.minor == frontier.minor and v > frontier]
-
-
-@dataclass(frozen=True)
-class _Probe:
-    version: Version
 
 
 STRATEGIES = {
@@ -323,7 +253,7 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
         if not informative or tests_run >= budget:
             ctx.log.stop_reason = "budget" if informative else "converged"
             break
-        pick = strategy.pick(ctx)
+        pick = strategy.pick(ctx, informative)
         if pick is None:
             pick = _mid(informative)
         if pick in ctx.log.deltas:

@@ -144,8 +144,13 @@ def _poll_http(rsp: InterfaceEndpoint, payload: bytes, sent: float,
 def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
                        payload: bytes, deadline: float) -> ExchangeRecord:
     target = Path(chl.address) / chl.filename
+    source = Path(rsp.address) / rsp.filename
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
+        if rsp.kind == "file-drop":
+            # A response already there predates this challenge, so it cannot
+            # answer it (e.g. a late answer to a round that timed out).
+            source.unlink(missing_ok=True)
         target.write_bytes(payload)
     except OSError as exc:
         raise TransportError(f"file drop failed: {exc}") from exc
@@ -154,7 +159,6 @@ def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
     if rsp.kind == "http-fetch":
         return _poll_http(rsp, payload, sent, deadline + chl.timeout_cap)
     if rsp.kind == "file-drop":
-        source = Path(rsp.address) / rsp.filename
         budget = deadline + chl.timeout_cap
         while True:
             if source.exists():

@@ -75,7 +75,7 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     if not members and observations:
         raise InconsistentLogError(*_name_conflict(db, observations))
 
-    compound = log.compound_results()
+    compound = {o.version: o.delta for o in log.plan_outcomes()}
     upward = {v: frozenset(u for u in db.family.versions if u >= v) for v in compound}
     true_versions = [v for v, d in compound.items() if d]
     lower = max(true_versions) if true_versions else None

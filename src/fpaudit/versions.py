@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import total_ordering
 
 _PRE_STAGES = {"b": 0, "rc": 1}
 
@@ -39,43 +38,27 @@ class PreRelease:
     stage: str  # "b" or "rc"
     ordinal: int
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_PRE_STAGES[self.stage], self.ordinal)
-
     def __str__(self) -> str:
         return f"{self.stage}{self.ordinal}"
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Version:
-    major: int
-    minor: int = 0
-    patch: int = 0
-    pre: PreRelease | None = None
+    major: int = field(compare=False)
+    minor: int = field(default=0, compare=False)
+    patch: int = field(default=0, compare=False)
+    pre: PreRelease | None = field(default=None, compare=False)
     raw: str = field(default="", compare=False)
+    # The only compared field, so equality, order and hash all use it.
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.major < 0 or self.minor < 0 or self.patch < 0:
             raise VersionParseError(f"negative component in version {self.raw or self!s}")
-
-    def sort_key(self) -> tuple:
         # Plain releases rank above any pre-release of the same triple.
-        pre_key = self.pre.sort_key() if self.pre else (len(_PRE_STAGES), 0)
-        return (self.major, self.minor, self.patch, *pre_key)
-
-    def __lt__(self, other: "Version") -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self.sort_key() == other.sort_key()
-
-    def __hash__(self) -> int:
-        return hash(self.sort_key())
+        pre_key = (_PRE_STAGES[self.pre.stage], self.pre.ordinal) if self.pre \
+            else (len(_PRE_STAGES), 0)
+        object.__setattr__(self, "key", (self.major, self.minor, self.patch, *pre_key))
 
     def __str__(self) -> str:
         return render_version(self)
@@ -111,8 +94,7 @@ def render_version(v: Version) -> str:
 
 def cmp(a: Version, b: Version) -> int:
     """Three-way comparison: -1, 0 or 1."""
-    ka, kb = a.sort_key(), b.sort_key()
-    return (ka > kb) - (ka < kb)
+    return (a.key > b.key) - (a.key < b.key)
 
 
 def branch_origin(v: Version, level: str = "minor") -> Version:

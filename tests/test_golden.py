@@ -1,5 +1,7 @@
 """Golden audit matrix: every strategy x every fixture source x four provider
-behaviours, with seeded randomness, must reproduce the recorded audits.
+behaviours, then every strategy x 20 synthetic families (``synth_docs``
+seeds 0-19) x {honest, claim-faker} at a seeded source, with seeded
+randomness, must reproduce the recorded audits.
 
 Each line of ``golden_audits.txt`` holds one audit: its log rows
 ``(testorder, version, delta, origin)``, the stop reason, the candidates,
@@ -10,12 +12,16 @@ bytes.  To re-record the file after a deliberate change of verdicts::
 """
 
 import hashlib
+import json
+import random
 from pathlib import Path
 
 from fpaudit.challenge import RandomnessSource
 from fpaudit.database import load_database
-from fpaudit.simulator import LatencyModel, SimProviderConfig, load_sim_config, produce
+from fpaudit.simulator import (LatencyModel, SimProviderConfig, load_sim_config, produce,
+                               sim_family_from_doc)
 from fpaudit.strategies import STRATEGIES, run_audit
+from fpaudit.synth import synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
 from fpaudit.versions import render_version
@@ -24,6 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).with_name("golden_audits.txt")
 BEHAVIORS = ("honest", "claim-faker", "function-faker", "proxy")
+SYNTH_SEEDS = range(20)
+SYNTH_BEHAVIORS = ("honest", "claim-faker")
 
 
 def _label(v) -> str:
@@ -33,33 +41,44 @@ def _label(v) -> str:
 def audit_lines() -> list[str]:
     db = load_database((FIXTURES / "php_like_db.json").read_bytes())
     sim, _ = load_sim_config((FIXTURES / "php_like_sim_honest.json").read_bytes())
-    fakeable = tuple(sorted(n for n, fn in sim.functions.items() if not fn.hard))
     lines = []
     for strategy in STRATEGIES:
         for src in sim.family.versions:
             for behavior in BEHAVIORS:
+                lines.append(_audit_line(db, sim, strategy, src, behavior, seed=len(lines)))
+    for family_seed in SYNTH_SEEDS:
+        db_doc, sim_doc = synth_docs(family_seed)
+        db = load_database(json.dumps(db_doc))
+        sim = sim_family_from_doc(sim_doc)
+        for strategy in STRATEGIES:
+            for behavior in SYNTH_BEHAVIORS:
                 seed = len(lines)
-                cfg = SimProviderConfig(
-                    src_version=src, behavior=behavior, claim_label="99.0.0-fake",
-                    latency=LatencyModel(0.001, 0.0), fake_functions=fakeable, seed=seed)
-                log = run_audit(db, strategy, make_loopback(produce(sim, cfg)),
-                                RandomnessSource(seed=seed))
-                report = build_report(log, db)
-                digest = hashlib.sha256()
-                for outcome in log.plan_outcomes():
-                    for record in outcome.exchanges:
-                        digest.update(len(record.challenge_bytes).to_bytes(4, "big"))
-                        digest.update(record.challenge_bytes)
-                rows = " ".join(f"{r.testorder}:{_label(r.version)}:{'T' if r.delta else 'F'}:{r.origin}"
-                                for r in log.rows)
-                if report.candidate_set is None:
-                    cands, lower, upper = "inconsistent", "-", "-"
-                else:
-                    cands = ",".join(report.candidate_set.labels())
-                    lower, upper = _label(report.bounds.lower), _label(report.bounds.upper)
-                lines.append(f"{strategy} {_label(src)} {behavior} | {rows} | {log.stop_reason}"
-                             f" | {cands} | {lower} {upper} | {digest.hexdigest()[:16]}")
+                src = random.Random(seed).choice(sim.family.versions)
+                lines.append(_audit_line(db, sim, strategy, src, behavior, seed))
     return lines
+
+
+def _audit_line(db, sim, strategy: str, src, behavior: str, seed: int) -> str:
+    fakeable = tuple(sorted(n for n, fn in sim.functions.items() if not fn.hard))
+    cfg = SimProviderConfig(
+        src_version=src, behavior=behavior, claim_label="99.0.0-fake",
+        latency=LatencyModel(0.001, 0.0), fake_functions=fakeable, seed=seed)
+    log = run_audit(db, strategy, make_loopback(produce(sim, cfg)), RandomnessSource(seed=seed))
+    report = build_report(log, db)
+    digest = hashlib.sha256()
+    for outcome in log.plan_outcomes():
+        for record in outcome.exchanges:
+            digest.update(len(record.challenge_bytes).to_bytes(4, "big"))
+            digest.update(record.challenge_bytes)
+    rows = " ".join(f"{r.testorder}:{_label(r.version)}:{'T' if r.delta else 'F'}:{r.origin}"
+                    for r in log.rows)
+    if report.candidate_set is None:
+        cands, lower, upper = "inconsistent", "-", "-"
+    else:
+        cands = ",".join(report.candidate_set.labels())
+        lower, upper = _label(report.bounds.lower), _label(report.bounds.upper)
+    return (f"{strategy} {_label(src)} {behavior} | {rows} | {log.stop_reason}"
+            f" | {cands} | {lower} {upper} | {digest.hexdigest()[:16]}")
 
 
 def test_audit_matrix_matches_golden_file():

@@ -4,8 +4,8 @@ import pytest
 
 from fpaudit import database, verdict
 from fpaudit.challenge import RandomnessSource
-from fpaudit.database import load_database
-from fpaudit.protocol import SubOutcome
+from fpaudit.database import load_database, resolve_plan
+from fpaudit.protocol import SubOutcome, run_test, transport_probe
 from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce, sim_family_from_doc
 from fpaudit.strategies import STRATEGIES, AuditContext, AuditError, DecisionLog, run_audit
@@ -63,7 +63,7 @@ def test_bisection_starts_at_middle_of_seven():
     }
     db = load_database(json.dumps(doc).encode())
     ctx = AuditContext(db)
-    pick = STRATEGIES["BS"]().pick(ctx)
+    pick = STRATEGIES["BS"]().pick(ctx, ctx.informative())
     assert str(pick) == "1.0.3"
 
 
@@ -217,3 +217,46 @@ def test_report_folds_a_consistent_log_once(db, honest_endpoints, rng, monkeypat
     report = build_report(log, db)
     assert report.candidate_set.labels() == ["7.2.14"]
     assert len(calls) == 1
+
+
+def _status_checks(db, sim, src, behavior: str) -> int:
+    """Audit step by step with every strategy; after each step, while any
+    candidate is left, a tested entry's status must be its logged result."""
+    fakeable = tuple(sorted(n for n, fn in sim.functions.items() if not fn.hard))
+    checked = 0
+    for strategy in STRATEGIES.values():
+        cfg = SimProviderConfig(src_version=src, behavior=behavior, claim_label="99.0.0-fake",
+                                latency=LatencyModel(0.001, 0.0), fake_functions=fakeable, seed=2)
+        probe = transport_probe(make_loopback(produce(sim, cfg)), RandomnessSource(seed=7), db)
+        ctx = AuditContext(db)
+        while informative := ctx.informative():
+            pick = strategy().pick(ctx, informative) or informative[0]
+            ctx.apply(run_test(resolve_plan(db, pick), pick, probe, prior=ctx.log.observations))
+            if not ctx.candidates:
+                break
+            for outcome in ctx.log.plan_outcomes():
+                assert ctx.status(outcome.version) == outcome.delta, \
+                    (strategy.name, str(src), behavior, str(outcome.version))
+                checked += 1
+    return checked
+
+
+def test_status_of_a_tested_entry_is_its_result_on_the_fixture(db, sim_family):
+    checked = sum(_status_checks(db, sim_family, src, behavior)
+                  for src in sim_family.family.versions
+                  for behavior in ("honest", "function-faker", "proxy"))
+    assert checked > 1000
+
+
+def test_status_of_a_tested_entry_is_its_result_on_synthetic_families():
+    import random
+
+    checked = 0
+    for seed in range(12):
+        db_doc, sim_doc = synth_docs(seed=32000 + seed)
+        db = load_database(json.dumps(db_doc))
+        sim = sim_family_from_doc(sim_doc)
+        versions = sim.family.versions
+        for src in random.Random(seed).sample(versions, min(3, len(versions))):
+            checked += _status_checks(db, sim, src, "honest")
+    assert checked > 500

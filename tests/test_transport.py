@@ -139,14 +139,30 @@ def test_file_drop_with_never_materializing_response(tmp_path):
     assert (tmp_path / "drop" / "challenge.txt").read_bytes() == b"payload"
 
 
+def _answer_after_challenge(drop, out, body: bytes, delay: float = 0.0) -> threading.Thread:
+    """A provider that answers the first challenge it sees, then goes quiet."""
+
+    def answer_once() -> None:
+        give_up = time.monotonic() + 5
+        while not (drop / "challenge.txt").exists() and time.monotonic() < give_up:
+            time.sleep(0.005)
+        time.sleep(delay)
+        (out / "response.tmp").write_bytes(body)
+        (out / "response.tmp").replace(out / "response.txt")
+
+    return threading.Thread(target=answer_once)
+
+
 def test_file_drop_reads_response_file(tmp_path):
-    out = tmp_path / "out"
+    drop, out = tmp_path / "drop", tmp_path / "out"
     out.mkdir()
-    (out / "response.txt").write_bytes(b"answer")
-    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(tmp_path / "drop"))
+    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(drop))
     rsp = InterfaceEndpoint(id="r", kind="file-drop", address=str(out),
                             filename="response.txt")
+    provider = _answer_after_challenge(drop, out, b"answer")
+    provider.start()
     record = exchange(chl, rsp, b"payload", 0.5)
+    provider.join(timeout=5)
     assert record.response_bytes == b"answer"
 
 
@@ -174,6 +190,25 @@ def test_file_drop_does_not_replay_a_consumed_response(tmp_path):
     assert first.response_bytes == b"answer"
     assert second.response_bytes is None
     assert judge(second.response_bytes, b"answer", second.elapsed, 0.1).reason == "timeout"
+
+
+def test_file_drop_ignores_a_late_answer_to_a_timed_out_round(tmp_path):
+    drop, out = tmp_path / "drop", tmp_path / "out"
+    out.mkdir()
+    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(drop), timeout_cap=0.05)
+    rsp = InterfaceEndpoint(id="r", kind="file-drop", address=str(out),
+                            filename="response.txt", timeout_cap=0.05)
+    # The answer to round 1 lands only after round 1 gave up waiting.
+    provider = _answer_after_challenge(drop, out, b"late answer", delay=0.3)
+    provider.start()
+    first = exchange(chl, rsp, b"round 1", 0.05)
+    provider.join(timeout=5)
+    assert not provider.is_alive()
+    assert first.response_bytes is None
+    assert (out / "response.txt").exists()
+    second = exchange(chl, rsp, b"round 2", 0.05)
+    assert second.response_bytes is None
+    assert judge(second.response_bytes, b"late answer", second.elapsed, 0.05).reason == "timeout"
 
 
 def test_exchange_timestamps_monotone(honest_endpoints):
