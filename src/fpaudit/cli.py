@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .challenge import RandomnessSource
 from .database import (
-    STRATEGY_ALIASES,
     DatabaseError,
     VariableSpec,
     add_entry,
@@ -28,7 +26,7 @@ from .database import (
 from .outsourced import read_keys, read_log, verify_liability
 from .simulator import load_sim_config, produce
 from .strategies import run_audit
-from .transport import InterfaceEndpoint, make_loopback, probe_version_claim
+from .transport import InterfaceEndpoint, env_credentials, make_loopback, probe_version_claim
 from .verdict import build_report
 from .versions import parse_version
 
@@ -115,7 +113,7 @@ def cmd_audit(args) -> int:
         endpoints = make_loopback(responder)
         claim = probe_version_claim(endpoints[0])
     elif args.challenge_url and args.response_url:
-        credentials = _http_credentials()
+        credentials = env_credentials()
         chl = InterfaceEndpoint(id="chl", kind="http-fetch", address=args.challenge_url,
                                 credentials=credentials)
         rsp = InterfaceEndpoint(id="rsp", kind="http-fetch", address=args.response_url,
@@ -183,14 +181,6 @@ def _print_table(report) -> None:
     if report.target is not None:
         state = {True: "compliant", False: "NOT compliant", None: "undecided"}[report.compliant]
         print(f"target {report.target}  -> {state}")
-
-
-def _http_credentials():
-    user = os.environ.get("FPAUDIT_HTTP_USER")
-    password = os.environ.get("FPAUDIT_HTTP_PASS")
-    if user and password is not None:
-        return (user, password)
-    return None
 
 
 def cmd_db(args) -> int:

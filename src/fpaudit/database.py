@@ -51,7 +51,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
-from .versions import Version, VersionSet, branch_origin, parse_version, render_version
+from .versions import (Version, VersionParseError, VersionSet, branch_origin, parse_version,
+                       render_version)
 
 _IDENT_RE = re.compile(r"[a-z0-9_]+")
 # A "#name#" placeholder in a challenge or expect template.
@@ -77,22 +78,7 @@ DEFAULT_VALUES = {
 
 # Keys understood in the "defaultvalues" block.  The tag *value* keys carry
 # the strings that get prepended/appended when the corresponding flag is set.
-KNOWN_DEFAULTS = {
-    "version.test.challenge.setstarttag",
-    "version.test.challenge.setendtag",
-    "version.test.expect.setstarttag",
-    "version.test.expect.setendtag",
-    "version.test.challenge.starttag",
-    "version.test.challenge.endtag",
-    "version.test.expect.starttag",
-    "version.test.expect.endtag",
-    "version.test.expect.type",
-    "version.test.label",
-    "version.test.variables.type",
-    "version.test.variables.format",
-    "version.test.waittime.amount",
-    "version.test.waittime.type",
-}
+KNOWN_DEFAULTS = set(DEFAULT_VALUES) | {"version.test.expect.starttag", "version.test.expect.endtag"}
 
 VARIABLE_FORMATS = {"integer", "string", "binary", "version", "dir-file"}
 
@@ -186,7 +172,6 @@ class VersionTest:
     variables: dict[str, VariableSpec] = field(default_factory=dict)
     challenge_template: bytes | None = None
     expect_template: bytes | None = None
-    expect_type: str = "string"
     wait_time: float = DEFAULT_WAIT_MS / 1000.0
     branching_refs: tuple[Version, ...] = ()
     branching_flags: dict[str, str] = field(default_factory=dict)
@@ -275,18 +260,28 @@ def load_database(document: bytes | str) -> Database:
 
     entries: dict[Version, VersionTest] = {}
     for label, body in versions_doc.items():
-        v = parse_version(label)
+        v = _parse_label(label, "'service.versions'")
         entries[v] = _load_entry(label, v, body, meta)
 
     family_labels = service.get("family")
     if family_labels is None:
         family_versions = tuple(entries)
     else:
-        family_versions = tuple(parse_version(lbl) for lbl in family_labels)
+        family_versions = tuple(_parse_label(lbl, "'service.family'") for lbl in family_labels)
         missing = [render_version(v) for v in entries if v not in family_versions]
         if missing:
             raise SchemaError(f"entries outside the declared family: {', '.join(missing)}")
     return Database(meta=meta, entries=entries, family=VersionSet(meta.service_name, family_versions))
+
+
+def _parse_label(label: object, where: str) -> Version:
+    """``label`` as a version; a malformed one is a :class:`SchemaError` naming ``where``."""
+    if not isinstance(label, str):
+        raise SchemaError(f"{where}: version label {label!r} is not a string")
+    try:
+        return parse_version(label)
+    except VersionParseError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _load_meta(doc: dict) -> DatabaseMeta:
@@ -365,16 +360,19 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     branching = test.get("branching", {})
     if not isinstance(branching, dict):
         raise SchemaError(f"entry {label!r}: 'branching' must be an object")
-    refs = tuple(parse_version(ref) for ref in branching)
-    flags = {ref: str(flag) for ref, flag in branching.items()}
+    refs = tuple(_parse_label(ref, f"entry {label!r} 'branching'") for ref in branching)
+    # Keyed by the canonical label, which is how serialize_database looks them up.
+    flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
 
     deprecated = test.get("deprecated")
-    deprecated_ref = parse_version(deprecated) if deprecated else None
+    deprecated_ref = _parse_label(deprecated, f"entry {label!r} 'deprecated'") if deprecated else None
 
     explicit = None
     if "windows" in test:
+        where = f"entry {label!r} 'windows'"
         explicit = tuple(
-            (parse_version(lo), parse_version(hi) if hi else None) for lo, hi in test["windows"]
+            (_parse_label(lo, where), _parse_label(hi, where) if hi else None)
+            for lo, hi in test["windows"]
         )
 
     tag_overrides = {}
@@ -392,7 +390,6 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
         variables=variables,
         challenge_template=challenge_payload.encode("utf-8") if challenge_payload is not None else None,
         expect_template=expect_payload.encode("utf-8") if expect_payload is not None else None,
-        expect_type=expect_type,
         wait_time=wait_s,
         branching_refs=refs,
         branching_flags=flags,
@@ -593,15 +590,18 @@ def validate_strategy_independence(db: Database) -> IndependenceReport:
     their nearest decided representative, not as errors.
     """
     problems: list[str] = []
-    empty: list[Version] = []
+    classes: list[tuple[str, ...]] = []
+    rep = None
     for v in db.family.versions:
+        # prev: the nearest family version before v that has an entry.
+        prev, rep = rep, (v if v in db.entries else rep)
         try:
             plan = resolve_plan(db, v)
         except DatabaseError as exc:
             problems.append(str(exc))
             continue
         if not plan:
-            empty.append(v)
+            classes.append((render_version(prev), render_version(v)) if prev else (render_version(v),))
             continue
         for step in plan:
             entry = db.entries.get(step.version)
@@ -610,14 +610,6 @@ def validate_strategy_independence(db: Database) -> IndependenceReport:
                     f"plan for {render_version(v)} references {render_version(step.version)} "
                     "which has no concrete intrinsic test"
                 )
-
-    classes: list[tuple[str, ...]] = []
-    fam = list(db.family.versions)
-    for v in empty:
-        idx = fam.index(v)
-        rep = next((fam[i] for i in range(idx - 1, -1, -1) if fam[i] in db.entries), None)
-        members = (render_version(rep), render_version(v)) if rep else (render_version(v),)
-        classes.append(members)
     return IndependenceReport(tuple(problems), tuple(classes))
 
 

@@ -31,7 +31,6 @@ import base64
 import itertools
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,7 +48,7 @@ from .transport import ExchangeRecord
 from .versions import Version, parse_version, render_version
 
 ROLES = ("user", "auditor", "provider")
-DEFAULT_SKEW = 2.0  # seconds tolerated between different parties' clocks
+SKEW = 2.0  # seconds tolerated between different parties' clocks
 
 
 class OutsourcedAuditError(RuntimeError):
@@ -180,9 +179,8 @@ class ProviderParty:
 class AuditorParty:
     identity: PartyIdentity
     db: Database
-    repeat_threshold: int = 2
     log: list[dict] = field(default_factory=list)
-    _phi_seen: Counter = field(default_factory=Counter)
+    _phi_seen: set[bytes] = field(default_factory=set)
 
 
 def _b64(data: bytes) -> str:
@@ -253,12 +251,12 @@ def run_round(
         raise RoundError("provider", "response signature failed verification")
     if not user.identity.verify(s4, s4_bytes(t4)):
         raise RoundError("user", "closing signature failed verification")
-    if _epoch(t2) < _epoch(t1) - DEFAULT_SKEW or _epoch(t4) < _epoch(t2):
+    if _epoch(t2) < _epoch(t1) - SKEW or _epoch(t4) < _epoch(t2):
         raise RoundError("user", "timestamp regression")
 
-    auditor._phi_seen[phi] += 1
-    if auditor._phi_seen[phi] >= auditor.repeat_threshold:
-        raise RoundError("user", f"randomness value repeated {auditor._phi_seen[phi]} times")
+    if phi in auditor._phi_seen:
+        raise RoundError("user", "randomness value repeated")
+    auditor._phi_seen.add(phi)
 
     expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
     elapsed = _epoch(t4) - _epoch(t2)
@@ -348,7 +346,6 @@ def verify_liability(
     logs: dict[str, list[dict]],
     keys: dict[str, Ed25519PublicKey],
     db: Database,
-    skew: float = DEFAULT_SKEW,
 ) -> dict[str, PartyVerdict]:
     """Replay the signed logs and assign blame for any contradiction.
 
@@ -451,11 +448,11 @@ def verify_liability(
             except (KeyError, ValueError):
                 t_vals = {}
             if t_vals:
-                if t_vals["t2"] < t_vals["t1"] - skew:
+                if t_vals["t2"] < t_vals["t1"] - SKEW:
                     verdicts["user"].blame(f"round {round_no}: t2 precedes t1")
-                if t_vals["t3"] < t_vals["t2"] - skew:
+                if t_vals["t3"] < t_vals["t2"] - SKEW:
                     verdicts["provider"].blame(f"round {round_no}: t3 precedes t2")
-                if t_vals["t4"] < t_vals["t3"] - skew or t_vals["t4"] < t_vals["t2"]:
+                if t_vals["t4"] < t_vals["t3"] - SKEW or t_vals["t4"] < t_vals["t2"]:
                     verdicts["user"].blame(f"round {round_no}: t4 precedes earlier timestamps")
 
             auditor_copy = copies.get("auditor")

@@ -10,12 +10,11 @@ variables when run via the CLI).
 from __future__ import annotations
 
 import base64
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .transport import DEFAULT_CLAIM_PAYLOAD
+from .transport import CLAIM_PAYLOAD, env_credentials
 
 
 class SimHTTPServer(ThreadingHTTPServer):
@@ -74,7 +73,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not self._authorized():
             return self._deny()
         if self.path == "/claim":
-            body, latency = self.server.responder.respond(DEFAULT_CLAIM_PAYLOAD)
+            body, latency = self.server.responder.respond(CLAIM_PAYLOAD)
             time.sleep(latency)
             return self._send(200, body)
         if self.path != "/response":
@@ -107,12 +106,7 @@ def start_server(responder, port: int = 0,
 
 
 def serve_forever(responder, port: int) -> None:
-    credentials = None
-    user = os.environ.get("FPAUDIT_HTTP_USER")
-    password = os.environ.get("FPAUDIT_HTTP_PASS")
-    if user and password is not None:
-        credentials = (user, password)
-    server = SimHTTPServer(responder, port, credentials)
+    server = SimHTTPServer(responder, port, env_credentials())
     try:
         server.serve_forever()
     except KeyboardInterrupt:

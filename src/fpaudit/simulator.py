@@ -271,22 +271,3 @@ def sim_family_from_doc(doc: dict) -> SimFamily:
             syntax_floor=parse_version(fdoc["syntax_floor"]) if fdoc.get("syntax_floor") else None,
         )
     return SimFamily(family=family, functions=functions)
-
-
-def sim_family_to_doc(sim: SimFamily, provider: dict | None = None) -> dict:
-    doc: dict = {
-        "family": {"name": sim.family.family_name, "versions": sim.family.labels()},
-        "functions": {
-            name: {
-                "windows": [[render_version(lo), render_version(hi) if hi else None]
-                            for lo, hi in fn.windows],
-                "hard": fn.hard,
-                "behavior": fn.behavior,
-                **({"syntax_floor": render_version(fn.syntax_floor)} if fn.syntax_floor else {}),
-            }
-            for name, fn in sim.functions.items()
-        },
-    }
-    if provider:
-        doc["provider"] = provider
-    return doc

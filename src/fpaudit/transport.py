@@ -10,7 +10,7 @@ command lines.
 
 from __future__ import annotations
 
-import subprocess
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +36,7 @@ class Responder(Protocol):
 @dataclass(frozen=True)
 class InterfaceEndpoint:
     id: str
-    kind: str  # http-fetch | file-drop | local-exec | loopback-sim
+    kind: str  # http-fetch | file-drop | loopback-sim
     address: str = ""
     credentials: tuple[str, str] | None = None
     timeout_cap: float = DEFAULT_TIMEOUT_CAP
@@ -75,8 +75,6 @@ def exchange(challenge_ep: InterfaceEndpoint, response_ep: InterfaceEndpoint,
             return _exchange_http(challenge_ep, response_ep, payload, deadline)
         if challenge_ep.kind == "file-drop":
             return _exchange_filedrop(challenge_ep, response_ep, payload, deadline)
-        if challenge_ep.kind == "local-exec":
-            return _exchange_exec(challenge_ep, payload, deadline)
     except TransportError as exc:
         now = time.monotonic()
         return ExchangeRecord(payload, None, now, now, 0.0, transport_error=str(exc))
@@ -95,6 +93,13 @@ def _exchange_loopback(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
         # The verifier would have stopped waiting; the response is absent.
         return ExchangeRecord(payload, None, sent, sent + cutoff, cutoff, transport_error=None)
     return ExchangeRecord(payload, body, sent, sent + latency, latency)
+
+
+def env_credentials() -> tuple[str, str] | None:
+    """Basic-auth credentials from FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS, if both are set."""
+    user = os.environ.get("FPAUDIT_HTTP_USER")
+    password = os.environ.get("FPAUDIT_HTTP_PASS")
+    return (user, password) if user and password is not None else None
 
 
 def _http_auth(ep: InterfaceEndpoint):
@@ -177,26 +182,10 @@ def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
     raise TransportError(f"unsupported response channel {rsp.kind!r} for file-drop")
 
 
-def _exchange_exec(chl: InterfaceEndpoint, payload: bytes, deadline: float) -> ExchangeRecord:
-    sent = time.monotonic()
-    try:
-        proc = subprocess.run(
-            [chl.address], input=payload, capture_output=True,
-            timeout=deadline + chl.timeout_cap,
-        )
-    except subprocess.TimeoutExpired:
-        now = time.monotonic()
-        return ExchangeRecord(payload, None, sent, now, now - sent)
-    except OSError as exc:
-        raise TransportError(f"exec failed: {exc}") from exc
-    now = time.monotonic()
-    return ExchangeRecord(payload, proc.stdout, sent, now, now - sent)
+CLAIM_PAYLOAD = b"<?php phpversion();"
 
 
-DEFAULT_CLAIM_PAYLOAD = b"<?php phpversion();"
-
-
-def probe_version_claim(ep: InterfaceEndpoint, claim_payload: bytes = DEFAULT_CLAIM_PAYLOAD) -> str:
+def probe_version_claim(ep: InterfaceEndpoint) -> str:
     """Ask the provider for its self-declared version string.
 
     This is the trivially spoofable baseline: the returned label is exactly
@@ -205,7 +194,7 @@ def probe_version_claim(ep: InterfaceEndpoint, claim_payload: bytes = DEFAULT_CL
     if ep.kind == "loopback-sim":
         if ep.responder is None:
             raise TransportError("loopback endpoint has no responder attached")
-        body, _ = ep.responder.respond(claim_payload)
+        body, _ = ep.responder.respond(CLAIM_PAYLOAD)
         return body.decode("utf-8", "replace").strip()
     if ep.kind == "http-fetch":
         try:
@@ -215,9 +204,4 @@ def probe_version_claim(ep: InterfaceEndpoint, claim_payload: bytes = DEFAULT_CL
         if got.status_code >= 400:
             raise TransportError(f"claim probe rejected: HTTP {got.status_code}")
         return got.text.strip()
-    if ep.kind == "local-exec":
-        record = _exchange_exec(ep, claim_payload, ep.timeout_cap)
-        if record.response_bytes is None:
-            raise TransportError("claim probe timed out")
-        return record.response_bytes.decode("utf-8", "replace").strip()
     raise TransportError(f"claim probe unsupported on {ep.kind!r}")

@@ -44,7 +44,7 @@ from fpaudit.simulator import (
     sim_family_from_doc,
 )
 from fpaudit.strategies import STRATEGIES, run_audit
-from fpaudit.synth import synth_docs
+from families import synth_docs
 from fpaudit.transport import make_loopback, probe_version_claim
 from fpaudit.verdict import build_report, oracle_candidates
 from fpaudit.versions import Version, parse_version as pv
@@ -60,7 +60,7 @@ def agreement_trials():
     started = time.monotonic()
     trials = []
     for i in range(TRIAL_COUNT):
-        db_doc, sim_doc = synth_docs(seed=TRIAL_SEED_BASE + i, max_versions=50)
+        db_doc, sim_doc = synth_docs(seed=TRIAL_SEED_BASE + i)
         db = load_database(json.dumps(db_doc).encode())
         sim = sim_family_from_doc(sim_doc)
         src = random.Random(i).choice(sim.family.versions)

@@ -95,6 +95,15 @@ def test_db_validate_dangling_fixture(tmp_path, capsys, db_doc):
     assert "9.9.9" in capsys.readouterr().err
 
 
+def test_db_validate_reports_a_malformed_label_on_one_line(tmp_path, capsys, db_doc):
+    db_doc["service"]["family"][3] = "5.two"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(db_doc))
+    assert run(["db", "validate", "--database", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid: 'service.family': malformed version label: '5.two'"]
+
+
 def test_db_new_stamps_creation(tmp_path, capsys):
     out = tmp_path / "new.json"
     assert run(["db", "new", "--service", "toy", "--out", str(out)]) == 0

@@ -113,6 +113,29 @@ def test_branching_flag_values_kept_verbatim():
     assert db.entries[pv("1.0.1")].branching_flags["1.0.0"] == "yes"
 
 
+def test_branching_flags_survive_a_round_trip():
+    versions = {"7.2.0": entry(), "7.2.9": entry(branching={"7.2": "0"})}
+    db = load_database(json.dumps(minimal_doc(versions)).encode())
+    text = serialize_database(db)
+    assert json.loads(text)["service"]["versions"]["7.2.9"]["test"]["branching"] == {"7.2.0": "0"}
+    assert load_database(text).entries == db.entries
+
+
+@pytest.mark.parametrize("where, mutate", [
+    ("'service.family'", lambda doc: doc["service"].update(family=["1.0.0", "1.x"])),
+    ("'service.versions'", lambda doc: doc["service"]["versions"].update({"1.x": entry()})),
+    ("entry '1.0.1' 'branching'",
+     lambda doc: doc["service"]["versions"]["1.0.1"]["test"].update(branching={"1.x": "1"})),
+    ("entry '1.0.1' 'deprecated'",
+     lambda doc: doc["service"]["versions"]["1.0.1"]["test"].update(deprecated="1.x")),
+], ids=["family", "version-key", "branching", "deprecated"])
+def test_malformed_version_label_is_a_schema_error(where, mutate):
+    doc = minimal_doc({"1.0.0": entry(), "1.0.1": entry()})
+    mutate(doc)
+    with pytest.raises(SchemaError, match=f"{where}: malformed version label: '1.x'"):
+        load_database(json.dumps(doc).encode())
+
+
 def test_resolve_plan_prerequisite_before_intrinsic(db):
     plan = resolve_plan(db, pv("7.1.20"))
     assert [(str(s.version), s.expect_pass) for s in plan] == [

@@ -21,7 +21,7 @@ from fpaudit.database import load_database
 from fpaudit.simulator import (LatencyModel, SimProviderConfig, load_sim_config, produce,
                                sim_family_from_doc)
 from fpaudit.strategies import STRATEGIES, run_audit
-from fpaudit.synth import synth_docs
+from families import synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
 from fpaudit.versions import render_version

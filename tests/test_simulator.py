@@ -10,13 +10,9 @@ from fpaudit.simulator import (
     SimConfigError,
     SimProviderConfig,
     produce,
-    sim_family_to_doc,
-    load_sim_config,
 )
 from fpaudit.challenge import render_test
 from fpaudit.versions import parse_version as pv
-
-import json
 
 
 def test_honest_old_version_answers_with_legacy_float(sim_family):
@@ -119,16 +115,6 @@ def test_latency_model_sampling(sim_family):
     for _ in range(50):
         _, latency = responder.respond(b"<?php phpversion();")
         assert 0.005 <= latency <= 0.008 + 1e-9
-
-
-def test_config_round_trip(sim_family):
-    doc = sim_family_to_doc(sim_family, provider={"source": "7.1.1", "behavior": "honest"})
-    again, cfg = load_sim_config(json.dumps(doc).encode())
-    assert set(again.functions) == set(sim_family.functions)
-    assert cfg.src_version == pv("7.1.1")
-    for name, fn in sim_family.functions.items():
-        assert again.functions[name].windows == fn.windows
-        assert again.functions[name].hard == fn.hard
 
 
 def test_source_must_belong_to_family(sim_family):

@@ -9,7 +9,7 @@ from fpaudit.protocol import SubOutcome, run_test, transport_probe
 from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce, sim_family_from_doc
 from fpaudit.strategies import STRATEGIES, AuditContext, AuditError, DecisionLog, run_audit
-from fpaudit.synth import synth_docs
+from families import synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
 from fpaudit.versions import parse_version as pv
