@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -198,36 +199,56 @@ TestPlan = tuple[PlanStep, ...]
 @dataclass(frozen=True)
 class Database:
     """Entries over a family; construction checks the referrals and derives
-    where each payload entry's function is available."""
+    where each payload entry's function is available.
+
+    Version sets are masks over the family index (see ``VersionSet``);
+    ``family.select`` turns one back into versions.
+    """
 
     meta: DatabaseMeta
     entries: dict[Version, VersionTest]
     family: VersionSet
-    # version of a payload entry -> set of family versions where its probed
-    # function is available (derived from the referral structure).
-    availability: dict[Version, frozenset[Version]] = field(init=False, repr=False, compare=False)
+    # version of a payload entry -> mask of the family versions where its
+    # probed function is available (derived from the referral structure).
+    avail_masks: dict[Version, int] = field(init=False, repr=False, compare=False)
     availability_windows: dict[Version, tuple[tuple[Version, Version | None], ...]] = field(
         init=False, repr=False, compare=False
     )
     entry_versions: tuple[Version, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        missing = [render_version(v) for v in self.entries if v not in self.family]
+        if missing:
+            raise SchemaError(f"entries outside the declared family: {', '.join(missing)}")
         _check_referrals(self)
         _check_cycles(self)
         avail, windows = _derive_availability(self)
-        object.__setattr__(self, "availability", avail)
+        object.__setattr__(self, "avail_masks", avail)
         object.__setattr__(self, "availability_windows", windows)
-        object.__setattr__(self, "entry_versions", tuple(sorted(self.entries)))
+        object.__setattr__(self, "entry_versions",
+                           tuple(v for v in self.family.versions if v in self.entries))
 
     @functools.cached_property
-    def truth(self) -> dict[Version, frozenset[Version]]:
-        """Entry version -> family versions at which its full plan passes,
-        derived on first use."""
+    def availability(self) -> dict[Version, frozenset[Version]]:
+        """``avail_masks`` as version sets, for readers outside the package."""
+        return {v: frozenset(self.family.select(m)) for v, m in self.avail_masks.items()}
+
+    @functools.cached_property
+    def truth(self) -> dict[Version, int]:
+        """Entry version -> mask of the family versions at which its full plan
+        passes, in ascending version order, derived on first use."""
         return {v: plan_truth_set(self, v) for v in self.entry_versions}
+
+    @functools.cached_property
+    def entry_truths(self) -> tuple[tuple[Version, int, int], ...]:
+        """``(entry, its own bit, its truth mask)`` per entry, ascending: what
+        an audit step scans, built once per database."""
+        index = self.family.index
+        return tuple((v, 1 << index[v], t) for v, t in self.truth.items())
 
     @property
     def is_perfect(self) -> bool:
-        return set(self.entries) == set(self.family.versions)
+        return len(self.entries) == len(self.family)  # every entry is a family version
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +287,15 @@ def load_database(document: bytes | str) -> Database:
     family_labels = service.get("family")
     if family_labels is None:
         family_versions = tuple(entries)
+    elif not isinstance(family_labels, list):
+        raise SchemaError(f"'service.family' must be a list of version labels, got {family_labels!r}")
     else:
         family_versions = tuple(_parse_label(lbl, "'service.family'") for lbl in family_labels)
-        missing = [render_version(v) for v in entries if v not in family_versions]
-        if missing:
-            raise SchemaError(f"entries outside the declared family: {', '.join(missing)}")
-    return Database(meta=meta, entries=entries, family=VersionSet(meta.service_name, family_versions))
+    try:
+        family = VersionSet(meta.service_name, family_versions)
+    except ValueError as exc:
+        raise SchemaError(f"'service.family': {exc}") from exc
+    return Database(meta=meta, entries=entries, family=family)
 
 
 def _parse_label(label: object, where: str) -> Version:
@@ -361,6 +385,11 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     if not isinstance(branching, dict):
         raise SchemaError(f"entry {label!r}: 'branching' must be an object")
     refs = tuple(_parse_label(ref, f"entry {label!r} 'branching'") for ref in branching)
+    first_label: dict[Version, str] = {}
+    for ref_label, ref in zip(branching, refs):
+        if first_label.setdefault(ref, ref_label) != ref_label:
+            raise SchemaError(f"entry {label!r} 'branching': {first_label[ref]!r} and {ref_label!r} "
+                              "name the same version")
     # Keyed by the canonical label, which is how serialize_database looks them up.
     flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
 
@@ -370,9 +399,12 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     explicit = None
     if "windows" in test:
         where = f"entry {label!r} 'windows'"
+        pairs = test["windows"]
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise SchemaError(f"{where}: must be a list of [from, until] pairs, got {pairs!r}")
         explicit = tuple(
             (_parse_label(lo, where), _parse_label(hi, where) if hi else None)
-            for lo, hi in test["windows"]
+            for lo, hi in pairs
         )
 
     tag_overrides = {}
@@ -442,7 +474,8 @@ def _ancestor_origins(x: Version) -> set[Version]:
 
 
 def _derive_availability(db: Database):
-    """Compute, per payload entry, where its probed function is available."""
+    """Compute, per payload entry, the mask of where its probed function is
+    available, and the same as windows."""
     windows: dict[Version, list[tuple[Version, Version | None]]] = {}
     for v, entry in db.entries.items():
         if not entry.has_payload:
@@ -471,34 +504,38 @@ def _derive_availability(db: Database):
             if hole_start > ref:
                 holes.setdefault(ref, []).append((hole_start, x))
 
-    fam = list(db.family.versions)
-    avail: dict[Version, frozenset[Version]] = {}
+    fam = db.family.versions
+    keys = [u.key for u in fam]
+
+    def span(lo: Version, hi: Version | None) -> int:
+        """Mask of the family versions u with lo <= u < hi (no upper end if hi is None)."""
+        i = bisect_left(keys, lo.key)
+        j = len(keys) if hi is None else bisect_left(keys, hi.key)
+        return ((1 << j) - (1 << i)) if j > i else 0
+
+    avail: dict[Version, int] = {}
     final_windows: dict[Version, tuple[tuple[Version, Version | None], ...]] = {}
     for v, wins in windows.items():
-        members = set()
+        mask = 0
         for lo, hi in wins:
-            members.update(u for u in fam if lo <= u and (hi is None or u < hi))
+            mask |= span(lo, hi)
         for lo, hi in holes.get(v, []):
-            members.difference_update(u for u in fam if lo <= u < hi)
-        avail[v] = frozenset(members)
-        final_windows[v] = _members_to_windows(sorted(members), fam)
+            mask &= ~span(lo, hi)
+        avail[v] = mask
+        final_windows[v] = _mask_to_windows(mask, fam)
     return avail, final_windows
 
 
-def _members_to_windows(members: list[Version], fam: list[Version]):
-    """Collapse a version set into half-open windows over the family order."""
-    if not members:
-        return ()
-    index = {v: i for i, v in enumerate(fam)}
+def _mask_to_windows(mask: int, fam: tuple[Version, ...]):
+    """Collapse a version mask into half-open windows over the family order,
+    one per run of set bits."""
     spans = []
-    start = prev = members[0]
-    for v in members[1:]:
-        if index[v] == index[prev] + 1:
-            prev = v
-            continue
-        spans.append((start, fam[index[prev] + 1] if index[prev] + 1 < len(fam) else None))
-        start = prev = v
-    spans.append((start, fam[index[prev] + 1] if index[prev] + 1 < len(fam) else None))
+    while mask:
+        start = (mask & -mask).bit_length() - 1
+        run = mask >> start
+        end = start + (run ^ (run + 1)).bit_length() - 1  # past the run's last bit
+        spans.append((fam[start], fam[end] if end < len(fam) else None))
+        mask ^= (1 << end) - (1 << start)
     return tuple(spans)
 
 
@@ -551,22 +588,22 @@ def resolve_plan(db: Database, v: Version) -> TestPlan:
 
 
 def fold_constraints(db: Database, observations: Iterable[tuple[Version, bool]],
-                     members: Iterable[Version] | None = None) -> set[Version]:
-    """``members`` (default: the family) narrowed by ``(version, observed)`` pairs:
-    a passed intrinsic test keeps where its function is available, a failed one the rest."""
-    members = set(db.family.versions if members is None else members)
+                     members: int | None = None) -> int:
+    """The ``members`` mask (default: the whole family) narrowed by ``(version, observed)``
+    pairs: a passed intrinsic test keeps where its function is available, a failed one the rest."""
+    mask = db.family.full if members is None else members
     for version, observed in observations:
-        avail = db.availability.get(version)
+        avail = db.avail_masks.get(version)
         if avail is None:
             raise ValueError(f"version {render_version(version)} has no intrinsic test to observe")
-        members = members & avail if observed else members - avail
-    return members
+        mask = mask & avail if observed else mask & ~avail
+    return mask
 
 
-def plan_truth_set(db: Database, v: Version) -> frozenset[Version]:
-    """Family versions at which the full plan for ``v`` passes."""
+def plan_truth_set(db: Database, v: Version) -> int:
+    """Mask of the family versions at which the full plan for ``v`` passes."""
     plan = resolve_plan(db, v)
-    return frozenset(fold_constraints(db, ((step.version, step.expect_pass) for step in plan)))
+    return fold_constraints(db, ((step.version, step.expect_pass) for step in plan))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +743,7 @@ def add_entry(
     deprecated: str | None = None,
 ) -> Database:
     """Return a new database with one more entry, checked as the loader checks it."""
-    v = parse_version(label)
+    v = _parse_label(label, "new entry")
     if v in db.entries:
         raise DatabaseError(f"entry {label!r} already exists")
     test: dict[str, object] = {
@@ -720,5 +757,6 @@ def add_entry(
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     meta = replace(db.meta, last_update_timestamp=now)
     entries = {**db.entries, v: _load_entry(label, v, {"test": test}, meta)}
-    family = VersionSet(db.family.family_name, tuple(set(db.family.versions) | {v}))
+    versions = db.family.versions if v in db.family else db.family.versions + (v,)
+    family = VersionSet(db.family.family_name, versions)
     return Database(meta=meta, entries=entries, family=family)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -89,17 +90,27 @@ def _mid(values: list):
 
 
 class AuditContext:
-    """Shared audit state the strategies read."""
+    """Shared audit state the strategies read; ``candidates`` is a mask over
+    the family index, as are the truth sets."""
 
     def __init__(self, db: Database):
         self.db = db
         self.entry_versions = db.entry_versions
         self.truth = db.truth
-        self.candidates: set[Version] = set(db.family.versions)
+        self.candidates: int = db.family.full
+        self.tested = 0  # mask of the logged versions
         self.log = DecisionLog()
+        # The db.entry_truths rows that split the candidates at the last look.
+        # Candidates only shrink, so an entry that stopped splitting them never
+        # splits them again, and a tested entry stays tested.
+        self._splitting = db.entry_truths
 
     def apply(self, outcome: TestOutcome) -> None:
+        logged = len(self.log.rows)
         self.log.append_outcome(outcome)
+        index = self.db.family.index
+        for row in self.log.rows[logged:]:
+            self.tested |= 1 << index[row.version]
         self.candidates = fold_constraints(
             self.db, ((sub.version, sub.observed) for sub in outcome.sub_outcomes),
             self.candidates)
@@ -110,13 +121,16 @@ class AuditContext:
         A tested entry's sub-outcomes are already folded into the candidates,
         so while any candidate is left this is that test's logged result.
         """
-        hits = len(self.candidates & self.truth[v])
-        return None if 0 < hits < len(self.candidates) else hits > 0
+        c = self.candidates
+        hits = c & self.truth[v]
+        return None if hits and hits != c else hits != 0
 
     def informative(self) -> list[Version]:
         """Untested entries whose outcome would shrink the candidate set."""
-        return [v for v in self.entry_versions
-                if v not in self.log.deltas and self.status(v) is None]
+        c, tested = self.candidates, self.tested
+        self._splitting = [row for row in self._splitting
+                           if not tested & row[1] and (hits := c & row[2]) and hits != c]
+        return [row[0] for row in self._splitting]
 
 
 def _heads(versions: Iterable[Version], level: str) -> dict[int, Version]:
@@ -131,7 +145,8 @@ class BinarySearch:
     name = "BS"
 
     def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
-        pool = [v for v in ctx.entry_versions if v in ctx.candidates and v not in ctx.log.deltas]
+        c, tested = ctx.candidates, ctx.tested
+        pool = [v for v, bit, _ in ctx.db.entry_truths if c & bit and not tested & bit]
         return _mid(pool) if pool else None
 
 
@@ -193,15 +208,24 @@ class MajorHighestStepUp:
                 break
         else:
             return None
+        entries = ctx.entry_versions
+        pos = bisect_left(entries, frontier)
         while True:
-            above = [v for v in ctx.entry_versions if v.major == frontier.major and v > frontier]
-            next_minor = [v for v in above if v.minor > frontier.minor][:1]
-            for cand in next_minor + [v for v in above if v.minor == frontier.minor]:
-                status = ctx.status(cand)
+            # The entries above the frontier on its minor branch, led by the
+            # first entry of the next minor branch of the same major.
+            branch = (frontier.major, frontier.minor)
+            end = pos + 1
+            while end < len(entries) and (entries[end].major, entries[end].minor) == branch:
+                end += 1
+            order = list(range(pos + 1, end))
+            if end < len(entries) and entries[end].major == frontier.major:
+                order.insert(0, end)
+            for i in order:
+                status = ctx.status(entries[i])
                 if status is None:
-                    return cand
+                    return entries[i]
                 if status:
-                    frontier = cand
+                    frontier, pos = entries[i], i
                     break
             else:
                 return None

@@ -39,7 +39,7 @@ class Bounds:
     upper: Version | None
     deprecated_windows: tuple[tuple[Window, ...], ...] = ()
     exclusions: tuple[tuple[Window, ...], ...] = ()
-    members: frozenset[Version] = frozenset()  # family versions the observations admit
+    members: tuple[Version, ...] = ()  # family versions the observations admit, ascending
 
     def to_doc(self) -> dict:
         return {
@@ -76,7 +76,8 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
         raise InconsistentLogError(*_name_conflict(db, observations))
 
     compound = {o.version: o.delta for o in log.plan_outcomes()}
-    upward = {v: frozenset(u for u in db.family.versions if u >= v) for v in compound}
+    full, index = db.family.full, db.family.index
+    upward = {v: full & ~((1 << index[v]) - 1) for v in compound}  # masks of u >= v
     true_versions = [v for v, d in compound.items() if d]
     lower = max(true_versions) if true_versions else None
     upper_candidates = [v for v, d in compound.items()
@@ -86,7 +87,7 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     deprecated = []
     for v in true_versions:
         windows = db.availability_windows.get(v)
-        if windows and windows != ((v, None),) and db.availability[v] != upward[v]:
+        if windows and windows != ((v, None),) and db.avail_masks[v] != upward[v]:
             deprecated.append(windows)
     exclusions = []
     for version, observed in observations:
@@ -99,7 +100,7 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
         upper=upper,
         deprecated_windows=tuple(deprecated),
         exclusions=tuple(exclusions),
-        members=frozenset(members),
+        members=db.family.select(members),
     )
 
 
@@ -120,7 +121,7 @@ def candidates(bounds: Bounds, db: Database) -> CandidateSet:
     Versions without database entries ride along with whichever decided
     neighbours they are indistinguishable from.
     """
-    return CandidateSet(tuple(v for v in db.family.versions if v in bounds.members))
+    return CandidateSet(bounds.members)
 
 
 def compliance(c: CandidateSet, target: Version) -> bool:

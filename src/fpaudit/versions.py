@@ -116,16 +116,24 @@ def branch_origin(v: Version, level: str = "minor") -> Version:
 
 @dataclass(frozen=True)
 class VersionSet:
-    """All versions of one software family, in ascending order."""
+    """All versions of one software family, in ascending order.
+
+    ``index`` gives each version its position, which is also its bit in a
+    version mask: an int whose bit ``i`` stands for ``versions[i]``.
+    """
 
     family_name: str
     versions: tuple[Version, ...]
+    index: dict[Version, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.versions))
-        if len({render_version(v) for v in ordered}) != len(ordered):
+        # Equal versions render to the same label, and distinct ones do not.
+        index = {v: i for i, v in enumerate(ordered)}
+        if len(index) != len(ordered):
             raise ValueError(f"duplicate version labels in family {self.family_name!r}")
         object.__setattr__(self, "versions", ordered)
+        object.__setattr__(self, "index", index)
 
     def __iter__(self):
         return iter(self.versions)
@@ -134,7 +142,22 @@ class VersionSet:
         return len(self.versions)
 
     def __contains__(self, v: Version) -> bool:
-        return v in self.versions
+        return v in self.index
+
+    @property
+    def full(self) -> int:
+        """The mask of every version."""
+        return (1 << len(self.versions)) - 1
+
+    def select(self, mask: int) -> tuple[Version, ...]:
+        """The versions whose bits are set in ``mask``, ascending."""
+        bits = bin(mask)[:1:-1]  # bit 0 first
+        out = []
+        i = bits.find("1")
+        while i >= 0:
+            out.append(self.versions[i])
+            i = bits.find("1", i + 1)
+        return tuple(out)
 
     def labels(self) -> list[str]:
         return [render_version(v) for v in self.versions]

@@ -143,6 +143,16 @@ def test_db_add_entry_rejects_challenge_without_expect(tmp_path, capsys):
     assert "rejected:" in capsys.readouterr().err
 
 
+def test_db_add_entry_rejects_a_malformed_label_on_one_line(tmp_path, capsys):
+    out = tmp_path / "toy.json"
+    run(["db", "new", "--service", "toy", "--out", str(out)])
+    code = run(["db", "add-entry", "--database", str(out), "--version", "1.x",
+                "--challenge", "x", "--expect", "y"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["rejected: new entry: malformed version label: '1.x'"]
+
+
 def test_db_validate_rejects_unbound_placeholder(tmp_path, capsys, db_doc):
     db_doc["service"]["versions"]["7.2.0"]["test"]["challenge"]["payload"] = "var_dump(a(#zz#));"
     bad = tmp_path / "bad.json"

@@ -136,6 +136,25 @@ def test_malformed_version_label_is_a_schema_error(where, mutate):
         load_database(json.dumps(doc).encode())
 
 
+def test_branching_naming_one_version_twice_is_a_schema_error():
+    versions = {"1.0.0": entry(), "1.0.1": entry(branching={"1.0": "0", "1.0.0": "1"})}
+    with pytest.raises(SchemaError, match="entry '1.0.1' 'branching': '1.0' and '1.0.0' name the same"):
+        load_database(json.dumps(minimal_doc(versions)).encode())
+
+
+def test_one_element_windows_pair_is_a_schema_error():
+    versions = {"1.0.0": entry(windows=[["1.0.0"]]), "1.0.1": entry()}
+    with pytest.raises(SchemaError, match="entry '1.0.0' 'windows'"):
+        load_database(json.dumps(minimal_doc(versions)).encode())
+
+
+def test_non_list_family_is_a_schema_error():
+    doc = minimal_doc({"1.0.0": entry()})
+    doc["service"]["family"] = 5
+    with pytest.raises(SchemaError, match="'service.family'"):
+        load_database(json.dumps(doc).encode())
+
+
 def test_resolve_plan_prerequisite_before_intrinsic(db):
     plan = resolve_plan(db, pv("7.1.20"))
     assert [(str(s.version), s.expect_pass) for s in plan] == [
@@ -181,16 +200,19 @@ def test_backport_gap_derived_from_referrals(db):
 
 
 def test_plan_truth_set_matches_referral_conjunction(db):
-    truth = plan_truth_set(db, pv("7.2.9"))
+    truth = db.family.select(plan_truth_set(db, pv("7.2.9")))
     expected = {v for v in db.family.versions if v >= pv("7.2.9")}
-    assert truth == expected
+    assert set(truth) == expected
 
 
 def test_fold_constraints_keeps_availability_or_its_complement(db):
+    def fold(*args):
+        return set(db.family.select(fold_constraints(db, *args)))
+
     avail = db.availability[pv("7.0.22")]
-    assert fold_constraints(db, [(pv("7.0.22"), True)]) == avail
-    assert fold_constraints(db, [(pv("7.0.22"), False)]) == set(db.family.versions) - avail
-    narrowed = fold_constraints(db, [(pv("7.1.0"), False)], avail)
+    assert fold([(pv("7.0.22"), True)]) == avail
+    assert fold([(pv("7.0.22"), False)]) == set(db.family.versions) - avail
+    narrowed = fold([(pv("7.1.0"), False)], db.avail_masks[pv("7.0.22")])
     assert narrowed == {v for v in avail if v < pv("7.1.0")}
     with pytest.raises(ValueError, match="7.2.9"):
         fold_constraints(db, [(pv("7.2.9"), True)])

@@ -1,7 +1,13 @@
 """Golden audit matrix: every strategy x every fixture source x four provider
 behaviours, then every strategy x 20 synthetic families (``synth_docs``
-seeds 0-19) x {honest, claim-faker} at a seeded source, with seeded
-randomness, must reproduce the recorded audits.
+seeds 0-19) x {honest, claim-faker} at a seeded source, then 33 evenly
+spaced sources of the seed-0 grid family x every strategy x {honest, proxy},
+with seeded randomness, must reproduce the recorded audits.
+
+The grid family comes from the benchmark's generator, ``perfbench/grid.py``,
+which this test imports read-only; its database is authored as the
+benchmark's grid workload authors it (the top release added with
+``add_entry``), 257 versions in all.
 
 Each line of ``golden_audits.txt`` holds one audit: its log rows
 ``(testorder, version, delta, origin)``, the stop reason, the candidates,
@@ -14,10 +20,11 @@ bytes.  To re-record the file after a deliberate change of verdicts::
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 from fpaudit.challenge import RandomnessSource
-from fpaudit.database import load_database
+from fpaudit.database import VariableSpec, add_entry, load_database
 from fpaudit.simulator import (LatencyModel, SimProviderConfig, load_sim_config, produce,
                                sim_family_from_doc)
 from fpaudit.strategies import STRATEGIES, run_audit
@@ -28,10 +35,14 @@ from fpaudit.versions import render_version
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import grid  # noqa: E402
 GOLDEN = Path(__file__).with_name("golden_audits.txt")
 BEHAVIORS = ("honest", "claim-faker", "function-faker", "proxy")
 SYNTH_SEEDS = range(20)
 SYNTH_BEHAVIORS = ("honest", "claim-faker")
+GRID_SOURCES = 33
+GRID_BEHAVIORS = ("honest", "proxy")
 
 
 def _label(v) -> str:
@@ -55,7 +66,24 @@ def audit_lines() -> list[str]:
                 seed = len(lines)
                 src = random.Random(seed).choice(sim.family.versions)
                 lines.append(_audit_line(db, sim, strategy, src, behavior, seed))
+    db, sim = _grid_family()
+    versions = sim.family.versions
+    sources = [versions[i * (len(versions) - 1) // (GRID_SOURCES - 1)] for i in range(GRID_SOURCES)]
+    for strategy in STRATEGIES:
+        for src in sources:
+            for behavior in GRID_BEHAVIORS:
+                lines.append(_audit_line(db, sim, strategy, src, behavior, seed=len(lines)))
     return lines
+
+
+def _grid_family():
+    """The seed-0 grid database with its top release authored, and its simulator."""
+    family = grid.grid_docs(0)
+    test = grid.echo_test(family.new_label)
+    db = add_entry(load_database(family.db_bytes()), family.new_label,
+                   challenge=test["challenge"]["payload"], expect=test["expect"]["payload"],
+                   variables={"ax": VariableSpec("ax", **grid.AX)})
+    return db, sim_family_from_doc(family.sim_doc)
 
 
 def _audit_line(db, sim, strategy: str, src, behavior: str, seed: int) -> str:
