@@ -24,7 +24,7 @@ def main() -> None:
     sim, cfg = load_sim_config((ROOT / "fixtures" / "php_like_sim_faker.json").read_bytes())
     endpoints = make_loopback(produce(sim, cfg))
 
-    claim = probe_version_claim(endpoints[0])
+    claim = probe_version_claim(endpoints)
     print(f"provider claims      : {claim}")
 
     for strategy in ("CBS", "HMSU"):

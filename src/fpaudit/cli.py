@@ -24,9 +24,10 @@ from .database import (
     validate_strategy_independence,
 )
 from .outsourced import read_keys, read_log, verify_liability
-from .simulator import load_sim_config, produce
+from .simulator import SimConfigError, load_sim_config, produce
 from .strategies import run_audit
-from .transport import InterfaceEndpoint, env_credentials, make_loopback, probe_version_claim
+from .transport import (InterfaceEndpoint, TransportError, env_credentials, make_loopback,
+                        probe_version_claim)
 from .verdict import build_report
 from .versions import parse_version
 
@@ -48,7 +49,6 @@ def main(argv: list[str] | None = None) -> int:
     p_audit.add_argument("--sim-config", help="run against an in-process simulated provider")
     p_audit.add_argument("--challenge-url", help="HTTP endpoint receiving challenges (PUT)")
     p_audit.add_argument("--response-url", help="HTTP endpoint serving responses (GET)")
-    p_audit.add_argument("--claim-url", help="HTTP endpoint serving the version claim")
 
     p_db = sub.add_parser("db", help="database tooling")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(args)
         if args.command == "verify-logs":
             return cmd_verify_logs(args)
-    except DatabaseError as exc:
+    except (DatabaseError, SimConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
@@ -103,36 +103,32 @@ def cmd_audit(args) -> int:
     db = _load_db(args.database)
     target = parse_version(args.target) if args.target else None
 
-    claim = None
     if args.sim_config:
         sim, provider_cfg = load_sim_config(Path(args.sim_config).read_bytes())
         if args.seed is not None:
             from dataclasses import replace
             provider_cfg = replace(provider_cfg, seed=args.seed + 1)
-        responder = produce(sim, provider_cfg)
-        endpoints = make_loopback(responder)
-        claim = probe_version_claim(endpoints[0])
+        endpoints = make_loopback(produce(sim, provider_cfg))
     elif args.challenge_url and args.response_url:
         credentials = env_credentials()
-        chl = InterfaceEndpoint(id="chl", kind="http-fetch", address=args.challenge_url,
-                                credentials=credentials)
-        rsp = InterfaceEndpoint(id="rsp", kind="http-fetch", address=args.response_url,
-                                credentials=credentials)
-        endpoints = (chl, rsp)
-        if args.claim_url:
-            claim_ep = InterfaceEndpoint(id="claim", kind="http-fetch", address=args.claim_url,
-                                         credentials=credentials)
-            try:
-                claim = probe_version_claim(claim_ep)
-            except Exception as exc:  # claim probe is best-effort context
-                print(f"claim probe failed: {exc}", file=sys.stderr)
+        endpoints = tuple(InterfaceEndpoint(id=name, kind="http-fetch", address=url,
+                                            credentials=credentials)
+                          for name, url in (("chl", args.challenge_url),
+                                            ("rsp", args.response_url)))
     else:
         print("error: provide --sim-config or both --challenge-url and --response-url",
               file=sys.stderr)
         return 2
 
+    claim = None
+    try:  # the claim is context for the report, never evidence
+        claim = probe_version_claim(endpoints)
+    except TransportError as exc:
+        print(f"claim probe failed: {exc}", file=sys.stderr)
+
     reports = []
     budget_stopped = False
+    transport_error = None
     for i in range(max(args.repeat, 1)):
         rng = RandomnessSource(seed=args.seed + i if args.seed is not None else None)
         try:
@@ -141,6 +137,9 @@ def cmd_audit(args) -> int:
             print(f"audit failed: {exc}", file=sys.stderr)
             return 2
         budget_stopped = budget_stopped or log.stop_reason == "budget"
+        transport_error = transport_error or next(
+            (record.transport_error for outcome in log.plan_outcomes()
+             for record in outcome.exchanges if record.transport_error is not None), None)
         reports.append(build_report(log, db, target=target, claimed_version=claim))
 
     report = reports[0]
@@ -154,6 +153,9 @@ def cmd_audit(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         _print_table(report)
+    if transport_error is not None:
+        print(f"transport failure: {transport_error}", file=sys.stderr)
+        return 2
     if report.inconsistency or not agreed:
         return 2
     if target is not None and budget_stopped:

@@ -51,6 +51,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from types import NoneType
 
 from .versions import (Version, VersionParseError, VersionSet, branch_origin, parse_version,
                        render_version)
@@ -279,10 +280,9 @@ def load_database(document: bytes | str) -> Database:
     if not isinstance(versions_doc, dict):
         raise SchemaError("'service.versions' must be an object")
 
-    entries: dict[Version, VersionTest] = {}
-    for label, body in versions_doc.items():
-        v = _parse_label(label, "'service.versions'")
-        entries[v] = _load_entry(label, v, body, meta)
+    versions = _parse_labels(versions_doc, "'service.versions'")
+    entries = {v: _load_entry(label, v, body, meta)
+               for v, (label, body) in zip(versions, versions_doc.items())}
 
     family_labels = service.get("family")
     if family_labels is None:
@@ -308,6 +308,24 @@ def _parse_label(label: object, where: str) -> Version:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _parse_labels(labels: Iterable[object], where: str) -> tuple[Version, ...]:
+    """``labels`` as versions; two labels naming one version are a :class:`SchemaError`."""
+    first: dict[Version, object] = {}
+    for label in labels:
+        v = _parse_label(label, where)
+        if first.setdefault(v, label) != label:
+            raise SchemaError(f"{where}: {first[v]!r} and {label!r} name the same version")
+    return tuple(first)
+
+
+def _checked(value: object, kind: type | tuple[type, ...], what: str, where: str, key: str):
+    """``value`` if it is a ``kind`` (a bool is no number); else a :class:`SchemaError`
+    naming ``where`` and ``key``."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise SchemaError(f"{where} '{key}' must be {what}, got {value!r}")
+    return value
+
+
 def _load_meta(doc: dict) -> DatabaseMeta:
     created = _parse_rfc3339(doc.get("creationTimestamp", ""), "creationTimestamp")
     updated = _parse_rfc3339(doc.get("lastUpdateTimestamp", created), "lastUpdateTimestamp")
@@ -320,10 +338,9 @@ def _load_meta(doc: dict) -> DatabaseMeta:
     default_format = defaults.get("version.test.variables.format", "integer")
     if default_format not in VARIABLE_FORMATS:
         raise SchemaError(f"default key 'version.test.variables.format': unknown format {default_format!r}")
-    amount = defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS)
-    if not isinstance(amount, (int, float)) or amount <= 0:
-        raise SchemaError(f"waittime amount must be positive, got {amount!r}")
-    settings = doc.get("settings", {})
+    _wait_amount(defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS),
+                 "default key", "version.test.waittime.amount")
+    settings = _checked(doc.get("settings", {}), dict, "an object", "document", "settings")
     strategies = tuple(settings.get("strategies", list(STRATEGY_ALIASES.values())))
     for name in strategies:
         if name not in STRATEGY_SHORT and name not in STRATEGY_ALIASES:
@@ -343,15 +360,31 @@ def _load_meta(doc: dict) -> DatabaseMeta:
     )
 
 
+def _wait_amount(value: object, where: str, key: str) -> float:
+    if _checked(value, (int, float), "a positive number", where, key) <= 0:
+        raise SchemaError(f"{where} '{key}' must be a positive number, got {value!r}")
+    return float(value)
+
+
+# The typed fields of a variable; each may be left out.
+_VARIABLE_FIELDS = (("format", (str, NoneType), "a string"), ("min", (int, NoneType), "an integer"),
+                    ("max", (int, NoneType), "an integer"), ("length", (int, NoneType), "an integer"))
+
+
 def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> VersionTest:
     if not isinstance(body, dict) or not isinstance(body.get("test"), dict):
         raise SchemaError(f"entry {label!r}: missing 'test' object")
     test = body["test"]
+    where = f"entry {label!r}"
 
     variables: dict[str, VariableSpec] = {}
-    for name, spec in test.get("variables", {}).items():
+    for name, spec in _checked(test.get("variables", {}), dict, "an object",
+                               where, "variables").items():
         if not isinstance(spec, dict):
             raise SchemaError(f"entry {label!r}: variable {name!r} must be an object")
+        variable_at = f"{where} variable {name!r}"
+        for key, kind, what in _VARIABLE_FIELDS:
+            _checked(spec.get(key), kind, what, variable_at, key)
         variables[name] = VariableSpec(
             name=name,
             format=spec.get("format", str(meta.default_values.get("version.test.variables.format", "integer"))),
@@ -360,10 +393,12 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
             length=spec.get("length"),
         )
 
-    challenge = test.get("challenge") or {}
-    expect = test.get("expect") or {}
-    challenge_payload = challenge.get("payload")
-    expect_payload = expect.get("payload")
+    challenge = _checked(test.get("challenge") or {}, dict, "an object", where, "challenge")
+    expect = _checked(test.get("expect") or {}, dict, "an object", where, "expect")
+    challenge_payload = _checked(challenge.get("payload"), (str, NoneType), "a string",
+                                 where, "challenge.payload")
+    expect_payload = _checked(expect.get("payload"), (str, NoneType), "a string",
+                              where, "expect.payload")
     if (challenge_payload is None) != (expect_payload is None):
         raise SchemaError(f"entry {label!r}: challenge and expect payloads must come together")
     for payload in (challenge_payload or "", expect_payload or ""):
@@ -377,19 +412,14 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
 
     wait = test.get("waittime")
     if wait is not None:
-        wait_s = _to_seconds(float(wait.get("amount")), str(wait.get("type", "milliseconds")))
+        _checked(wait, dict, "an object", where, "waittime")
+        wait_s = _to_seconds(_wait_amount(wait.get("amount"), where, "waittime.amount"),
+                             str(wait.get("type", "milliseconds")))
     else:
         wait_s = meta.wait_time()
 
-    branching = test.get("branching", {})
-    if not isinstance(branching, dict):
-        raise SchemaError(f"entry {label!r}: 'branching' must be an object")
-    refs = tuple(_parse_label(ref, f"entry {label!r} 'branching'") for ref in branching)
-    first_label: dict[Version, str] = {}
-    for ref_label, ref in zip(branching, refs):
-        if first_label.setdefault(ref, ref_label) != ref_label:
-            raise SchemaError(f"entry {label!r} 'branching': {first_label[ref]!r} and {ref_label!r} "
-                              "name the same version")
+    branching = _checked(test.get("branching", {}), dict, "an object", where, "branching")
+    refs = _parse_labels(branching, f"{where} 'branching'")
     # Keyed by the canonical label, which is how serialize_database looks them up.
     flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
 
@@ -398,12 +428,12 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
 
     explicit = None
     if "windows" in test:
-        where = f"entry {label!r} 'windows'"
+        windows_at = f"{where} 'windows'"
         pairs = test["windows"]
         if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise SchemaError(f"{where}: must be a list of [from, until] pairs, got {pairs!r}")
+            raise SchemaError(f"{windows_at}: must be a list of [from, until] pairs, got {pairs!r}")
         explicit = tuple(
-            (_parse_label(lo, where), _parse_label(hi, where) if hi else None)
+            (_parse_label(lo, windows_at), _parse_label(hi, windows_at) if hi else None)
             for lo, hi in pairs
         )
 

@@ -1,10 +1,9 @@
 """Minimal HTTP front for a simulated provider.
 
 PUT /challenge stores the payload; GET /response evaluates it, sleeps the
-simulated latency for real, and returns the body; GET /claim serves the
-version-claim output.  Optional basic auth is enabled by passing
-credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS environment
-variables when run via the CLI).
+simulated latency for real, and returns the body.  Optional basic auth is
+enabled by passing credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS
+environment variables when run via the CLI).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .transport import CLAIM_PAYLOAD, env_credentials
+from .transport import env_credentials
 
 
 class SimHTTPServer(ThreadingHTTPServer):
@@ -72,10 +71,6 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         if not self._authorized():
             return self._deny()
-        if self.path == "/claim":
-            body, latency = self.server.responder.respond(CLAIM_PAYLOAD)
-            time.sleep(latency)
-            return self._send(200, body)
         if self.path != "/response":
             self.send_response(404)
             self.end_headers()
@@ -88,10 +83,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         body, latency = self.server.responder.respond(pending)
         time.sleep(latency)
-        self._send(200, body)
-
-    def _send(self, code: int, body: bytes) -> None:
-        self.send_response(code)
+        self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)

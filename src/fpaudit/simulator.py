@@ -34,6 +34,7 @@ CACHE_MISS = b"err:cache-miss\n"
 _CALL_RE = re.compile(rb"^(?:var_dump\()?@?([A-Za-z_][A-Za-z0-9_]*)\((.*?)\)\)?;?$")
 
 BEHAVIOR_KINDS = {"echo-ok", "strict-bool", "claim", "upper"}
+PROVIDER_BEHAVIORS = ("honest", "claim-faker", "cacher", "proxy", "function-faker")
 
 
 class SimConfigError(ValueError):
@@ -229,19 +230,28 @@ def produce(sim: SimFamily, cfg: SimProviderConfig):
 
 
 def load_sim_config(document: bytes | str) -> tuple[SimFamily, SimProviderConfig]:
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    doc = json.loads(document)
+    """Simulated family and provider of a config document; a malformed one is
+    a :class:`SimConfigError`."""
+    try:
+        doc = json.loads(document)
+    except ValueError as exc:  # also undecodable bytes
+        raise SimConfigError(f"simulator config is not valid JSON: {exc}") from exc
+    family = doc.get("family") if isinstance(doc, dict) else None
+    if not isinstance(family, dict) or not isinstance(family.get("versions"), list):
+        raise SimConfigError("simulator config: missing 'family' object with a 'versions' list")
     sim = sim_family_from_doc(doc)
     provider = doc.get("provider", {})
+    behavior = provider.get("behavior", "honest")
+    if behavior not in PROVIDER_BEHAVIORS:
+        raise SimConfigError(f"'provider.behavior': unknown behavior {behavior!r}")
     latency_doc = provider.get("latency", {})
     latency = LatencyModel(
         base=float(latency_doc.get("base_ms", 5.0)) / 1000.0,
         jitter=float(latency_doc.get("jitter_ms", 3.0)) / 1000.0,
     )
     cfg = SimProviderConfig(
-        src_version=parse_version(provider.get("source", doc["family"]["versions"][-1])),
-        behavior=provider.get("behavior", "honest"),
+        src_version=parse_version(provider.get("source", family["versions"][-1])),
+        behavior=behavior,
         claim_label=provider.get("claim"),
         latency=latency,
         proxy_floor=float(provider.get("proxy_floor_ms", 500.0)) / 1000.0,

@@ -10,13 +10,15 @@ command lines.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 DEFAULT_TIMEOUT_CAP = 5.0  # seconds on top of the per-test deadline
 
@@ -102,8 +104,34 @@ def env_credentials() -> tuple[str, str] | None:
     return (user, password) if user and password is not None else None
 
 
-def _http_auth(ep: InterfaceEndpoint):
-    return ep.credentials if ep.credentials else None
+def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
+             timeout: float) -> tuple[int, bytes]:
+    """One HTTP(S) request with preemptive Basic auth, through the proxy the
+    environment names, if any.  A 404 on GET (not ready yet) is returned;
+    every other failure is a TransportError."""
+    what = "challenge delivery" if method == "PUT" else "response fetch"
+    if not ep.address.startswith(("http://", "https://")):
+        raise TransportError(f"{what} failed: {ep.address!r} is not an http(s) URL")
+    try:
+        request = urllib.request.Request(ep.address, data=body, method=method,
+                                         headers={"Content-Type": "application/octet-stream"})
+        if ep.credentials:
+            token = base64.b64encode(":".join(ep.credentials).encode("utf-8")).decode("ascii")
+            # Unredirected: a redirect does not carry the credentials along.
+            request.add_unredirected_header("Authorization", f"Basic {token}")
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            status, data = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        status, data = exc.code, b""
+    # URLError and timeouts are OSErrors; a malformed address is a ValueError.
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise TransportError(f"{what} failed: {exc}") from exc
+    if status in (401, 403):
+        raise TransportError("auth")
+    if status >= 400 and not (method == "GET" and status == 404):
+        raise TransportError(f"{what} rejected: HTTP {status}")
+    return status, data
 
 
 def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
@@ -112,14 +140,7 @@ def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
     # The clock starts before the PUT: a provider that holds the delivery
     # acknowledgement while it forwards the challenge pays for the hold.
     sent = time.monotonic()
-    try:
-        put = requests.put(chl.address, data=payload, auth=_http_auth(chl), timeout=budget)
-    except requests.RequestException as exc:
-        raise TransportError(f"challenge delivery failed: {exc}") from exc
-    if put.status_code in (401, 403):
-        raise TransportError("auth")
-    if put.status_code >= 400:
-        raise TransportError(f"challenge delivery rejected: HTTP {put.status_code}")
+    _request("PUT", chl, payload, budget)
     return _poll_http(rsp, payload, sent, budget)
 
 
@@ -131,19 +152,12 @@ def _poll_http(rsp: InterfaceEndpoint, payload: bytes, sent: float,
         if remaining <= 0:
             now = time.monotonic()
             return ExchangeRecord(payload, None, sent, now, now - sent)
-        try:
-            got = requests.get(rsp.address, auth=_http_auth(rsp), timeout=max(remaining, 0.05))
-        except requests.RequestException as exc:
-            raise TransportError(f"response fetch failed: {exc}") from exc
-        if got.status_code in (401, 403):
-            raise TransportError("auth")
-        if got.status_code == 404:
+        status, body = _request("GET", rsp, None, max(remaining, 0.05))
+        if status == 404:
             time.sleep(min(0.01, max(remaining, 0.0)))
             continue
-        if got.status_code >= 400:
-            raise TransportError(f"response fetch rejected: HTTP {got.status_code}")
         now = time.monotonic()
-        return ExchangeRecord(payload, got.content, sent, now, now - sent)
+        return ExchangeRecord(payload, body, sent, now, now - sent)
 
 
 def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
@@ -185,23 +199,16 @@ def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
 CLAIM_PAYLOAD = b"<?php phpversion();"
 
 
-def probe_version_claim(ep: InterfaceEndpoint) -> str:
-    """Ask the provider for its self-declared version string.
+def probe_version_claim(endpoints: tuple[InterfaceEndpoint, InterfaceEndpoint]) -> str:
+    """Ask the provider for its self-declared version string, as one more
+    challenge over the audit's own endpoints that waits only ``timeout_cap``.
 
     This is the trivially spoofable baseline: the returned label is exactly
     what the provider chose to print, with no trust attached.
     """
-    if ep.kind == "loopback-sim":
-        if ep.responder is None:
-            raise TransportError("loopback endpoint has no responder attached")
-        body, _ = ep.responder.respond(CLAIM_PAYLOAD)
-        return body.decode("utf-8", "replace").strip()
-    if ep.kind == "http-fetch":
-        try:
-            got = requests.get(ep.address, auth=_http_auth(ep), timeout=ep.timeout_cap)
-        except requests.RequestException as exc:
-            raise TransportError(f"claim probe failed: {exc}") from exc
-        if got.status_code >= 400:
-            raise TransportError(f"claim probe rejected: HTTP {got.status_code}")
-        return got.text.strip()
-    raise TransportError(f"claim probe unsupported on {ep.kind!r}")
+    record = exchange(*endpoints, CLAIM_PAYLOAD, 0.0)
+    if record.transport_error is not None:
+        raise TransportError(record.transport_error)
+    if record.response_bytes is None:
+        raise TransportError(f"no answer within {record.elapsed:.2f} s")
+    return record.response_bytes.decode("utf-8", "replace").strip()

@@ -223,8 +223,12 @@ def build_report(log: DecisionLog, db: Database, target: Version | None = None,
             rows=tuple(log.rows),
         )
     c = candidates(b, db)
-    # An audit cut short by its budget has not earned a compliance verdict.
-    decided = target is not None and log.stop_reason != "budget"
+    # An audit cut short by its budget, or one whose exchange failed in
+    # transport (which observed nothing of the provider), has not earned a
+    # compliance verdict.
+    decided = target is not None and log.stop_reason != "budget" and not any(
+        sub.reason == "transport-error"
+        for outcome in log.plan_outcomes() for sub in outcome.sub_outcomes)
     compliant = compliance(c, target) if decided else None
     return VerdictReport(
         strategy=log.strategy, bounds=b, candidate_set=c, target=target,

@@ -79,7 +79,7 @@ def agreement_trials():
 
 def test_criterion_1_faker_defeat(db, faker_endpoints):
     started = time.monotonic()
-    claim = probe_version_claim(faker_endpoints[0])
+    claim = probe_version_claim(faker_endpoints)
     assert claim == "20.9.85-car"
     target = pv("7.3.0")
     rows = {}

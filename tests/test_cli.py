@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from fpaudit.cli import main
 
@@ -227,7 +228,6 @@ def test_audit_over_http_served_simulator(capsys, sim_family, monkeypatch):
         code = run(["audit", "--database", DB,
                     "--challenge-url", server.url("/challenge"),
                     "--response-url", server.url("/response"),
-                    "--claim-url", server.url("/claim"),
                     "--strategy", "HTL", "--target", "7.2.14", "--seed", "2",
                     "--format", "json"])
     finally:
@@ -237,6 +237,50 @@ def test_audit_over_http_served_simulator(capsys, sim_family, monkeypatch):
     assert code == 0
     assert doc["claimedVersion"] == "7.2.14"
     assert doc["candidates"] == ["7.2.14"]
+
+
+@pytest.mark.parametrize("strategy", ["BS", "CBS", "HTL", "LTH", "HMSU"])
+def test_audit_with_every_exchange_failing_in_transport_is_undecided(
+        strategy, capsys, sim_family, monkeypatch):
+    # The server wants credentials the auditor does not send: no exchange
+    # observes the provider, so no target check may pass.
+    from fpaudit.simserver import start_server
+    from fpaudit.simulator import SimProviderConfig, produce
+    from fpaudit.versions import parse_version as pv
+
+    server = start_server(produce(sim_family, SimProviderConfig(src_version=pv("7.2.14"))),
+                          credentials=("auditor", "sekrit"))
+    monkeypatch.delenv("FPAUDIT_HTTP_USER", raising=False)
+    monkeypatch.delenv("FPAUDIT_HTTP_PASS", raising=False)
+    try:
+        code = run(["audit", "--database", DB,
+                    "--challenge-url", server.url("/challenge"),
+                    "--response-url", server.url("/response"),
+                    "--strategy", strategy, "--target", "4.0.0b1", "--seed", "2",
+                    "--format", "json"])
+    finally:
+        server.shutdown()
+        server.server_close()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["compliance"] is None
+    assert captured.err.splitlines() == ["claim probe failed: auth", "transport failure: auth"]
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param("{not json", id="not-json"),
+    pytest.param(json.dumps({"functions": {}}), id="no-family"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                             "provider": {"behavior": "teleporter"}}), id="unknown-behavior"),
+])
+def test_audit_malformed_sim_config_is_one_error_line(document, tmp_path, capsys):
+    cfgfile = tmp_path / "sim.json"
+    cfgfile.write_text(document)
+    code = run(["audit", "--database", DB, "--sim-config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_simulated_proxy_fails_timing(tmp_path, capsys, db):

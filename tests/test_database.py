@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -153,6 +154,35 @@ def test_non_list_family_is_a_schema_error():
     doc["service"]["family"] = 5
     with pytest.raises(SchemaError, match="'service.family'"):
         load_database(json.dumps(doc).encode())
+
+
+def test_two_version_keys_naming_one_version_are_a_schema_error(db_doc):
+    versions = db_doc["service"]["versions"]
+    versions["5.2"] = versions["5.2.0"]
+    with pytest.raises(SchemaError, match="'service.versions': '5.2.0' and '5.2' name the same"):
+        load_database(json.dumps(db_doc))
+
+
+def _entry_test(doc):
+    return doc["service"]["versions"]["7.2.0"]["test"]
+
+
+@pytest.mark.parametrize("where, mutate", [
+    ("entry '7.2.0' 'variables'", lambda doc: _entry_test(doc).update(variables=["ax"])),
+    ("entry '7.2.0' 'challenge.payload'", lambda doc: _entry_test(doc)["challenge"].update(payload=5)),
+    ("entry '7.2.0' 'challenge'", lambda doc: _entry_test(doc).update(challenge=["x"])),
+    ("entry '7.2.0' 'waittime'", lambda doc: _entry_test(doc).update(waittime="200ms")),
+    ("entry '7.2.0' 'waittime.amount'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": "x"})),
+    ("'settings'", lambda doc: doc.update(settings=["BinarySearch"])),
+    ("entry '7.2.0' variable 'ax' 'min'",
+     lambda doc: _entry_test(doc)["variables"]["ax"].update(min="1")),
+], ids=["variables-list", "payload-int", "challenge-list", "waittime-string",
+        "waittime-amount-not-a-number", "settings-list", "variable-min-string"])
+def test_malformed_field_type_is_a_schema_error_naming_entry_and_key(db_doc, where, mutate):
+    mutate(db_doc)
+    with pytest.raises(SchemaError, match=re.escape(f"{where} must be")):
+        load_database(json.dumps(db_doc))
 
 
 def test_resolve_plan_prerequisite_before_intrinsic(db):

@@ -1,12 +1,18 @@
 """What the repository ships: a runtime package that holds only what the CLI
-reaches, and fixtures that are exactly what ``families.py`` generates."""
+reaches, declares exactly the third-party modules it imports, and fixtures
+that are exactly what ``families.py`` generates."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from families import FIXTURES, fixture_files
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fpaudit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fpaudit"
 
 
 def _relative_imports(module: str) -> set[str]:
@@ -27,6 +33,22 @@ def test_every_package_module_is_reachable_from_the_cli():
             reached.add(module)
             todo.extend(_relative_imports(module))
     assert reached == {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fpaudit"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+                for spec in project["dependencies"]}
+    assert third_party == declared == {"cryptography"}
 
 
 def test_committed_fixtures_are_what_families_builds():

@@ -8,7 +8,9 @@ from fpaudit.challenge import judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
 from fpaudit.simserver import start_server
 from fpaudit.transport import (
+    CLAIM_PAYLOAD,
     InterfaceEndpoint,
+    TransportError,
     exchange,
     make_loopback,
     probe_version_claim,
@@ -35,20 +37,18 @@ def test_loopback_absent_when_latency_exceeds_cap(sim_family):
 
 
 def test_probe_version_claim_faker(faker_endpoints):
-    assert probe_version_claim(faker_endpoints[0]) == "20.9.85-car"
+    assert probe_version_claim(faker_endpoints) == "20.9.85-car"
 
 
 def test_probe_version_claim_honest(honest_endpoints):
-    chl, _ = honest_endpoints("7.1.1")
-    assert probe_version_claim(chl) == "7.1.1"
+    assert probe_version_claim(honest_endpoints("7.1.1")) == "7.1.1"
 
 
 def test_probe_unreachable_endpoint_errors():
     ep = InterfaceEndpoint(id="x", kind="http-fetch",
-                           address="http://127.0.0.1:1/claim", timeout_cap=0.3)
-    from fpaudit.transport import TransportError
+                           address="http://127.0.0.1:1/challenge", timeout_cap=0.3)
     with pytest.raises(TransportError):
-        probe_version_claim(ep)
+        probe_version_claim((ep, ep))
 
 
 @pytest.fixture
@@ -58,6 +58,19 @@ def http_server(sim_family):
     yield server
     server.shutdown()
     server.server_close()
+
+
+def test_probe_version_claim_over_http(http_server, sim_family):
+    # The claim travels as one more challenge through the audit's own pair.
+    cfg = SimProviderConfig(src_version=pv("7.1.1"), behavior="claim-faker",
+                            claim_label="20.9.85-car", latency=LatencyModel(0.0, 0.0), seed=3)
+    http_server.responder = produce(sim_family, cfg)
+    creds = ("auditor", "sekrit")
+    chl = InterfaceEndpoint(id="c", kind="http-fetch",
+                            address=http_server.url("/challenge"), credentials=creds)
+    rsp = InterfaceEndpoint(id="r", kind="http-fetch",
+                            address=http_server.url("/response"), credentials=creds)
+    assert probe_version_claim((chl, rsp)) == "20.9.85-car"
 
 
 def test_http_exchange_round_trip(http_server, db, rng):
@@ -81,6 +94,15 @@ def test_http_wrong_credentials_is_auth_error(http_server):
     record = exchange(chl, rsp, b"<?php phpversion();", 0.5)
     assert record.response_bytes is None
     assert record.transport_error == "auth"
+
+
+@pytest.mark.parametrize("address", ["file:///etc/hostname", "127.0.0.1:1/challenge",
+                                     "http://127.0.0.1:port/challenge"])
+def test_http_endpoint_with_a_bad_address_is_a_transport_error(address):
+    ep = InterfaceEndpoint(id="c", kind="http-fetch", address=address, timeout_cap=0.3)
+    record = exchange(ep, ep, b"payload", 0.1)
+    assert record.response_bytes is None
+    assert record.transport_error.startswith("challenge delivery failed: ")
 
 
 class _HeldAckHandler(BaseHTTPRequestHandler):
@@ -164,6 +186,28 @@ def test_file_drop_reads_response_file(tmp_path):
     record = exchange(chl, rsp, b"payload", 0.5)
     provider.join(timeout=5)
     assert record.response_bytes == b"answer"
+
+
+def test_probe_version_claim_over_file_drop(tmp_path, faker_endpoints):
+    drop, out = tmp_path / "drop", tmp_path / "out"
+    out.mkdir()
+    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(drop), timeout_cap=2.0)
+    rsp = InterfaceEndpoint(id="r", kind="file-drop", address=str(out),
+                            filename="response.txt", timeout_cap=2.0)
+    claim, _ = faker_endpoints[0].responder.respond(CLAIM_PAYLOAD)
+    provider = _answer_after_challenge(drop, out, claim)
+    provider.start()
+    assert probe_version_claim((chl, rsp)) == "20.9.85-car"
+    provider.join(timeout=5)
+    assert (drop / "challenge.txt").read_bytes() == CLAIM_PAYLOAD
+
+
+def test_probe_version_claim_without_an_answer_errors(tmp_path):
+    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(tmp_path), timeout_cap=0.05)
+    rsp = InterfaceEndpoint(id="r", kind="file-drop", address=str(tmp_path),
+                            filename="response.txt", timeout_cap=0.05)
+    with pytest.raises(TransportError, match="no answer"):
+        probe_version_claim((chl, rsp))
 
 
 def test_file_drop_does_not_replay_a_consumed_response(tmp_path):
