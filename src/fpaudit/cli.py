@@ -209,30 +209,37 @@ def cmd_db(args) -> int:
 
     if args.db_command == "add-entry":
         db = _load_db(args.database)
-        variables = {}
-        for spec in args.var:
-            parts = spec.split(":")
-            name, fmt = parts[0], parts[1]
-            if fmt == "integer":
-                variables[name] = VariableSpec(name, fmt, min=int(parts[2]), max=int(parts[3]))
-            elif fmt in ("string", "binary"):
-                variables[name] = VariableSpec(name, fmt, length=int(parts[2]))
-            else:
-                variables[name] = VariableSpec(name, fmt)
         try:
+            variables = {spec.name: spec for spec in map(_var_spec, args.var)}
             db = add_entry(
                 db, args.version,
                 challenge=args.challenge, expect=args.expect,
                 variables=variables, branching=args.branch,
                 deprecated=args.deprecated,
             )
-        except DatabaseError as exc:
+        except ValueError as exc:  # a DatabaseError or a malformed --var
             print(f"rejected: {exc}", file=sys.stderr)
             return 1
         Path(args.database).write_bytes(serialize_database(db))
         print(f"added {args.version}")
         return 0
     return 2
+
+
+_VAR_PARAMS = {"integer": ("min", "max"), "string": ("length",), "binary": ("length",)}
+
+
+def _var_spec(text: str) -> VariableSpec:
+    """One ``--var name:format[:min:max|:length]``; a malformed one is a ValueError."""
+    name, _, rest = text.partition(":")
+    fmt, *values = rest.split(":")
+    params = _VAR_PARAMS.get(fmt, ())
+    try:
+        if len(values) != len(params):
+            raise ValueError(f"expected {len(params)} parameters after the format")
+        return VariableSpec(name, fmt, **{p: int(v) for p, v in zip(params, values)})
+    except ValueError as exc:
+        raise ValueError(f"--var {text!r}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

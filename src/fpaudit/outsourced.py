@@ -2,20 +2,22 @@
 
 The auditor owns the database and strategy; the user owns the randomness
 and the channel to the provider; the provider answers challenges.  Each
-round produces four signatures chaining the round's values together:
+round produces four signatures chaining the round's values together; the
+``SIGNATURES`` table names each one's signer and the fields it covers:
 
     S1 = Sig_auditor(c, t1)          over the challenge template
     S2 = Sig_user(phi, t2, S1)       over the drawn randomness
     S3 = Sig_provider(e', t3, S2)    over the response
     S4 = Sig_user(t4)                closing timestamp (chained by position)
 
-Signed byte layout (bit-exact, also used by ``verify_liability``): an ASCII
-context tag (``S1``..``S4``) followed by each field as a 4-byte big-endian
+Signed byte layout (``signed_bytes``, bit-exact): an ASCII context tag
+(``S1``..``S4``) followed by each covered field as a 4-byte big-endian
 length prefix plus the field bytes, in the order listed above.  Timestamps
 are RFC-3339 strings; ``phi`` is the canonical JSON of the drawn variables
 (sorted keys, values in their template byte form).
 
-Per-party log entries (newline-delimited JSON, signatures base64):
+Per-party log entries (``LOG_FIELDS``; newline-delimited JSON, signatures
+and other bytes base64, ``phi`` as an object):
 
     provider: round, cPrime, ePrime, t3, S2, S3
     user:     round, version, c, phi, ePrime, t1..t4, S1..S4
@@ -42,13 +44,27 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .challenge import Binding, RandomnessSource, draw_binding, judge, render, tags_for
-from .database import Database
+from .database import Database, VersionTest
 from .strategies import DecisionLog, drive_audit
 from .transport import ExchangeRecord
 from .versions import Version, parse_version, render_version
 
 ROLES = ("user", "auditor", "provider")
 SKEW = 2.0  # seconds tolerated between different parties' clocks
+
+# Signature -> (signer, covered fields in signed order).
+SIGNATURES = {
+    "S1": ("auditor", ("c", "t1")),
+    "S2": ("user", ("phi", "t2", "S1")),
+    "S3": ("provider", ("ePrime", "t3", "S2")),
+    "S4": ("user", ("t4",)),
+}
+
+_ROUND = ("round", "version", "c", "phi", "ePrime", "t1", "t2", "t3", "t4", "S1", "S2", "S3", "S4")
+LOG_FIELDS = {"provider": ("round", "cPrime", "ePrime", "t3", "S2", "S3"),
+              "user": _ROUND, "auditor": _ROUND + ("delta",)}
+# Timestamp -> the party whose signature covers it.
+_STAMPERS = {f: signer for signer, covered in SIGNATURES.values() for f in covered if f[0] == "t"}
 
 
 class OutsourcedAuditError(RuntimeError):
@@ -64,28 +80,85 @@ class RoundError(OutsourcedAuditError):
         self.reason = reason
 
 
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
+def _phi_bytes(phi: dict) -> bytes:
+    """Canonical JSON of logged randomness: the bytes S2 covers."""
+    if not all(isinstance(value, str) for value in phi.values()):
+        raise ValueError("values must be strings")
+    return json.dumps(phi, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _layout(tag: bytes, *fields: bytes) -> bytes:
-    return tag + b"".join(_lp(f) for f in fields)
+# Field -> (logged JSON type, logged form -> field value, field value -> logged form).
+# Every field a signature covers holds bytes.
+_B64 = (str, base64.b64decode, lambda data: base64.b64encode(data).decode("ascii"))
+CODECS = {
+    "round": (int, int, int),
+    "delta": (bool, bool, bool),
+    "version": (str, parse_version, render_version),
+    "phi": (dict, _phi_bytes, json.loads),
+    **dict.fromkeys(("c", "cPrime", "ePrime", "S1", "S2", "S3", "S4"), _B64),
+    **dict.fromkeys(("t1", "t2", "t3", "t4"), (str, str.encode, bytes.decode)),
+}
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+def encode_entry(role: str, fields: dict) -> dict:
+    """The log entry ``role`` keeps for a round's fields."""
+    return {name: CODECS[name][2](fields[name]) for name in LOG_FIELDS[role]}
 
 
-def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, timezone.utc).isoformat(timespec="microseconds")
+def decode_entry(role: str, entry: object) -> dict:
+    """The fields of one of ``role``'s log entries; a missing or mistyped
+    field is a ValueError naming it."""
+    fields = {}
+    for name in LOG_FIELDS[role]:
+        kind, decode, _ = CODECS[name]
+        value = entry.get(name) if isinstance(entry, dict) else None
+        try:
+            if type(value) is not kind:  # a bool is no round number
+                raise ValueError(f"missing or not a {kind.__name__}")
+            fields[name] = decode(value)
+        except ValueError as exc:
+            raise ValueError(f"{name!r}: {exc}") from None
+    return fields
 
 
-def _epoch(iso: str) -> float:
-    return datetime.fromisoformat(iso).timestamp()
+def signed_bytes(name: str, fields: dict) -> bytes:
+    """What signature ``name`` signs: its tag, then each covered field length-prefixed."""
+    covered = (fields[f] for f in SIGNATURES[name][1])
+    return name.encode("ascii") + b"".join(len(v).to_bytes(4, "big") + v for v in covered)
 
 
-def phi_bytes(binding: Binding) -> bytes:
-    return json.dumps(binding.canonical(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _signature_ok(key: Ed25519PublicKey, signature: bytes, data: bytes) -> bool:
+    try:
+        key.verify(signature, data)
+        return True
+    except InvalidSignature:
+        return False
+
+
+def _stamp(ts: float) -> bytes:
+    return datetime.fromtimestamp(ts, timezone.utc).isoformat(timespec="microseconds").encode()
+
+
+def _epoch(stamp: bytes) -> float:
+    return datetime.fromisoformat(stamp.decode()).timestamp()
+
+
+def _timestamp_faults(fields: dict) -> list[tuple[str, str]]:
+    """(party, reason) for signed timestamps that do not parse or run
+    backwards; clocks of different parties may differ by ``SKEW``."""
+    times, faults = {}, []
+    for name, signer in _STAMPERS.items():
+        try:
+            times[name] = _epoch(fields[name])
+        except ValueError:
+            return [(signer, f"{name} is not a timestamp")]
+    if times["t2"] < times["t1"] - SKEW:
+        faults.append(("user", "t2 precedes t1"))
+    if times["t3"] < times["t2"] - SKEW:
+        faults.append(("provider", "t3 precedes t2"))
+    if times["t4"] < times["t3"] - SKEW or times["t4"] < times["t2"]:
+        faults.append(("user", "t4 precedes earlier timestamps"))
+    return faults
 
 
 @dataclass
@@ -105,11 +178,7 @@ class PartyIdentity:
         return self.signing_key.sign(data)
 
     def verify(self, signature: bytes, data: bytes) -> bool:
-        try:
-            self.verify_key.verify(signature, data)
-            return True
-        except InvalidSignature:
-            return False
+        return _signature_ok(self.verify_key, signature, data)
 
     def public_hex(self) -> str:
         from cryptography.hazmat.primitives import serialization
@@ -117,26 +186,6 @@ class PartyIdentity:
         return self.verify_key.public_bytes(
             serialization.Encoding.Raw, serialization.PublicFormat.Raw
         ).hex()
-
-
-def verify_key_from_hex(hex_str: str) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(bytes.fromhex(hex_str))
-
-
-def s1_bytes(c: bytes, t1: str) -> bytes:
-    return _layout(b"S1", c, t1.encode())
-
-
-def s2_bytes(phi: bytes, t2: str, s1: bytes) -> bytes:
-    return _layout(b"S2", phi, t2.encode(), s1)
-
-
-def s3_bytes(e_prime: bytes, t3: str, s2: bytes) -> bytes:
-    return _layout(b"S3", e_prime, t3.encode(), s2)
-
-
-def s4_bytes(t4: str) -> bytes:
-    return _layout(b"S4", t4.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +209,14 @@ class ProviderParty:
     responder: object
     log: list[dict] = field(default_factory=list)
 
-    def process(self, round_no: int, c_prime: bytes, s2: bytes) -> tuple[bytes, str, bytes, float]:
+    def process(self, round_no: int, c_prime: bytes, s2: bytes) -> tuple[bytes, bytes, bytes, float]:
+        """Answer ``c_prime`` and sign it: (e', t3, S3, simulated latency)."""
         body, latency = self.responder.respond(c_prime)
-        t3 = _now()
-        s3 = self.identity.sign(s3_bytes(body, t3, s2))
-        self.log.append({
-            "round": round_no,
-            "cPrime": _b64(c_prime),
-            "ePrime": _b64(body),
-            "t3": t3,
-            "S2": _b64(s2),
-            "S3": _b64(s3),
-        })
-        return body, t3, s3, latency
+        fields = {"round": round_no, "cPrime": c_prime, "ePrime": body,
+                  "t3": _stamp(time.time()), "S2": s2}
+        fields["S3"] = self.identity.sign(signed_bytes("S3", fields))
+        self.log.append(encode_entry("provider", fields))
+        return body, fields["t3"], fields["S3"], latency
 
 
 @dataclass
@@ -183,20 +227,27 @@ class AuditorParty:
     _phi_seen: set[bytes] = field(default_factory=set)
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def _unb64(s: str) -> bytes:
-    return base64.b64decode(s.encode("ascii"))
-
-
 @dataclass(frozen=True)
 class RoundResult:
     delta: bool
     reason: str | None
     elapsed: float
     e_prime: bytes
+
+
+def _replay(db: Database, entry: VersionTest, binding: Binding, fields: dict) -> RoundResult:
+    """Judge a round's response against the expectation its signed values imply."""
+    expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
+    elapsed = _epoch(fields["t4"]) - _epoch(fields["t2"])
+    judged = judge(fields["ePrime"], expected, elapsed, entry.wait_time)
+    return RoundResult(judged.delta, judged.reason, elapsed, fields["ePrime"])
+
+
+def _check(identities: dict[str, PartyIdentity], name: str, fields: dict) -> None:
+    """Verify signature ``name`` live; a failure blames its signer."""
+    signer = SIGNATURES[name][0]
+    if not identities[signer].verify(fields[name], signed_bytes(name, fields)):
+        raise RoundError(signer, f"{name} failed verification")
 
 
 def run_round(
@@ -211,67 +262,45 @@ def run_round(
     entry = db.entries[version]
     if not entry.has_payload:
         raise OutsourcedAuditError(f"version {render_version(version)} has no intrinsic test")
+    identities = {"auditor": auditor.identity, "user": user.identity,
+                  "provider": provider.identity}
 
     # Auditor -> user: challenge template, signed.
-    c = entry.challenge_template
-    t1 = _now()
-    s1 = auditor.identity.sign(s1_bytes(c, t1))
+    fields = {"round": round_no, "version": version, "c": entry.challenge_template,
+              "t1": _stamp(time.time())}
+    fields["S1"] = auditor.identity.sign(signed_bytes("S1", fields))
 
     # User: verify the auditor's signature, draw randomness, render, forward.
-    if not auditor.identity.verify(s1, s1_bytes(c, t1)):
-        raise RoundError("auditor", "challenge signature failed verification")
+    _check(identities, "S1", fields)
     binding = user.draw_randomness(db, version)
-    phi = phi_bytes(binding)
     sent = time.time()
-    t2 = _iso(sent)
-    s2 = user.identity.sign(s2_bytes(phi, t2, s1))
-    c_prime = render(c, binding, tags_for(db, entry, "challenge"))
+    fields.update(phi=_phi_bytes(binding.canonical()), t2=_stamp(sent))
+    fields["S2"] = user.identity.sign(signed_bytes("S2", fields))
+    c_prime = render(fields["c"], binding, tags_for(db, entry, "challenge"))
 
-    e_prime, t3, s3, latency = provider.process(round_no, c_prime, s2)
+    fields["ePrime"], fields["t3"], fields["S3"], latency = provider.process(
+        round_no, c_prime, fields["S2"])
 
     # User: verify the provider's signature, close the round.
-    if not provider.identity.verify(s3, s3_bytes(e_prime, t3, s2)):
-        raise RoundError("provider", "response signature failed verification")
-    t4 = _iso(sent + latency)
-    s4 = user.identity.sign(s4_bytes(t4))
-    user.log.append({
-        "round": round_no,
-        "version": render_version(version),
-        "c": _b64(c),
-        "phi": binding.canonical(),
-        "ePrime": _b64(e_prime),
-        "t1": t1, "t2": t2, "t3": t3, "t4": t4,
-        "S1": _b64(s1), "S2": _b64(s2), "S3": _b64(s3), "S4": _b64(s4),
-    })
+    _check(identities, "S3", fields)
+    fields["t4"] = _stamp(sent + latency)
+    fields["S4"] = user.identity.sign(signed_bytes("S4", fields))
+    logged = encode_entry("user", fields)
+    user.log.append(logged)
 
     # Auditor: verify the whole chain, judge, log, watch the randomness.
-    if not user.identity.verify(s2, s2_bytes(phi, t2, s1)):
-        raise RoundError("user", "randomness signature failed verification")
-    if not provider.identity.verify(s3, s3_bytes(e_prime, t3, s2)):
-        raise RoundError("provider", "response signature failed verification")
-    if not user.identity.verify(s4, s4_bytes(t4)):
-        raise RoundError("user", "closing signature failed verification")
-    if _epoch(t2) < _epoch(t1) - SKEW or _epoch(t4) < _epoch(t2):
-        raise RoundError("user", "timestamp regression")
-
-    if phi in auditor._phi_seen:
+    for name in ("S2", "S3", "S4"):
+        _check(identities, name, fields)
+    faults = _timestamp_faults(fields)
+    if faults:
+        raise RoundError(*faults[0])
+    if fields["phi"] in auditor._phi_seen:
         raise RoundError("user", "randomness value repeated")
-    auditor._phi_seen.add(phi)
+    auditor._phi_seen.add(fields["phi"])
 
-    expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
-    elapsed = _epoch(t4) - _epoch(t2)
-    judged = judge(e_prime, expected, elapsed, entry.wait_time)
-    auditor.log.append({
-        "round": round_no,
-        "version": render_version(version),
-        "c": _b64(c),
-        "phi": binding.canonical(),
-        "ePrime": _b64(e_prime),
-        "t1": t1, "t2": t2, "t3": t3, "t4": t4,
-        "S1": _b64(s1), "S2": _b64(s2), "S3": _b64(s3), "S4": _b64(s4),
-        "delta": judged.delta,
-    })
-    return RoundResult(judged.delta, judged.reason, elapsed, e_prime)
+    result = _replay(db, entry, binding, fields)
+    auditor.log.append({**logged, "delta": result.delta})
+    return result
 
 
 @dataclass
@@ -308,12 +337,19 @@ def write_log(path: str | Path, entries: list[dict]) -> None:
 
 
 def read_log(path: str | Path) -> list[dict]:
+    """The entries of a log file; a line that is not a JSON object with an
+    integer ``round`` is a ValueError naming the file and the line."""
     entries = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    entry = json.loads(line)
+                    if not isinstance(entry, dict) or type(entry.get("round")) is not int:
+                        raise ValueError("not an object with an integer 'round'")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+                entries.append(entry)
     return entries
 
 
@@ -323,8 +359,16 @@ def write_keys(path: str | Path, identities: dict[str, PartyIdentity]) -> None:
 
 
 def read_keys(path: str | Path) -> dict[str, Ed25519PublicKey]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {role: verify_key_from_hex(hexstr) for role, hexstr in doc.items()}
+    """Public keys by role; anything but an object of hex Ed25519 keys is a
+    ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or not all(isinstance(h, str) for h in doc.values()):
+            raise ValueError("not an object of hex public keys by role")
+        return {role: Ed25519PublicKey.from_public_bytes(bytes.fromhex(h))
+                for role, h in doc.items()}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +386,14 @@ class PartyVerdict:
             self.reason = reason
 
 
+def _signature_results(fields: dict, keys: dict[str, Ed25519PublicKey]) -> dict[str, bool]:
+    """Check each signature an entry carries together with every field it covers."""
+    return {name: signer in keys and _signature_ok(keys[signer], fields[name],
+                                                   signed_bytes(name, fields))
+            for name, (signer, covered) in SIGNATURES.items()
+            if name in fields and all(f in fields for f in covered)}
+
+
 def verify_liability(
     logs: dict[str, list[dict]],
     keys: dict[str, Ed25519PublicKey],
@@ -349,147 +401,102 @@ def verify_liability(
 ) -> dict[str, PartyVerdict]:
     """Replay the signed logs and assign blame for any contradiction.
 
-    Signature checks are cross-referenced: a signature that fails in one
-    log copy but verifies in another blames the holder of the bad copy; a
-    signature failing in every copy blames its signer.  The expected
-    response is recomputed from the signed challenge template and
-    randomness, and compared against the auditor's recorded decision.
+    A malformed entry, or one whose round does not follow the previous
+    entry's, blames the log's holder and is set aside.  Signature checks
+    are cross-referenced: a signature that fails in one log copy but
+    verifies in another blames the holder of the bad copy; a signature
+    failing in every copy blames its signer.  The expected response is
+    recomputed from the signed challenge template and randomness, and
+    compared against the auditor's recorded decision.
     """
     verdicts = {role: PartyVerdict() for role in ROLES}
-
-    def check(role: str, sig: bytes, data: bytes) -> bool:
-        key = keys.get(role)
-        if key is None:
-            return False
-        try:
-            key.verify(sig, data)
-            return True
-        except InvalidSignature:
-            return False
-
-    for role, entries in logs.items():
-        rounds = [e.get("round") for e in entries]
-        if any(b <= a for a, b in zip(rounds, rounds[1:])):
-            verdicts[role].blame("round counters are not strictly increasing")
-
     by_round: dict[int, dict[str, dict]] = {}
     for role, entries in logs.items():
-        for entry in entries:
-            by_round.setdefault(entry.get("round"), {})[role] = entry
+        last = None
+        for number, entry in enumerate(entries, start=1):
+            try:
+                fields = decode_entry(role, entry)
+            except ValueError as exc:
+                verdicts[role].blame(f"entry {number}: {exc}")
+                continue
+            if last is not None and fields["round"] <= last:
+                verdicts[role].blame("round counters are not strictly increasing")
+                continue
+            last = fields["round"]
+            by_round.setdefault(last, {})[role] = fields
 
     supplied = set(logs)
-    for round_no in sorted(k for k in by_round if k is not None):
+    for round_no in sorted(by_round):
         copies = by_round[round_no]
-        for role in supplied - set(copies):
+        missing = supplied - set(copies)
+        if len(missing) > len(copies):
+            # A round most logs lack was made up by the logs that hold it.
+            for role in copies:
+                verdicts[role].blame(f"round {round_no} is in no other log")
+            continue
+        for role in missing:
             verdicts[role].blame(f"round {round_no} missing from log")
 
-        sig_results: dict[str, dict[str, bool]] = {}
-        for role, entry in copies.items():
-            sig_results[role] = _verify_entry_signatures(entry, check)
-        for sig_name in ("S1", "S2", "S3", "S4"):
-            outcomes = {role: res[sig_name] for role, res in sig_results.items() if sig_name in res}
-            if not outcomes or all(outcomes.values()):
+        results = {role: _signature_results(fields, keys) for role, fields in copies.items()}
+        for name, (signer, _) in SIGNATURES.items():
+            outcomes = {role: res[name] for role, res in results.items() if name in res}
+            if all(outcomes.values()):
                 continue
             if any(outcomes.values()):
                 for role, ok in outcomes.items():
                     if not ok:
-                        verdicts[role].blame(f"round {round_no}: {sig_name} fails in this log copy")
+                        verdicts[role].blame(f"round {round_no}: {name} fails in this log copy")
             else:
-                signer = {"S1": "auditor", "S2": "user", "S3": "provider", "S4": "user"}[sig_name]
-                verdicts[signer].blame(f"round {round_no}: {sig_name} invalid everywhere")
+                verdicts[signer].blame(f"round {round_no}: {name} invalid everywhere")
+
+        # Every copy carries the round's S3: a copy whose S3 most copies do
+        # not share is another round's entry.
+        s3s = [fields["S3"] for fields in copies.values()]
+        common = max(s3s, key=s3s.count)
+        stray = {role for role, fields in copies.items()
+                 if fields["S3"] != common and 2 * s3s.count(common) > len(s3s)}
+        for role in stray:
+            verdicts[role].blame(f"round {round_no}: S3 differs from the other logs")
 
         # Replay only against a copy whose signatures all verified; corrupted
         # copies were blamed above and must not poison the reference data.
-        clean_roles = [role for role, res in sig_results.items() if res and all(res.values())]
-        reference = None
-        for role in ("auditor", "user"):
-            if role in clean_roles and role in copies:
-                reference = copies[role]
-                break
-        if reference is None:
+        holder = next((role for role in ("auditor", "user") if role in copies
+                       and role not in stray and all(results[role].values())), None)
+        if holder is None:
             continue
-        try:
-            c = _unb64(reference["c"])
-            phi = json.dumps(reference["phi"], sort_keys=True, separators=(",", ":")).encode()
-            e_prime = _unb64(reference["ePrime"])
-            version = parse_version(reference["version"])
-        except (KeyError, ValueError):
-            verdicts["auditor" if reference is copies.get("auditor") else "user"].blame(
-                f"round {round_no}: malformed entry")
-            continue
-
-        entry = db.entries.get(version)
+        reference = copies[holder]
+        entry = db.entries.get(reference["version"])
         if entry is None or entry.challenge_template is None:
             verdicts["auditor"].blame(f"round {round_no}: challenge for unknown version "
-                                      f"{reference['version']}")
+                                      f"{render_version(reference['version'])}")
             continue
-        if c != entry.challenge_template:
+        if reference["c"] != entry.challenge_template:
             verdicts["auditor"].blame(
                 f"round {round_no}: challenge does not match the database entry")
             continue
+        binding = Binding(json.loads(reference["phi"]))
+        if binding.values.keys() != entry.variables.keys():
+            verdicts["user"].blame(
+                f"round {round_no}: signed randomness does not bind the entry's variables")
+            continue
 
-        binding = Binding(dict(reference["phi"]))
-        expected_c_prime = render(c, binding, tags_for(db, entry, "challenge"))
         provider_copy = copies.get("provider")
         if provider_copy is not None:
-            if _unb64(provider_copy.get("cPrime", "")) != expected_c_prime:
+            if provider_copy["cPrime"] != render(reference["c"], binding,
+                                                 tags_for(db, entry, "challenge")):
                 verdicts["provider"].blame(
                     f"round {round_no}: logged challenge does not derive from the signed randomness")
-            if _unb64(provider_copy.get("ePrime", "")) != e_prime and sig_results.get(
-                    "provider", {}).get("S3", True):
+            if provider_copy["ePrime"] != reference["ePrime"] and results["provider"]["S3"]:
                 verdicts["provider"].blame(f"round {round_no}: response differs across logs")
 
-        if all(sig_results.get(r, {}).get(name, True)
-               for r in copies for name in ("S1", "S2", "S3", "S4")):
-            t_vals = {}
-            try:
-                for key_name in ("t1", "t2", "t3", "t4"):
-                    t_vals[key_name] = _epoch(reference[key_name])
-            except (KeyError, ValueError):
-                t_vals = {}
-            if t_vals:
-                if t_vals["t2"] < t_vals["t1"] - SKEW:
-                    verdicts["user"].blame(f"round {round_no}: t2 precedes t1")
-                if t_vals["t3"] < t_vals["t2"] - SKEW:
-                    verdicts["provider"].blame(f"round {round_no}: t3 precedes t2")
-                if t_vals["t4"] < t_vals["t3"] - SKEW or t_vals["t4"] < t_vals["t2"]:
-                    verdicts["user"].blame(f"round {round_no}: t4 precedes earlier timestamps")
-
+        if all(all(res.values()) for res in results.values()):
+            faults = _timestamp_faults(reference)
+            for blamed, reason in faults:
+                verdicts[blamed].blame(f"round {round_no}: {reason}")
             auditor_copy = copies.get("auditor")
-            if auditor_copy is not None and "delta" in auditor_copy and t_vals:
-                expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
-                elapsed = t_vals["t4"] - t_vals["t2"]
-                replayed = judge(e_prime, expected, elapsed, entry.wait_time).delta
-                if bool(auditor_copy["delta"]) != replayed:
-                    verdicts["auditor"].blame(
-                        f"round {round_no}: recorded decision contradicts the replayed "
-                        "expected response")
+            if auditor_copy is not None and not faults and \
+                    _replay(db, entry, binding, reference).delta != auditor_copy["delta"]:
+                verdicts["auditor"].blame(
+                    f"round {round_no}: recorded decision contradicts the replayed "
+                    "expected response")
     return verdicts
-
-
-def _verify_entry_signatures(entry: dict, check) -> dict[str, bool]:
-    """Verify whichever signatures this entry carries enough fields for."""
-    results: dict[str, bool] = {}
-    try:
-        if {"c", "t1", "S1"} <= entry.keys():
-            c = _unb64(entry["c"])
-            s1 = _unb64(entry["S1"])
-            results["S1"] = check("auditor", s1, s1_bytes(c, entry["t1"]))
-            if {"phi", "t2", "S2"} <= entry.keys():
-                phi = json.dumps(entry["phi"], sort_keys=True, separators=(",", ":")).encode()
-                s2 = _unb64(entry["S2"])
-                results["S2"] = check("user", s2, s2_bytes(phi, entry["t2"], s1))
-                if {"ePrime", "t3", "S3"} <= entry.keys():
-                    s3 = _unb64(entry["S3"])
-                    results["S3"] = check(
-                        "provider", s3, s3_bytes(_unb64(entry["ePrime"]), entry["t3"], s2))
-        elif {"ePrime", "t3", "S2", "S3"} <= entry.keys():
-            # Provider entries carry S2 opaquely; S3 still binds it.
-            s3 = _unb64(entry["S3"])
-            results["S3"] = check(
-                "provider", s3, s3_bytes(_unb64(entry["ePrime"]), entry["t3"], _unb64(entry["S2"])))
-        if {"t4", "S4"} <= entry.keys():
-            results["S4"] = check("user", _unb64(entry["S4"]), s4_bytes(entry["t4"]))
-    except (ValueError, KeyError):
-        return {name: False for name in ("S1", "S2", "S3", "S4") if name in entry}
-    return results

@@ -25,7 +25,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .versions import Version, VersionSet, parse_version, render_version
+from .versions import Version, VersionParseError, VersionSet, parse_version, render_version
 
 PARSE_ERROR = b"parse error\n"
 UNKNOWN_FUNCTION = b"warn:unknown-function\n"
@@ -231,53 +231,95 @@ def produce(sim: SimFamily, cfg: SimProviderConfig):
 
 def load_sim_config(document: bytes | str) -> tuple[SimFamily, SimProviderConfig]:
     """Simulated family and provider of a config document; a malformed one is
-    a :class:`SimConfigError`."""
+    a :class:`SimConfigError` naming the key."""
     try:
         doc = json.loads(document)
     except ValueError as exc:  # also undecodable bytes
         raise SimConfigError(f"simulator config is not valid JSON: {exc}") from exc
     family = doc.get("family") if isinstance(doc, dict) else None
-    if not isinstance(family, dict) or not isinstance(family.get("versions"), list):
+    if not isinstance(family, dict) or not isinstance(family.get("versions"), list) \
+            or not family["versions"]:
         raise SimConfigError("simulator config: missing 'family' object with a 'versions' list")
     sim = sim_family_from_doc(doc)
-    provider = doc.get("provider", {})
+    provider = _object(doc, "provider", "'provider'")
     behavior = provider.get("behavior", "honest")
     if behavior not in PROVIDER_BEHAVIORS:
         raise SimConfigError(f"'provider.behavior': unknown behavior {behavior!r}")
-    latency_doc = provider.get("latency", {})
-    latency = LatencyModel(
-        base=float(latency_doc.get("base_ms", 5.0)) / 1000.0,
-        jitter=float(latency_doc.get("jitter_ms", 3.0)) / 1000.0,
-    )
+    latency_doc = _object(provider, "latency", "'provider.latency'")
+    fake_functions = provider.get("fake_functions", [])
+    if not isinstance(fake_functions, list) or not all(isinstance(f, str) for f in fake_functions):
+        raise SimConfigError(f"'provider.fake_functions' must be a list of names, got {fake_functions!r}")
+    claim = provider.get("claim")
+    if claim is not None and not isinstance(claim, str):
+        raise SimConfigError(f"'provider.claim' must be a string, got {claim!r}")
+    seed = provider.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise SimConfigError(f"'provider.seed' must be an integer, got {seed!r}")
     cfg = SimProviderConfig(
-        src_version=parse_version(provider.get("source", family["versions"][-1])),
+        src_version=_label(provider.get("source", family["versions"][-1]), "'provider.source'"),
         behavior=behavior,
-        claim_label=provider.get("claim"),
-        latency=latency,
-        proxy_floor=float(provider.get("proxy_floor_ms", 500.0)) / 1000.0,
-        fake_functions=tuple(provider.get("fake_functions", [])),
-        seed=provider.get("seed"),
+        claim_label=claim,
+        latency=LatencyModel(base=_seconds(latency_doc, "base_ms", 5.0, "'provider.latency.base_ms'"),
+                             jitter=_seconds(latency_doc, "jitter_ms", 3.0,
+                                             "'provider.latency.jitter_ms'")),
+        proxy_floor=_seconds(provider, "proxy_floor_ms", 500.0, "'provider.proxy_floor_ms'"),
+        fake_functions=tuple(fake_functions),
+        seed=seed,
     )
     return sim, cfg
 
 
+def _object(doc: dict, key: str, where: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise SimConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _label(value: object, where: str) -> Version:
+    if not isinstance(value, str):
+        raise SimConfigError(f"{where}: version label {value!r} is not a string")
+    try:
+        return parse_version(value)
+    except VersionParseError as exc:
+        raise SimConfigError(f"{where}: {exc}") from None
+
+
+def _seconds(doc: dict, key: str, default_ms: float, where: str) -> float:
+    value = doc.get(key, default_ms)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SimConfigError(f"{where} must be a number of milliseconds, got {value!r}")
+    return value / 1000.0
+
+
 def sim_family_from_doc(doc: dict) -> SimFamily:
+    """The simulated family of a config document; a malformed one is a
+    :class:`SimConfigError` naming the key."""
     fam_doc = doc["family"]
-    family = VersionSet(fam_doc.get("name", "sim"), tuple(parse_version(x) for x in fam_doc["versions"]))
+    versions = tuple(_label(x, "'family.versions'") for x in fam_doc["versions"])
+    try:
+        family = VersionSet(fam_doc.get("name", "sim"), versions)
+    except ValueError as exc:
+        raise SimConfigError(f"'family.versions': {exc}") from None
     functions: dict[str, FunctionSpec] = {}
-    for name, fdoc in doc.get("functions", {}).items():
-        windows = tuple(
-            (parse_version(lo), parse_version(hi) if hi else None)
-            for lo, hi in fdoc.get("windows", [])
-        )
+    for name, fdoc in _object(doc, "functions", "'functions'").items():
+        at = f"functions.{name}"
+        if not isinstance(fdoc, dict):
+            raise SimConfigError(f"'{at}' must be an object, got {fdoc!r}")
+        pairs = fdoc.get("windows", [])
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise SimConfigError(f"'{at}.windows' must be a list of [from, until] pairs, got {pairs!r}")
+        windows = tuple((_label(lo, f"'{at}.windows'"), _label(hi, f"'{at}.windows'") if hi else None)
+                        for lo, hi in pairs)
         behavior = fdoc.get("behavior", "echo-ok")
-        if behavior not in BEHAVIOR_KINDS:
+        if not isinstance(behavior, str) or behavior not in BEHAVIOR_KINDS:
             raise SimConfigError(f"function {name!r}: unknown behavior {behavior!r}")
+        floor = fdoc.get("syntax_floor")
         functions[name] = FunctionSpec(
             name=name,
             windows=windows,
             hard=bool(fdoc.get("hard", True)),
             behavior=behavior,
-            syntax_floor=parse_version(fdoc["syntax_floor"]) if fdoc.get("syntax_floor") else None,
+            syntax_floor=_label(floor, f"'{at}.syntax_floor'") if floor else None,
         )
     return SimFamily(family=family, functions=functions)

@@ -154,6 +154,18 @@ def test_db_add_entry_rejects_a_malformed_label_on_one_line(tmp_path, capsys):
     assert err.splitlines() == ["rejected: new entry: malformed version label: '1.x'"]
 
 
+@pytest.mark.parametrize("spec", ["ax:integer", "ax:integer:x:3", "ax:string", "ax:binary:4:5"])
+def test_db_add_entry_rejects_a_malformed_var_on_one_line(spec, tmp_path, capsys):
+    out = tmp_path / "toy.json"
+    run(["db", "new", "--service", "toy", "--out", str(out)])
+    capsys.readouterr()
+    code = run(["db", "add-entry", "--database", str(out), "--version", "1.0.0",
+                "--challenge", "f(#ax#)", "--expect", "#ax#", "--var", spec])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"rejected: --var {spec!r}")
+
+
 def test_db_validate_rejects_unbound_placeholder(tmp_path, capsys, db_doc):
     db_doc["service"]["versions"]["7.2.0"]["test"]["challenge"]["payload"] = "var_dump(a(#zz#));"
     bad = tmp_path / "bad.json"
@@ -214,6 +226,22 @@ def test_verify_logs_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("log_text, keys_text, named", [
+    pytest.param("5\n", "{}", "user.ndjson:1", id="line-not-an-object"),
+    pytest.param('{"round": 1}\n{"round": "1"}\n', "{}", "user.ndjson:2", id="round-not-integer"),
+    pytest.param('{"round": 1}\n', '["a"]', "keys.json", id="keys-not-an-object"),
+    pytest.param('{"round": 1}\n', '{"user": 5}', "keys.json", id="key-not-hex"),
+])
+def test_verify_logs_malformed_file_is_one_line(log_text, keys_text, named, tmp_path, capsys):
+    (tmp_path / "user.ndjson").write_text(log_text)
+    (tmp_path / "keys.json").write_text(keys_text)
+    code = run(["verify-logs", "--database", DB, "--keys", str(tmp_path / "keys.json"),
+                "--user-log", str(tmp_path / "user.ndjson")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("malformed input: ") and named in err[0]
+
+
 def test_audit_over_http_served_simulator(capsys, sim_family, monkeypatch):
     from fpaudit.simserver import start_server
     from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
@@ -267,13 +295,24 @@ def test_audit_with_every_exchange_failing_in_transport_is_undecided(
     assert captured.err.splitlines() == ["claim probe failed: auth", "transport failure: auth"]
 
 
-@pytest.mark.parametrize("document", [
-    pytest.param("{not json", id="not-json"),
-    pytest.param(json.dumps({"functions": {}}), id="no-family"),
+@pytest.mark.parametrize("document, named", [
+    pytest.param("{not json", "not valid JSON", id="not-json"),
+    pytest.param(json.dumps({"functions": {}}), "'family'", id="no-family"),
     pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
-                             "provider": {"behavior": "teleporter"}}), id="unknown-behavior"),
+                             "provider": {"behavior": "teleporter"}}), "'provider.behavior'",
+                 id="unknown-behavior"),
+    pytest.param(json.dumps({"family": {"versions": ["4.x"]}}), "'family.versions'",
+                 id="bad-family-label"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]}, "provider": []}), "'provider'",
+                 id="provider-not-an-object"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                             "functions": {"f": {"windows": [["7.2.14"]]}}}),
+                 "'functions.f.windows'", id="one-element-window"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                             "provider": {"latency": {"base_ms": "a"}}}),
+                 "'provider.latency.base_ms'", id="latency-not-a-number"),
 ])
-def test_audit_malformed_sim_config_is_one_error_line(document, tmp_path, capsys):
+def test_audit_malformed_sim_config_is_one_error_line(document, named, tmp_path, capsys):
     cfgfile = tmp_path / "sim.json"
     cfgfile.write_text(document)
     code = run(["audit", "--database", DB, "--sim-config", str(cfgfile)])
@@ -281,6 +320,7 @@ def test_audit_malformed_sim_config_is_one_error_line(document, tmp_path, capsys
     assert code == 2
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    assert named in captured.err
 
 
 def test_simulated_proxy_fails_timing(tmp_path, capsys, db):

@@ -1,20 +1,29 @@
 import copy
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpaudit import outsourced
 from fpaudit.challenge import RandomnessSource
 from fpaudit.database import load_database
 from fpaudit.outsourced import (
+    ROLES,
+    SIGNATURES,
     AuditorParty,
     ProviderParty,
     RoundError,
     OutsourcedSession,
     UserParty,
     PartyIdentity,
+    decode_entry,
+    encode_entry,
     run_round,
     read_keys,
     read_log,
+    signed_bytes,
     verify_liability,
     write_keys,
     write_log,
@@ -190,3 +199,85 @@ def test_wrong_expected_decision_blames_auditor(trio):
     verdicts = verify_liability(logs, keys_of(identities), auditor.db)
     assert verdicts["auditor"].status == "blamed"
     assert verdicts["provider"].status == "compliant"
+
+
+def test_signed_layout_is_the_tag_then_each_field_length_prefixed():
+    phi = b'{"ax":"7"}'
+    t2 = b"2026-01-01T00:00:00.000000+00:00"
+    s1 = bytes(range(64))
+    assert signed_bytes("S2", {"phi": phi, "t2": t2, "S1": s1, "c": b"unused"}) == (
+        b"S2" + b"\x00\x00\x00\x0a" + phi + b"\x00\x00\x00\x20" + t2 + b"\x00\x00\x00\x40" + s1)
+
+
+def test_provider_timestamp_before_the_randomness_blames_provider_live(trio, monkeypatch):
+    identities, user, auditor, provider = trio
+    clock = iter([1000.0, 1000.0, 990.0])  # t1, t2, then the provider's t3
+    monkeypatch.setattr(outsourced, "time", SimpleNamespace(time=lambda: next(clock)))
+    with pytest.raises(RoundError) as err:
+        run_round(auditor, user, provider, pv("7.2.0"), 1)
+    assert err.value.blamed == "provider"
+    assert err.value.reason == "t3 precedes t2"
+
+
+def test_non_boolean_decision_blames_auditor(trio):
+    identities, user, auditor, provider = trio
+    run_round(auditor, user, provider, pv("7.2.0"), 1)
+    logs = {"user": user.log, "auditor": copy.deepcopy(auditor.log), "provider": provider.log}
+    logs["auditor"][0]["delta"] = int(logs["auditor"][0]["delta"])  # same truth value
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert verdicts["auditor"].status == "blamed"
+    assert "'delta'" in verdicts["auditor"].reason
+    assert verdicts["user"].status == verdicts["provider"].status == "compliant"
+
+
+def test_randomness_signed_without_the_entry_variables_blames_user(trio):
+    # The user signs an empty draw and the others sign on top of it: every
+    # signature verifies, but the challenge cannot be derived from phi.
+    identities, user, auditor, provider = trio
+    run_round(auditor, user, provider, pv("7.2.0"), 1)
+    fields = {**decode_entry("provider", provider.log[0]), **decode_entry("auditor", auditor.log[0])}
+    fields["phi"] = b"{}"
+    for name in ("S2", "S3"):
+        fields[name] = identities[SIGNATURES[name][0]].sign(signed_bytes(name, fields))
+    logs = {role: [encode_entry(role, fields)] for role in ROLES}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert verdicts["user"].status == "blamed"
+    assert "variables" in verdicts["user"].reason
+    assert verdicts["auditor"].status == verdicts["provider"].status == "compliant"
+
+
+@pytest.fixture(scope="module")
+def session_logs(db, sim_family):
+    identities = {role: PartyIdentity.generate(role) for role in ROLES}
+    cfg = SimProviderConfig(src_version=pv("7.2.14"), latency=LatencyModel(0.001, 0.0), seed=6)
+    user = UserParty(identity=identities["user"], rng=RandomnessSource(seed=8))
+    provider = ProviderParty(identity=identities["provider"], responder=produce(sim_family, cfg))
+    auditor = AuditorParty(identity=identities["auditor"], db=db)
+    OutsourcedSession(db=db, strategy_name="CBS", user=user, provider=provider,
+                      auditor=auditor).run()
+    return {"user": user.log, "auditor": auditor.log, "provider": provider.log}, keys_of(identities)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_replaced_field_never_raises_and_blames_only_its_holder(session_logs, db, data):
+    logs, keys = session_logs
+    role = data.draw(st.sampled_from(ROLES))
+    index = data.draw(st.integers(0, len(logs[role]) - 1))
+    name = data.draw(st.sampled_from(sorted(logs[role][index])))
+    # Any JSON value, or the same field of another round and log: a
+    # relabelled round or a swapped signature.
+    same_field = sorted({json.dumps(entry[name], sort_keys=True) for entries in logs.values()
+                         for entry in entries if name in entry})
+    value = data.draw(JSON_VALUES | st.sampled_from(same_field).map(json.loads))
+    mutated = dict(logs)
+    mutated[role] = [dict(entry) for entry in logs[role]]
+    mutated[role][index][name] = value
+    verdicts = verify_liability(mutated, keys, db)
+    assert {other for other, v in verdicts.items() if v.status == "blamed"} <= {role}, verdicts
