@@ -211,13 +211,17 @@ def cmd_db(args) -> int:
         db = _load_db(args.database)
         try:
             variables = {spec.name: spec for spec in map(_var_spec, args.var)}
+        except ValueError as exc:
+            print(f"rejected: {exc}", file=sys.stderr)
+            return 1
+        try:
             db = add_entry(
                 db, args.version,
                 challenge=args.challenge, expect=args.expect,
                 variables=variables, branching=args.branch,
                 deprecated=args.deprecated,
             )
-        except ValueError as exc:  # a DatabaseError or a malformed --var
+        except DatabaseError as exc:
             print(f"rejected: {exc}", file=sys.stderr)
             return 1
         Path(args.database).write_bytes(serialize_database(db))

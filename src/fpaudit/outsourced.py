@@ -402,12 +402,16 @@ def verify_liability(
     """Replay the signed logs and assign blame for any contradiction.
 
     A malformed entry, or one whose round does not follow the previous
-    entry's, blames the log's holder and is set aside.  Signature checks
-    are cross-referenced: a signature that fails in one log copy but
-    verifies in another blames the holder of the bad copy; a signature
-    failing in every copy blames its signer.  The expected response is
-    recomputed from the signed challenge template and randomness, and
-    compared against the auditor's recorded decision.
+    entry's, blames the log's holder and is set aside.  A log lacking a
+    round another log holds is blamed, with two exceptions: the auditor
+    for a round whose user copy shows a fault the auditor rejects live,
+    and a log holding the round's S3 under another round number at which
+    no log holds a different round (no signature covers the number).
+    Signature checks are cross-referenced: a signature that fails in one
+    log copy but verifies in another blames the holder of the bad copy; a
+    signature failing in every copy blames its signer.  The expected
+    response is recomputed from the signed challenge template and
+    randomness, and compared against the auditor's recorded decision.
     """
     verdicts = {role: PartyVerdict() for role in ROLES}
     by_round: dict[int, dict[str, dict]] = {}
@@ -424,20 +428,31 @@ def verify_liability(
                 continue
             last = fields["round"]
             by_round.setdefault(last, {})[role] = fields
+    placed = {(role, fields["S3"]): round_no
+              for round_no, copies in by_round.items() for role, fields in copies.items()}
 
-    supplied = set(logs)
+    def renumbered(role: str, copies: dict[str, dict]) -> bool:
+        """Whether ``role`` logs this round under a number where no log holds another."""
+        return any(all(f["S3"] == s3 for f in by_round[placed[role, s3]].values())
+                   for s3 in {f["S3"] for f in copies.values()} if (role, s3) in placed)
+
+    user_phis: set[bytes] = set()
     for round_no in sorted(by_round):
         copies = by_round[round_no]
-        missing = supplied - set(copies)
-        if len(missing) > len(copies):
-            # A round most logs lack was made up by the logs that hold it.
-            for role in copies:
-                verdicts[role].blame(f"round {round_no} is in no other log")
-            continue
-        for role in missing:
-            verdicts[role].blame(f"round {round_no} missing from log")
-
         results = {role: _signature_results(fields, keys) for role, fields in copies.items()}
+        user_copy = copies.get("user")
+        repeated = user_copy is not None and results["user"]["S2"] and user_copy["phi"] in user_phis
+        if user_copy is not None:
+            user_phis.add(user_copy["phi"])
+        if repeated:
+            verdicts["user"].blame(f"round {round_no}: randomness value repeated")
+        for role in logs.keys() - copies.keys():
+            # The auditor logs a round only after its live checks pass.
+            excused = role == "auditor" and user_copy is not None and (
+                repeated or not all(results["user"].values()) or bool(_timestamp_faults(user_copy)))
+            if not excused and not renumbered(role, copies):
+                verdicts[role].blame(f"round {round_no} missing from log")
+
         for name, (signer, _) in SIGNATURES.items():
             outcomes = {role: res[name] for role, res in results.items() if name in res}
             if all(outcomes.values()):
@@ -449,19 +464,10 @@ def verify_liability(
             else:
                 verdicts[signer].blame(f"round {round_no}: {name} invalid everywhere")
 
-        # Every copy carries the round's S3: a copy whose S3 most copies do
-        # not share is another round's entry.
-        s3s = [fields["S3"] for fields in copies.values()]
-        common = max(s3s, key=s3s.count)
-        stray = {role for role, fields in copies.items()
-                 if fields["S3"] != common and 2 * s3s.count(common) > len(s3s)}
-        for role in stray:
-            verdicts[role].blame(f"round {round_no}: S3 differs from the other logs")
-
         # Replay only against a copy whose signatures all verified; corrupted
         # copies were blamed above and must not poison the reference data.
-        holder = next((role for role in ("auditor", "user") if role in copies
-                       and role not in stray and all(results[role].values())), None)
+        holder = next((role for role in ("auditor", "user")
+                       if role in copies and all(results[role].values())), None)
         if holder is None:
             continue
         reference = copies[holder]
@@ -480,8 +486,9 @@ def verify_liability(
                 f"round {round_no}: signed randomness does not bind the entry's variables")
             continue
 
+        # A provider copy over another S2 is another round under this number.
         provider_copy = copies.get("provider")
-        if provider_copy is not None:
+        if provider_copy is not None and provider_copy["S2"] == reference["S2"]:
             if provider_copy["cPrime"] != render(reference["c"], binding,
                                                  tags_for(db, entry, "challenge")):
                 verdicts["provider"].blame(

@@ -219,6 +219,37 @@ def test_provider_timestamp_before_the_randomness_blames_provider_live(trio, mon
     assert err.value.reason == "t3 precedes t2"
 
 
+@pytest.mark.parametrize("provider_keeps_its_entry", [True, False])
+def test_round_rejected_live_for_t3_blames_only_the_provider(trio, monkeypatch,
+                                                             provider_keeps_its_entry):
+    # The user logs the round before the auditor rejects it, so the auditor's
+    # log lacks it; a provider that also drops its entry is still blamed.
+    identities, user, auditor, provider = trio
+    clock = iter([1000.0, 1000.0, 990.0])
+    monkeypatch.setattr(outsourced, "time", SimpleNamespace(time=lambda: next(clock)))
+    with pytest.raises(RoundError):
+        run_round(auditor, user, provider, pv("7.2.0"), 1)
+    logs = {"user": user.log, "auditor": auditor.log,
+            "provider": provider.log if provider_keeps_its_entry else []}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert verdicts["provider"].status == "blamed"
+    assert verdicts["user"].status == verdicts["auditor"].status == "compliant"
+
+
+def test_round_rejected_live_for_repeated_randomness_blames_only_the_user(trio):
+    identities, user, auditor, provider = trio
+    user.rng = RandomnessSource(seed=5)
+    user.rng.randint = lambda lo, hi: 424242
+    run_round(auditor, user, provider, pv("7.2.0"), 1)
+    with pytest.raises(RoundError):
+        run_round(auditor, user, provider, pv("7.0.0"), 2)
+    logs = {"user": user.log, "auditor": auditor.log, "provider": provider.log}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert verdicts["user"].status == "blamed"
+    assert "repeated" in verdicts["user"].reason
+    assert verdicts["auditor"].status == verdicts["provider"].status == "compliant"
+
+
 def test_non_boolean_decision_blames_auditor(trio):
     identities, user, auditor, provider = trio
     run_round(auditor, user, provider, pv("7.2.0"), 1)
@@ -281,3 +312,32 @@ def test_one_replaced_field_never_raises_and_blames_only_its_holder(session_logs
     mutated[role][index][name] = value
     verdicts = verify_liability(mutated, keys, db)
     assert {other for other, v in verdicts.items() if v.status == "blamed"} <= {role}, verdicts
+
+
+def test_empty_auditor_and_provider_logs_blame_those_two(session_logs, db):
+    logs, keys = session_logs
+    verdicts = verify_liability({"user": logs["user"], "auditor": [], "provider": []}, keys, db)
+    assert verdicts["auditor"].status == verdicts["provider"].status == "blamed"
+    assert verdicts["user"].status == "compliant"
+
+
+def test_user_and_auditor_renumbering_a_round_does_not_blame_the_provider(session_logs, db):
+    # Both drop round 4 and log round 5 as round 4; only the provider's log
+    # still holds the round they dropped.
+    logs, keys = session_logs
+    mutated = dict(logs)
+    for role in ("user", "auditor"):
+        kept = [dict(entry) for entry in logs[role] if entry["round"] != 4]
+        next(entry for entry in kept if entry["round"] == 5)["round"] = 4
+        mutated[role] = kept
+    verdicts = verify_liability(mutated, keys, db)
+    assert verdicts["provider"].status == "compliant"
+    assert verdicts["user"].status == verdicts["auditor"].status == "blamed"
+
+
+def test_one_renumbered_round_blames_no_other_log(session_logs, db):
+    logs, keys = session_logs
+    mutated = dict(logs, user=[dict(entry) for entry in logs["user"]])
+    mutated["user"][-1]["round"] = 99
+    verdicts = verify_liability(mutated, keys, db)
+    assert verdicts["auditor"].status == verdicts["provider"].status == "compliant"
