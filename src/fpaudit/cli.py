@@ -25,11 +25,11 @@ from .database import (
 )
 from .outsourced import read_keys, read_log, verify_liability
 from .simulator import SimConfigError, load_sim_config, produce
-from .strategies import run_audit
+from .strategies import AuditError, run_audit
 from .transport import (InterfaceEndpoint, TransportError, env_credentials, make_loopback,
                         probe_version_claim)
 from .verdict import build_report
-from .versions import parse_version
+from .versions import VersionParseError, parse_version
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(args)
         if args.command == "verify-logs":
             return cmd_verify_logs(args)
-    except (DatabaseError, SimConfigError) as exc:
+    except (DatabaseError, SimConfigError, VersionParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
@@ -133,7 +133,7 @@ def cmd_audit(args) -> int:
         rng = RandomnessSource(seed=args.seed + i if args.seed is not None else None)
         try:
             log = run_audit(db, args.strategy, endpoints, rng, budget=args.budget)
-        except Exception as exc:
+        except AuditError as exc:
             print(f"audit failed: {exc}", file=sys.stderr)
             return 2
         budget_stopped = budget_stopped or log.stop_reason == "budget"
@@ -259,20 +259,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_logs(args) -> int:
     db = _load_db(args.database)
-    try:
-        keys = read_keys(args.keys)
-        logs = {}
-        for role, path in (("user", args.user_log), ("auditor", args.auditor_log),
-                           ("provider", args.provider_log)):
-            if path:
-                logs[role] = read_log(path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return 2
-    if not logs:
+    paths = {role: path for role, path in (("user", args.user_log), ("auditor", args.auditor_log),
+                                           ("provider", args.provider_log)) if path}
+    if not paths:
         print("no logs supplied", file=sys.stderr)
         return 2
-    verdicts = verify_liability(logs, keys, db)
+    try:  # the logs first: a bad log line is named before a keys file lacking a role
+        logs = {role: read_log(path) for role, path in paths.items()}
+        verdicts = verify_liability(logs, read_keys(args.keys), db)
+    except (OSError, ValueError) as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return 2
     blamed = False
     for role in ("user", "auditor", "provider"):
         if role not in logs:

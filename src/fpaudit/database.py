@@ -263,11 +263,9 @@ def load_database(document: bytes | str) -> Database:
     :class:`ReferralCycleError` with the offending version label in the
     message.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"database document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("database document must be a JSON object")
@@ -336,19 +334,21 @@ def _load_meta(doc: dict) -> DatabaseMeta:
         if key not in KNOWN_DEFAULTS:
             raise SchemaError(f"unknown default key {key!r}")
     default_format = defaults.get("version.test.variables.format", "integer")
-    if default_format not in VARIABLE_FORMATS:
+    if not isinstance(default_format, str) or default_format not in VARIABLE_FORMATS:
         raise SchemaError(f"default key 'version.test.variables.format': unknown format {default_format!r}")
     _wait_amount(defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS),
                  "default key", "version.test.waittime.amount")
     settings = _checked(doc.get("settings", {}), dict, "an object", "document", "settings")
-    strategies = tuple(settings.get("strategies", list(STRATEGY_ALIASES.values())))
+    strategies = tuple(_checked(settings.get("strategies", list(STRATEGY_ALIASES.values())),
+                                list, "a list of strategy names", "settings", "strategies"))
     for name in strategies:
-        if name not in STRATEGY_SHORT and name not in STRATEGY_ALIASES:
-            raise SchemaError(f"unknown strategy name {name!r} in settings")
+        if not isinstance(name, str) or (name not in STRATEGY_SHORT and name not in STRATEGY_ALIASES):
+            raise SchemaError(f"unknown strategy name {name!r} in settings 'strategies'")
     service = doc.get("service", {})
     name = service.get("name") if isinstance(service, dict) else None
     if not name:
         raise SchemaError("missing 'service.name'")
+    _checked(name, str, "a string", "service", "name")
     return DatabaseMeta(
         creation_timestamp=created,
         last_update_timestamp=updated,
@@ -356,7 +356,7 @@ def _load_meta(doc: dict) -> DatabaseMeta:
         challenge_interface=str(settings.get("interface.challenges", "loopback-sim")),
         response_interface=str(settings.get("interface.responses", "loopback-sim")),
         strategies=strategies,
-        service_name=str(name),
+        service_name=name,
     )
 
 

@@ -25,6 +25,8 @@ and other bytes base64, ``phi`` as an object):
 
 t1/S1 appear in the user log (and ``delta`` in the auditor log) so each log
 chain-verifies on its own; liability still rests on the canonical tuples.
+A round is identified by its S2, which every log holds; no signature
+covers ``round``, which only labels it.
 """
 
 from __future__ import annotations
@@ -386,14 +388,6 @@ class PartyVerdict:
             self.reason = reason
 
 
-def _signature_results(fields: dict, keys: dict[str, Ed25519PublicKey]) -> dict[str, bool]:
-    """Check each signature an entry carries together with every field it covers."""
-    return {name: signer in keys and _signature_ok(keys[signer], fields[name],
-                                                   signed_bytes(name, fields))
-            for name, (signer, covered) in SIGNATURES.items()
-            if name in fields and all(f in fields for f in covered)}
-
-
 def verify_liability(
     logs: dict[str, list[dict]],
     keys: dict[str, Ed25519PublicKey],
@@ -401,109 +395,88 @@ def verify_liability(
 ) -> dict[str, PartyVerdict]:
     """Replay the signed logs and assign blame for any contradiction.
 
-    A malformed entry, or one whose round does not follow the previous
-    entry's, blames the log's holder and is set aside.  A log lacking a
-    round another log holds is blamed, with two exceptions: the auditor
-    for a round whose user copy shows a fault the auditor rejects live,
-    and a log holding the round's S3 under another round number at which
-    no log holds a different round (no signature covers the number).
-    Signature checks are cross-referenced: a signature that fails in one
-    log copy but verifies in another blames the holder of the bad copy; a
-    signature failing in every copy blames its signer.  The expected
-    response is recomputed from the signed challenge template and
-    randomness, and compared against the auditor's recorded decision.
+    Every party checks each signature before it logs it, so an entry that
+    does not decode, carries a failing signature or repeats an S2 its log
+    already holds blames the log's holder and is no evidence.  A round's
+    copies are the entries that carry its S2.  A log lacking a round
+    another log holds is blamed, except the auditor for a round whose user
+    copy shows a fault the auditor rejects live.  The expected response is
+    recomputed from the signed challenge template and randomness, and
+    compared against the auditor's recorded decision.  A ``keys`` mapping
+    that lacks a role is a ValueError naming it.
     """
+    for role in ROLES:
+        if role not in keys:
+            raise ValueError(f"no public key for the {role}")
     verdicts = {role: PartyVerdict() for role in ROLES}
-    by_round: dict[int, dict[str, dict]] = {}
+    rounds: dict[bytes, dict[str, dict]] = {}  # S2 -> holder -> its copy
+    rejected_live: set[bytes] = set()  # S2 of user copies the auditor would not log
+    user_phis: set[bytes] = set()
     for role, entries in logs.items():
-        last = None
         for number, entry in enumerate(entries, start=1):
             try:
                 fields = decode_entry(role, entry)
             except ValueError as exc:
                 verdicts[role].blame(f"entry {number}: {exc}")
                 continue
-            if last is not None and fields["round"] <= last:
-                verdicts[role].blame("round counters are not strictly increasing")
+            label = f"round {fields['round']}"
+            failed = next((name for name, (signer, covered) in SIGNATURES.items()
+                           if name in fields and all(f in fields for f in covered)
+                           and not _signature_ok(keys[signer], fields[name],
+                                                 signed_bytes(name, fields))), None)
+            if failed:
+                verdicts[role].blame(f"{label}: {failed} fails verification")
+                if role == "user":
+                    rejected_live.add(fields["S2"])
                 continue
-            last = fields["round"]
-            by_round.setdefault(last, {})[role] = fields
-    placed = {(role, fields["S3"]): round_no
-              for round_no, copies in by_round.items() for role, fields in copies.items()}
+            copies = rounds.setdefault(fields["S2"], {})
+            if role in copies:
+                verdicts[role].blame(f"{label}: the log holds this round's S2 twice")
+                continue
+            copies[role] = fields
+            if role == "user":
+                if fields["phi"] in user_phis:
+                    verdicts["user"].blame(f"{label}: randomness value repeated")
+                    rejected_live.add(fields["S2"])
+                user_phis.add(fields["phi"])
 
-    def renumbered(role: str, copies: dict[str, dict]) -> bool:
-        """Whether ``role`` logs this round under a number where no log holds another."""
-        return any(all(f["S3"] == s3 for f in by_round[placed[role, s3]].values())
-                   for s3 in {f["S3"] for f in copies.values()} if (role, s3) in placed)
-
-    user_phis: set[bytes] = set()
-    for round_no in sorted(by_round):
-        copies = by_round[round_no]
-        results = {role: _signature_results(fields, keys) for role, fields in copies.items()}
-        user_copy = copies.get("user")
-        repeated = user_copy is not None and results["user"]["S2"] and user_copy["phi"] in user_phis
-        if user_copy is not None:
-            user_phis.add(user_copy["phi"])
-        if repeated:
-            verdicts["user"].blame(f"round {round_no}: randomness value repeated")
+    for s2, copies in rounds.items():
+        label = f"round {next(iter(copies.values()))['round']}"
+        holder = next((role for role in ("auditor", "user") if role in copies), None)
+        reference = copies.get(holder)
+        faults = _timestamp_faults(reference) if reference else []
         for role in logs.keys() - copies.keys():
             # The auditor logs a round only after its live checks pass.
-            excused = role == "auditor" and user_copy is not None and (
-                repeated or not all(results["user"].values()) or bool(_timestamp_faults(user_copy)))
-            if not excused and not renumbered(role, copies):
-                verdicts[role].blame(f"round {round_no} missing from log")
-
-        for name, (signer, _) in SIGNATURES.items():
-            outcomes = {role: res[name] for role, res in results.items() if name in res}
-            if all(outcomes.values()):
-                continue
-            if any(outcomes.values()):
-                for role, ok in outcomes.items():
-                    if not ok:
-                        verdicts[role].blame(f"round {round_no}: {name} fails in this log copy")
-            else:
-                verdicts[signer].blame(f"round {round_no}: {name} invalid everywhere")
-
-        # Replay only against a copy whose signatures all verified; corrupted
-        # copies were blamed above and must not poison the reference data.
-        holder = next((role for role in ("auditor", "user")
-                       if role in copies and all(results[role].values())), None)
-        if holder is None:
+            if role != "auditor" or not (s2 in rejected_live or faults):
+                verdicts[role].blame(f"{label} missing from log")
+        if reference is None:
             continue
-        reference = copies[holder]
+
         entry = db.entries.get(reference["version"])
-        if entry is None or entry.challenge_template is None:
-            verdicts["auditor"].blame(f"round {round_no}: challenge for unknown version "
-                                      f"{render_version(reference['version'])}")
-            continue
-        if reference["c"] != entry.challenge_template:
-            verdicts["auditor"].blame(
-                f"round {round_no}: challenge does not match the database entry")
+        if entry is None or entry.challenge_template != reference["c"]:
+            # S1 covers c but not the version label, which is the holder's word.
+            if any(e.challenge_template == reference["c"] for e in db.entries.values()):
+                verdicts[holder].blame(f"{label}: version label does not name the signed challenge")
+            else:
+                verdicts["auditor"].blame(f"{label}: challenge matches no database entry")
             continue
         binding = Binding(json.loads(reference["phi"]))
         if binding.values.keys() != entry.variables.keys():
-            verdicts["user"].blame(
-                f"round {round_no}: signed randomness does not bind the entry's variables")
+            verdicts["user"].blame(f"{label}: signed randomness does not bind the entry's variables")
             continue
-
-        # A provider copy over another S2 is another round under this number.
         provider_copy = copies.get("provider")
-        if provider_copy is not None and provider_copy["S2"] == reference["S2"]:
+        if provider_copy is not None:
             if provider_copy["cPrime"] != render(reference["c"], binding,
                                                  tags_for(db, entry, "challenge")):
                 verdicts["provider"].blame(
-                    f"round {round_no}: logged challenge does not derive from the signed randomness")
-            if provider_copy["ePrime"] != reference["ePrime"] and results["provider"]["S3"]:
-                verdicts["provider"].blame(f"round {round_no}: response differs across logs")
-
-        if all(all(res.values()) for res in results.values()):
-            faults = _timestamp_faults(reference)
-            for blamed, reason in faults:
-                verdicts[blamed].blame(f"round {round_no}: {reason}")
-            auditor_copy = copies.get("auditor")
-            if auditor_copy is not None and not faults and \
-                    _replay(db, entry, binding, reference).delta != auditor_copy["delta"]:
-                verdicts["auditor"].blame(
-                    f"round {round_no}: recorded decision contradicts the replayed "
-                    "expected response")
+                    f"{label}: logged challenge does not derive from the signed randomness")
+            if provider_copy["ePrime"] != reference["ePrime"]:
+                verdicts["provider"].blame(f"{label}: response differs across logs")
+        for blamed, reason in faults:
+            verdicts[blamed].blame(f"{label}: {reason}")
+        auditor_copy = copies.get("auditor")
+        if auditor_copy is not None and not faults and \
+                _replay(db, entry, binding, reference).delta != auditor_copy["delta"]:
+            verdicts["auditor"].blame(
+                f"{label}: recorded decision contradicts the replayed expected response")
     return verdicts

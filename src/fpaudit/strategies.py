@@ -21,7 +21,6 @@ start and step optimistically upward).
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -43,7 +42,6 @@ class LogRow:
     delta: bool
     testorder: int
     origin: str  # "plan" for strategy-chosen tests, "exchange" for referral sub-tests
-    timestamp: float
     outcome: TestOutcome | None = None
 
 
@@ -75,7 +73,7 @@ class DecisionLog:
         if version in self.deltas:
             raise AuditError(f"version {render_version(version)} already decided")
         self.deltas[version] = delta
-        self.rows.append(LogRow(version, delta, len(self.rows) + 1, origin, time.time(), outcome))
+        self.rows.append(LogRow(version, delta, len(self.rows) + 1, origin, outcome))
 
     def plan_outcomes(self) -> list[TestOutcome]:
         return [row.outcome for row in self.rows if row.outcome is not None]

@@ -231,6 +231,8 @@ def test_verify_logs_malformed_input(tmp_path, capsys):
     pytest.param('{"round": 1}\n{"round": "1"}\n', "{}", "user.ndjson:2", id="round-not-integer"),
     pytest.param('{"round": 1}\n', '["a"]', "keys.json", id="keys-not-an-object"),
     pytest.param('{"round": 1}\n', '{"user": 5}', "keys.json", id="key-not-hex"),
+    pytest.param('{"round": 1}\n', json.dumps({"user": "00" * 32, "auditor": "00" * 32}),
+                 "provider", id="keys-lack-a-role"),
 ])
 def test_verify_logs_malformed_file_is_one_line(log_text, keys_text, named, tmp_path, capsys):
     (tmp_path / "user.ndjson").write_text(log_text)
@@ -240,6 +242,32 @@ def test_verify_logs_malformed_file_is_one_line(log_text, keys_text, named, tmp_
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("malformed input: ") and named in err[0]
+
+
+@pytest.mark.parametrize("args, named", [
+    pytest.param(["audit", "--database", DB, "--sim-config", SIM_HONEST, "--target", "7.x"],
+                 "'7.x'", id="malformed-target"),
+    pytest.param(["audit", "--database", "MISSING", "--sim-config", SIM_HONEST], "MISSING",
+                 id="missing-database"),
+    pytest.param(["audit", "--database", DB, "--sim-config", "MISSING"], "MISSING",
+                 id="missing-sim-config"),
+    pytest.param(["simulate", "--config", "MISSING"], "MISSING", id="missing-config"),
+])
+def test_unusable_argument_is_one_error_line(args, named, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code = run([missing if arg == "MISSING" else arg for arg in args])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert (missing if named == "MISSING" else named) in err[0]
+
+
+def test_db_validate_reports_a_document_that_is_not_utf8_on_one_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"service": "\xff"}')
+    assert run(["db", "validate", "--database", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid: database document is not valid JSON")
 
 
 def test_audit_over_http_served_simulator(capsys, sim_family, monkeypatch):

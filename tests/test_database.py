@@ -1,10 +1,14 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpaudit.database import (
     DanglingReferralError,
+    DatabaseError,
     ReferralCycleError,
     SchemaError,
     VariableSpec,
@@ -177,12 +181,57 @@ def _entry_test(doc):
     ("'settings'", lambda doc: doc.update(settings=["BinarySearch"])),
     ("entry '7.2.0' variable 'ax' 'min'",
      lambda doc: _entry_test(doc)["variables"]["ax"].update(min="1")),
+    ("settings 'strategies'", lambda doc: doc["settings"].update(strategies="CBS")),
+    ("service 'name'", lambda doc: doc["service"].update(name=["x"])),
 ], ids=["variables-list", "payload-int", "challenge-list", "waittime-string",
-        "waittime-amount-not-a-number", "settings-list", "variable-min-string"])
+        "waittime-amount-not-a-number", "settings-list", "variable-min-string",
+        "strategies-string", "service-name-list"])
 def test_malformed_field_type_is_a_schema_error_naming_entry_and_key(db_doc, where, mutate):
     mutate(db_doc)
     with pytest.raises(SchemaError, match=re.escape(f"{where} must be")):
         load_database(json.dumps(db_doc))
+
+
+@pytest.mark.parametrize("named, mutate", [
+    ("in settings 'strategies'", lambda doc: doc["settings"].update(strategies=[["CBS"]])),
+    ("'version.test.variables.format'",
+     lambda doc: doc["defaultvalues"].update({"version.test.variables.format": ["integer"]})),
+], ids=["strategy-list", "default-format-list"])
+def test_unhashable_setting_is_a_schema_error_naming_the_key(db_doc, named, mutate):
+    mutate(db_doc)
+    with pytest.raises(SchemaError, match=re.escape(named)):
+        load_database(json.dumps(db_doc))
+
+
+FIXTURE_TEXT = (Path(__file__).resolve().parents[1] / "fixtures" / "php_like_db.json").read_text()
+
+
+def _paths(node, prefix=()):
+    """The path to every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(_paths(json.loads(FIXTURE_TEXT)))), value=JSON_VALUES)
+def test_one_replaced_value_loads_or_is_a_database_error(path, value):
+    doc = json.loads(FIXTURE_TEXT)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        load_database(json.dumps(doc))
+    except DatabaseError:
+        pass
 
 
 def test_resolve_plan_prerequisite_before_intrinsic(db):

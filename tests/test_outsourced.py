@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 from types import SimpleNamespace
@@ -307,7 +308,9 @@ def test_one_replaced_field_never_raises_and_blames_only_its_holder(session_logs
     same_field = sorted({json.dumps(entry[name], sort_keys=True) for entries in logs.values()
                          for entry in entries if name in entry})
     value = data.draw(JSON_VALUES | st.sampled_from(same_field).map(json.loads))
-    mutated = dict(logs)
+    # Any of the other logs may be withheld, the signer's included.
+    supplied = data.draw(st.sets(st.sampled_from([other for other in ROLES if other != role])))
+    mutated = {other: logs[other] for other in supplied}
     mutated[role] = [dict(entry) for entry in logs[role]]
     mutated[role][index][name] = value
     verdicts = verify_liability(mutated, keys, db)
@@ -341,3 +344,62 @@ def test_one_renumbered_round_blames_no_other_log(session_logs, db):
     mutated["user"][-1]["round"] = 99
     verdicts = verify_liability(mutated, keys, db)
     assert verdicts["auditor"].status == verdicts["provider"].status == "compliant"
+
+
+def test_provider_round_over_an_earlier_s2_blames_only_the_provider(trio):
+    # The provider signs a second response to the last round's randomness
+    # and logs it as one more round, which no other party took part in.
+    identities, user, auditor, provider = trio
+    for i, v in enumerate(("7.2.0", "7.0.0"), start=1):
+        run_round(auditor, user, provider, pv(v), i)
+    fields = decode_entry("provider", provider.log[-1])
+    fields.update(round=3, ePrime=fields["ePrime"] + b"!")
+    fields["S3"] = identities["provider"].sign(signed_bytes("S3", fields))
+    logs = {"user": user.log, "auditor": auditor.log,
+            "provider": provider.log + [encode_entry("provider", fields)]}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert verdicts["provider"].status == "blamed"
+    assert verdicts["user"].status == verdicts["auditor"].status == "compliant"
+
+
+@pytest.mark.parametrize("holder, name", [("user", "S1"), ("user", "S3"),
+                                          ("auditor", "S2"), ("auditor", "S4")])
+def test_signature_corrupted_in_own_copy_blames_only_its_holder(session_logs, db, holder, name):
+    # Only the holder's log is supplied, so no copy shows the signer's bytes.
+    logs, keys = session_logs
+    entries = [dict(entry) for entry in logs[holder]]
+    raw = bytearray(base64.b64decode(entries[1][name]))
+    raw[0] ^= 0x01
+    entries[1][name] = base64.b64encode(bytes(raw)).decode()
+    verdicts = verify_liability({holder: entries}, keys, db)
+    assert {role for role, v in verdicts.items() if v.status == "blamed"} == {holder}
+
+
+@pytest.mark.parametrize("supplied", [("user",), ("user", "provider")])
+def test_relabelled_version_blames_the_holder_not_the_auditor(session_logs, db, supplied):
+    # No signature covers the label; S1 covers the challenge it should name.
+    logs, keys = session_logs
+    mutated = {role: logs[role] for role in supplied}
+    mutated["user"] = [dict(entry) for entry in logs["user"]]
+    mutated["user"][1]["version"] = "7.2.0" if logs["user"][1]["version"] != "7.2.0" else "7.0.0"
+    verdicts = verify_liability(mutated, keys, db)
+    assert {role for role, v in verdicts.items() if v.status == "blamed"} == {"user"}
+
+
+def test_signed_challenge_of_no_database_entry_blames_auditor(trio):
+    identities, user, auditor, provider = trio
+    run_round(auditor, user, provider, pv("7.2.0"), 1)
+    fields = {**decode_entry("provider", provider.log[0]), **decode_entry("auditor", auditor.log[0])}
+    fields["c"] += b" "
+    for name in ("S1", "S2", "S3"):
+        fields[name] = identities[SIGNATURES[name][0]].sign(signed_bytes(name, fields))
+    logs = {role: [encode_entry(role, fields)] for role in ROLES}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert verdicts["auditor"].status == "blamed"
+    assert verdicts["user"].status == verdicts["provider"].status == "compliant"
+
+
+def test_keys_lacking_a_role_are_malformed_input(session_logs, db):
+    logs, keys = session_logs
+    with pytest.raises(ValueError, match="provider"):
+        verify_liability(logs, {role: keys[role] for role in ("user", "auditor")}, db)

@@ -151,6 +151,51 @@ def test_http_held_put_acknowledgement_counts_against_deadline(db, rng):
     assert result.reason == "timeout"
 
 
+class _WebrootHandler(BaseHTTPRequestHandler):
+    """Answers 404 until the dropped challenge has been processed for
+    ``server.work`` seconds since the first look, then serves its answer."""
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_GET(self) -> None:
+        server, now = self.server, time.monotonic()
+        challenge = server.drop / "challenge.txt"
+        if server.seen_at is None and challenge.exists():
+            server.seen_at = now
+        ready = server.seen_at is not None and now - server.seen_at >= server.work
+        body = b"answer to " + challenge.read_bytes() if ready else b""
+        server.not_ready += not ready
+        self.send_response(200 if ready else 404)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.mark.parametrize("work, answer", [(0.15, b"answer to payload"), (5.0, None)],
+                         ids=["ready-in-time", "never-ready"])
+def test_file_drop_challenge_with_http_fetched_response(tmp_path, work, answer):
+    # The webroot deployment: the challenge is dropped where the provider
+    # picks it up, and the answer is fetched over HTTP once it is ready.
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _WebrootHandler)
+    server.drop, server.work, server.seen_at, server.not_ready = tmp_path, work, None, 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(tmp_path), timeout_cap=0.2)
+        rsp = InterfaceEndpoint(id="r", kind="http-fetch",
+                                address=f"http://127.0.0.1:{server.server_address[1]}/response")
+        record = exchange(chl, rsp, b"payload", 0.3)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert record.transport_error is None
+    assert record.response_bytes == answer
+    assert server.not_ready >= 1
+    assert record.elapsed >= min(work, 0.3 + 0.2)
+
+
 def test_file_drop_with_never_materializing_response(tmp_path):
     chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(tmp_path / "drop"),
                             timeout_cap=0.2)
