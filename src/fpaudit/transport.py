@@ -5,7 +5,9 @@ two endpoints of an exchange are therefore passed separately.  All timing
 is measured on the verifier side, up to the last response byte received,
 from before the challenge PUT on HTTP and from the written file on file
 drop.  Credentials come from configuration or the environment, never from
-command lines.
+command lines.  HTTP requests from one thread to one scheme and host:port
+share one kept-alive connection, so an exchange pays no handshake in its
+timed window.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import base64
 import http.client
 import os
+import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,34 +107,104 @@ def env_credentials() -> tuple[str, str] | None:
     return (user, password) if user and password is not None else None
 
 
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+
+
 def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
              timeout: float) -> tuple[int, bytes]:
-    """One HTTP(S) request with preemptive Basic auth, through the proxy the
-    environment names, if any.  A 404 on GET (not ready yet) is returned;
-    every other failure is a TransportError."""
+    """One HTTP(S) request with preemptive Basic auth.  A 404 on GET (not
+    ready yet) is returned.  Every other status from 300 up is a
+    TransportError, since no redirect is followed and credentials never
+    leave the named host; so is every failure.  Either closes the
+    connection, so a late answer is never read as a later request's."""
     what = "challenge delivery" if method == "PUT" else "response fetch"
     if not ep.address.startswith(("http://", "https://")):
         raise TransportError(f"{what} failed: {ep.address!r} is not an http(s) URL")
+    headers = {"Content-Type": "application/octet-stream"}
+    if ep.credentials:
+        headers["Authorization"] = _basic_auth(*ep.credentials)
     try:
-        request = urllib.request.Request(ep.address, data=body, method=method,
-                                         headers={"Content-Type": "application/octet-stream"})
-        if ep.credentials:
-            token = base64.b64encode(":".join(ep.credentials).encode("utf-8")).decode("ascii")
-            # Unredirected: a redirect does not carry the credentials along.
-            request.add_unredirected_header("Authorization", f"Basic {token}")
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            status, data = response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        status, data = exc.code, b""
-    # URLError and timeouts are OSErrors; a malformed address is a ValueError.
+        url = urllib.parse.urlsplit(ep.address)
+        key = (url.scheme, url.netloc)
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        status, data = _send(key, method, target, body, headers, timeout)
+    # Timeouts and refusals are OSErrors; a malformed address is a ValueError
+    # or, for its port, an http.client.InvalidURL.
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise TransportError(f"{what} failed: {exc}") from exc
-    if status in (401, 403):
-        raise TransportError("auth")
-    if status >= 400 and not (method == "GET" and status == 404):
-        raise TransportError(f"{what} rejected: HTTP {status}")
+    if status >= 300 and not (method == "GET" and status == 404):
+        _close(key)
+        raise TransportError("auth" if status in (401, 403) else f"{what} rejected: HTTP {status}")
     return status, data
+
+
+class _Pool(threading.local):
+    """This thread's kept-alive connections, keyed by scheme and host:port,
+    each with the target prefix and headers its route adds (see ``_open``)."""
+
+    def __init__(self) -> None:
+        self.links: dict[tuple[str, str], tuple[http.client.HTTPConnection, str, dict]] = {}
+
+
+_POOL = _Pool()
+
+
+def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
+          headers: dict, timeout: float) -> tuple[int, bytes]:
+    """Send one request on this thread's connection for ``key`` and read the
+    whole answer.  A failure closes the connection.  A reused connection
+    that fails before any answer byte arrives (the server closed it while
+    idle) is reopened once; a new connection is not retried."""
+    while True:
+        link = _POOL.links.get(key)
+        # A connection the server ended after its last answer (HTTP/1.0 or
+        # "Connection: close") is opened anew, taking the proxy afresh too.
+        reused = link is not None and link[0].sock is not None
+        if not reused:
+            link = _POOL.links[key] = _open(*key)
+        conn, prefix, route_headers = link
+        response = None
+        try:
+            conn.timeout = timeout
+            if reused:
+                conn.sock.settimeout(timeout)
+            conn.request(method, prefix + target, body, headers | route_headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException as exc:
+            _close(key)
+            if not (reused and response is None and isinstance(exc, ConnectionError)):
+                raise
+
+
+def _open(scheme: str, hostport: str) -> tuple[http.client.HTTPConnection, str, dict]:
+    """A new connection to ``hostport``, through the proxy the environment
+    names for ``scheme`` unless ``no_proxy`` exempts the host.  Returns it
+    with the prefix that turns a path into the request target and the
+    headers every request on it carries."""
+    cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(hostport):
+        return cls(hostport), "", {}
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    auth = {}
+    if parts.username is not None:
+        auth["Proxy-Authorization"] = _basic_auth(urllib.parse.unquote(parts.username),
+                                                  urllib.parse.unquote(parts.password or ""))
+    conn = cls(parts.netloc.rpartition("@")[2])
+    if scheme == "https":
+        # A CONNECT tunnel: the proxy never sees the requests inside it.
+        conn.set_tunnel(hostport, headers=auth)
+        return conn, "", {}
+    # A forwarding proxy takes each request with the absolute URL as its target.
+    return conn, f"http://{hostport}", auth
+
+
+def _close(key: tuple[str, str]) -> None:
+    link = _POOL.links.pop(key, None)
+    if link is not None:
+        link[0].close()
 
 
 def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,

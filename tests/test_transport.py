@@ -1,5 +1,11 @@
+import base64
+import http.client
+import socket
+import statistics
 import threading
 import time
+import urllib.parse
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -7,6 +13,7 @@ import pytest
 from fpaudit.challenge import judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
 from fpaudit.simserver import start_server
+from fpaudit.strategies import run_audit
 from fpaudit.transport import (
     CLAIM_PAYLOAD,
     InterfaceEndpoint,
@@ -15,7 +22,10 @@ from fpaudit.transport import (
     make_loopback,
     probe_version_claim,
 )
+from fpaudit.verdict import build_report
 from fpaudit.versions import parse_version as pv
+
+CREDS = ("auditor", "sekrit")
 
 
 def test_loopback_exchange_honest_listing_payload(db, sim_family, rng):
@@ -54,10 +64,260 @@ def test_probe_unreachable_endpoint_errors():
 @pytest.fixture
 def http_server(sim_family):
     cfg = SimProviderConfig(src_version=pv("7.2.14"), latency=LatencyModel(0.0, 0.0), seed=3)
-    server = start_server(produce(sim_family, cfg), credentials=("auditor", "sekrit"))
+    server = start_server(produce(sim_family, cfg), credentials=CREDS)
     yield server
     server.shutdown()
     server.server_close()
+
+
+def _endpoints(base: str, credentials=None, timeout_cap: float = 5.0):
+    return tuple(InterfaceEndpoint(id=name, kind="http-fetch", address=f"{base}/{name}",
+                                   credentials=credentials, timeout_cap=timeout_cap)
+                 for name in ("challenge", "response"))
+
+
+def _count_connections(server, monkeypatch) -> list:
+    """Record every connection ``server`` accepts from now on."""
+    accepted, get_request = [], server.get_request
+
+    def counting():
+        accepted.append(get_request())
+        return accepted[-1]
+
+    monkeypatch.setattr(server, "get_request", counting)
+    return accepted
+
+
+def test_one_fixture_audit_over_http_opens_one_connection(http_server, db, rng, monkeypatch):
+    accepted = _count_connections(http_server, monkeypatch)
+    endpoints = _endpoints(http_server.url(""), CREDS)
+    assert probe_version_claim(endpoints) == "7.2.14"
+    report = build_report(run_audit(db, "CBS", endpoints, rng), db)
+    assert report.candidate_set.labels() == ["7.2.14"]
+    assert len(accepted) == 1
+
+
+def test_kept_alive_exchanges_do_not_stall_on_delayed_acks(http_server):
+    # With Nagle's algorithm on at either end, a reply split over two writes
+    # waits for the peer's delayed ACK: about 40 ms per exchange on Linux.
+    chl, rsp = _endpoints(http_server.url(""), CREDS)
+    records = [exchange(chl, rsp, CLAIM_PAYLOAD, 1.0) for _ in range(40)]
+    assert all(r.response_bytes == b"7.2.14" for r in records)
+    assert statistics.median(r.elapsed for r in records) < 0.020
+
+
+def _wait_until(condition, seconds: float = 5.0) -> None:
+    give_up = time.monotonic() + seconds
+    while not condition() and time.monotonic() < give_up:
+        time.sleep(0.005)
+    assert condition()
+
+
+def test_a_connection_the_server_closed_while_idle_is_reopened(http_server, monkeypatch):
+    accepted = _count_connections(http_server, monkeypatch)
+    chl, rsp = _endpoints(http_server.url(""), CREDS)
+    assert exchange(chl, rsp, CLAIM_PAYLOAD, 1.0).response_bytes == b"7.2.14"
+    sock, _ = accepted[0]
+    sock.shutdown(socket.SHUT_RDWR)
+    _wait_until(lambda: not http_server.connections)
+    record = exchange(chl, rsp, CLAIM_PAYLOAD, 1.0)
+    assert record.transport_error is None
+    assert record.response_bytes == b"7.2.14"
+    assert len(accepted) == 2
+
+
+def test_a_closed_simserver_does_not_answer_on_a_kept_alive_connection(http_server):
+    chl, rsp = _endpoints(http_server.url(""), CREDS)
+    assert exchange(chl, rsp, CLAIM_PAYLOAD, 1.0).response_bytes == b"7.2.14"
+    http_server.shutdown()
+    http_server.server_close()
+    record = exchange(chl, rsp, CLAIM_PAYLOAD, 1.0)
+    assert record.response_bytes is None
+    assert record.transport_error.startswith("challenge delivery failed: ")
+
+
+@pytest.mark.parametrize("path, credentials, status", [
+    ("/challenge", b"auditor:wrong", 401),
+    ("/elsewhere", b"auditor:sekrit", 404),
+])
+def test_simserver_closes_a_connection_whose_request_body_it_left_unread(
+        http_server, path, credentials, status):
+    # Left on a kept-alive connection, the body would be read as the next request.
+    conn = http.client.HTTPConnection("127.0.0.1", http_server.port, timeout=5)
+    try:
+        conn.request("PUT", path, b"GET /response HTTP/1.1\r\n\r\n",
+                     {"Authorization": "Basic " + base64.b64encode(credentials).decode()})
+        response = conn.getresponse()
+        response.read()
+    finally:
+        conn.close()
+    assert response.status == status
+    assert response.getheader("Connection") == "close"
+
+
+class _SlowFirstAnswer:
+    """Answers every challenge at once, except the first, which takes 0.3 s."""
+
+    def __init__(self) -> None:
+        self.answered = 0
+
+    def respond(self, payload: bytes) -> tuple[bytes, float]:
+        self.answered += 1
+        return b"answer to " + payload, 0.3 if self.answered == 1 else 0.0
+
+
+def test_a_timed_out_fetch_closes_its_connection(http_server):
+    http_server.responder = _SlowFirstAnswer()
+    chl, rsp = _endpoints(http_server.url(""), CREDS, timeout_cap=0.1)
+    first = exchange(chl, rsp, b"round 1", 0.05)
+    assert first.transport_error.startswith("response fetch failed: ")
+    time.sleep(0.4)  # the late answer to round 1 has been sent by now
+    second = exchange(chl, rsp, b"round 2", 1.0)
+    assert second.transport_error is None
+    assert second.response_bytes == b"answer to round 2"
+
+
+@contextmanager
+def _serving(handler, **attrs):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    for name, value in attrs.items():
+        setattr(server, name, value)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class _HangUpHandler(BaseHTTPRequestHandler):
+    """Closes every connection without reading or answering a request."""
+
+    def handle(self) -> None:
+        self.server.hung_up += 1
+
+
+def test_a_new_connection_that_fails_is_not_retried():
+    with _serving(_HangUpHandler, hung_up=0) as server:
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        record = exchange(chl, rsp, b"payload", 0.5)
+    assert record.transport_error.startswith("challenge delivery failed: ")
+    assert server.hung_up == 1
+
+
+class _RedirectHandler(BaseHTTPRequestHandler):
+    """Answers PUT with ``server.put_status`` and GET with 302, each pointing
+    at /elsewhere, on kept-alive connections, and records every path asked
+    for."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def _redirect(self, status: int) -> None:
+        self.server.paths.append(self.path)
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.send_response(status)
+        self.send_header("Location", "/elsewhere")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_PUT(self) -> None:
+        self._redirect(self.server.put_status)
+
+    def do_GET(self) -> None:
+        self._redirect(302)
+
+
+@pytest.mark.parametrize("put_status, error", [
+    (307, "challenge delivery rejected: HTTP 307"),
+    (204, "response fetch rejected: HTTP 302"),
+])
+def test_http_redirects_are_rejected_not_followed(put_status, error, monkeypatch):
+    with _serving(_RedirectHandler, put_status=put_status, paths=[]) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}", CREDS)
+        records = [exchange(chl, rsp, b"payload", 0.5) for _ in range(2)]
+    assert all(r.response_bytes is None for r in records)
+    assert [r.transport_error for r in records] == [error, error]
+    assert "/elsewhere" not in server.paths
+    # A rejected status closes the connection: each exchange opened its own.
+    assert len(accepted) == 2
+
+
+class _ForwardingProxy(BaseHTTPRequestHandler):
+    """Records every request, forwards absolute-form ones to their origin and
+    refuses CONNECT tunnels."""
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def _record(self) -> None:
+        self.server.seen.append((self.command, self.path,
+                                 self.headers.get("Proxy-Authorization")))
+
+    def _forward(self) -> None:
+        self._record()
+        url = urllib.parse.urlsplit(self.path)
+        body = self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        origin = http.client.HTTPConnection(url.netloc, timeout=5)
+        try:
+            origin.request(self.command, url.path, body,
+                           {"Authorization": self.headers.get("Authorization", "")})
+            answer = origin.getresponse()
+            data = answer.read()
+        finally:
+            origin.close()
+        self.send_response(answer.status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_PUT = do_GET = _forward
+
+    def do_CONNECT(self) -> None:
+        self._record()
+        self.send_response(502)
+        self.end_headers()
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with _serving(_ForwardingProxy, seen=[]) as server:
+        address = f"http://scout:pw@127.0.0.1:{server.server_address[1]}"
+        monkeypatch.setenv("HTTP_PROXY", address)
+        monkeypatch.setenv("HTTPS_PROXY", address)
+        yield server
+
+
+PROXY_AUTH = "Basic c2NvdXQ6cHc="  # scout:pw
+
+
+def test_http_goes_through_the_proxy_the_environment_names(proxy, http_server):
+    chl, rsp = _endpoints(http_server.url(""), CREDS)
+    record = exchange(chl, rsp, CLAIM_PAYLOAD, 1.0)
+    assert record.response_bytes == b"7.2.14"
+    assert proxy.seen == [("PUT", chl.address, PROXY_AUTH), ("GET", rsp.address, PROXY_AUTH)]
+
+
+def test_https_is_tunnelled_through_the_proxy_the_environment_names(proxy):
+    chl, rsp = _endpoints("https://127.0.0.1:1", CREDS)
+    record = exchange(chl, rsp, CLAIM_PAYLOAD, 1.0)
+    assert record.transport_error.startswith("challenge delivery failed: Tunnel connection failed")
+    assert proxy.seen == [("CONNECT", "127.0.0.1:1", PROXY_AUTH)]
+
+
+def test_no_proxy_exempts_a_host_from_the_proxy(proxy, http_server, monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    chl, rsp = _endpoints(http_server.url(""), CREDS)
+    assert exchange(chl, rsp, CLAIM_PAYLOAD, 1.0).response_bytes == b"7.2.14"
+    assert proxy.seen == []
 
 
 def test_probe_version_claim_over_http(http_server, sim_family):
