@@ -32,6 +32,7 @@ covers ``round``, which only labels it.
 from __future__ import annotations
 
 import base64
+import functools
 import itertools
 import json
 import time
@@ -339,19 +340,22 @@ def write_log(path: str | Path, entries: list[dict]) -> None:
 
 
 def read_log(path: str | Path) -> list[dict]:
-    """The entries of a log file; a line that is not a JSON object with an
-    integer ``round`` is a ValueError naming the file and the line."""
+    """The entries of a log file; a line that is not UTF-8 or not a JSON
+    object with an integer ``round`` is a ValueError naming the file and the
+    line."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    entry = json.loads(line)
-                    if not isinstance(entry, dict) or type(entry.get("round")) is not int:
-                        raise ValueError("not an object with an integer 'round'")
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
-                entries.append(entry)
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                entry = json.loads(line)
+                if not isinstance(entry, dict) or type(entry.get("round")) is not int:
+                    raise ValueError("not an object with an integer 'round'")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            entries.append(entry)
     return entries
 
 
@@ -404,10 +408,20 @@ def verify_liability(
     recomputed from the signed challenge template and randomness, and
     compared against the auditor's recorded decision.  A ``keys`` mapping
     that lacks a role is a ValueError naming it.
+
+    Every copy is checked against its own signed bytes, and each distinct
+    signature over each distinct byte string is verified once per call: the
+    S1..S4 the user's and the auditor's logs share, and the provider's S3,
+    cost one check each.
     """
     for role in ROLES:
         if role not in keys:
             raise ValueError(f"no public key for the {role}")
+
+    @functools.cache
+    def verified(name: str, signature: bytes, data: bytes) -> bool:
+        return _signature_ok(keys[SIGNATURES[name][0]], signature, data)
+
     verdicts = {role: PartyVerdict() for role in ROLES}
     rounds: dict[bytes, dict[str, dict]] = {}  # S2 -> holder -> its copy
     rejected_live: set[bytes] = set()  # S2 of user copies the auditor would not log
@@ -420,10 +434,10 @@ def verify_liability(
                 verdicts[role].blame(f"entry {number}: {exc}")
                 continue
             label = f"round {fields['round']}"
-            failed = next((name for name, (signer, covered) in SIGNATURES.items()
+            failed = next((name for name, (_, covered) in SIGNATURES.items()
                            if name in fields and all(f in fields for f in covered)
-                           and not _signature_ok(keys[signer], fields[name],
-                                                 signed_bytes(name, fields))), None)
+                           and not verified(name, fields[name],
+                                            signed_bytes(name, fields))), None)
             if failed:
                 verdicts[role].blame(f"{label}: {failed} fails verification")
                 if role == "user":

@@ -128,8 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 def start_server(responder, port: int = 0,
                  credentials: tuple[str, str] | None = None) -> SimHTTPServer:
+    """Serve on a daemon thread; ``shutdown()`` returns within one poll
+    interval (0.05 s)."""
     server = SimHTTPServer(responder, port, credentials)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return server
 

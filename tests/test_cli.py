@@ -244,6 +244,17 @@ def test_verify_logs_malformed_file_is_one_line(log_text, keys_text, named, tmp_
     assert len(err) == 1 and err[0].startswith("malformed input: ") and named in err[0]
 
 
+def test_verify_logs_names_a_log_line_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "user.ndjson").write_bytes(b'{"round": 1}\n{"round": \xff}\n')
+    (tmp_path / "keys.json").write_text("{}")
+    code = run(["verify-logs", "--database", DB, "--keys", str(tmp_path / "keys.json"),
+                "--user-log", str(tmp_path / "user.ndjson")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("malformed input: ")
+    assert f"{tmp_path / 'user.ndjson'}:2: " in err[0] and "utf-8" in err[0]
+
+
 @pytest.mark.parametrize("args, named", [
     pytest.param(["audit", "--database", DB, "--sim-config", SIM_HONEST, "--target", "7.x"],
                  "'7.x'", id="malformed-target"),

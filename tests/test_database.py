@@ -23,6 +23,8 @@ from fpaudit.database import (
 )
 from fpaudit.versions import parse_version as pv
 
+from families import synth_docs
+
 
 def minimal_doc(versions=None, family=None):
     doc = {
@@ -319,6 +321,15 @@ def test_strategy_independence_single_entry():
 
 
 def test_round_trip_fixture(db):
+    blob = serialize_database(db)
+    again = load_database(blob)
+    assert again == db
+    assert serialize_database(again) == blob
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_round_trip_synthetic_family(seed):
+    db = load_database(json.dumps(synth_docs(seed)[0]).encode())
     blob = serialize_database(db)
     again = load_database(blob)
     assert again == db

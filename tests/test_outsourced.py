@@ -403,3 +403,34 @@ def test_keys_lacking_a_role_are_malformed_input(session_logs, db):
     logs, keys = session_logs
     with pytest.raises(ValueError, match="provider"):
         verify_liability(logs, {role: keys[role] for role in ("user", "auditor")}, db)
+
+
+def test_each_distinct_signature_is_verified_once_per_call(session_logs, db, monkeypatch):
+    # The user's and the auditor's logs share S1..S4 and the provider's log
+    # repeats S3, all over the same bytes: four checks a round, not nine.
+    logs, keys = session_logs
+    calls, real = [], outsourced._signature_ok
+    monkeypatch.setattr(outsourced, "_signature_ok",
+                        lambda *args: calls.append(args) or real(*args))
+    verdicts = verify_liability(logs, keys, db)
+    assert all(v.status == "compliant" for v in verdicts.values())
+    assert len(calls) == 4 * len(logs["user"])
+
+
+@pytest.mark.parametrize("altered_first", [True, False], ids=["altered-first", "altered-last"])
+@pytest.mark.parametrize("holder", ROLES)
+def test_copy_with_another_copys_signature_over_other_bytes_blames_its_holder(
+        session_logs, db, holder, altered_first):
+    # S3 covers ePrime: the altered copy keeps the S3 the other copies hold,
+    # so it must be checked against its own bytes, not the signature alone.
+    logs, keys = session_logs
+    entries = [dict(entry) for entry in logs[holder]]
+    raw = bytearray(base64.b64decode(entries[1]["ePrime"]))
+    raw[-1] ^= 0x01
+    entries[1]["ePrime"] = base64.b64encode(bytes(raw)).decode()
+    others = [role for role in ROLES if role != holder]
+    order = [holder] + others if altered_first else others + [holder]
+    mutated = {role: entries if role == holder else logs[role] for role in order}
+    verdicts = verify_liability(mutated, keys, db)
+    assert {role for role, v in verdicts.items() if v.status == "blamed"} == {holder}
+    assert verdicts[holder].reason == f"round {entries[1]['round']}: S3 fails verification"

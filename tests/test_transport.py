@@ -126,6 +126,12 @@ def test_a_connection_the_server_closed_while_idle_is_reopened(http_server, monk
     assert len(accepted) == 2
 
 
+def test_simserver_shutdown_returns_within_a_short_poll_interval(http_server):
+    started = time.perf_counter()
+    http_server.shutdown()
+    assert time.perf_counter() - started < 0.2
+
+
 def test_a_closed_simserver_does_not_answer_on_a_kept_alive_connection(http_server):
     chl, rsp = _endpoints(http_server.url(""), CREDS)
     assert exchange(chl, rsp, CLAIM_PAYLOAD, 1.0).response_bytes == b"7.2.14"
