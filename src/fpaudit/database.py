@@ -27,6 +27,11 @@ The on-disk form is JSON with this layout::
 Entries without a ``challenge`` payload are pure referral entries: the
 versions named under ``branching`` are tested in order instead.
 
+Building a :class:`Database` walks the referrals once, without recursion,
+so any referral depth loads: the walk rejects a referral or ``deprecated``
+boundary that names no entry and a referral cycle, and resolves every
+entry's plan into ``Database.plans``.
+
 Referral semantics used to derive where each entry's probed function is
 actually available (its availability "windows" over the family):
 
@@ -48,9 +53,10 @@ import functools
 import json
 import re
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import chain
 from types import NoneType
 
 from .versions import (Version, VersionParseError, VersionSet, branch_origin, parse_version,
@@ -199,8 +205,9 @@ TestPlan = tuple[PlanStep, ...]
 
 @dataclass(frozen=True)
 class Database:
-    """Entries over a family; construction checks the referrals and derives
-    where each payload entry's function is available.
+    """Entries over a family; construction checks the referrals, resolves
+    each entry's plan and derives where each payload entry's function is
+    available.
 
     Version sets are masks over the family index (see ``VersionSet``);
     ``family.select`` turns one back into versions.
@@ -216,13 +223,14 @@ class Database:
         init=False, repr=False, compare=False
     )
     entry_versions: tuple[Version, ...] = field(init=False, repr=False, compare=False)
+    # entry version -> its resolved plan (see ``resolve_plan``).
+    plans: dict[Version, TestPlan] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = [render_version(v) for v in self.entries if v not in self.family]
         if missing:
             raise SchemaError(f"entries outside the declared family: {', '.join(missing)}")
-        _check_referrals(self)
-        _check_cycles(self)
+        object.__setattr__(self, "plans", _resolve_plans(self.entries))
         avail, windows = _derive_availability(self)
         object.__setattr__(self, "avail_masks", avail)
         object.__setattr__(self, "availability_windows", windows)
@@ -461,44 +469,6 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     )
 
 
-def _check_referrals(db: Database) -> None:
-    for v, entry in db.entries.items():
-        for ref in entry.branching_refs:
-            if ref != v and ref not in db.entries:
-                raise DanglingReferralError(
-                    f"entry {render_version(v)} refers to {render_version(ref)} which has no database entry"
-                )
-        if entry.deprecated_ref is not None and entry.deprecated_ref not in db.entries:
-            raise DanglingReferralError(
-                f"entry {render_version(v)} names deprecated boundary "
-                f"{render_version(entry.deprecated_ref)} which has no database entry"
-            )
-
-
-def _check_cycles(db: Database) -> None:
-    # Self-references select the entry's own intrinsic test and are legal.
-    WHITE, GREY, BLACK = 0, 1, 2
-    state = {v: WHITE for v in db.entries}
-
-    def visit(v: Version, stack: list[Version]) -> None:
-        state[v] = GREY
-        stack.append(v)
-        for ref in db.entries[v].branching_refs:
-            if ref == v:
-                continue
-            if state[ref] == GREY:
-                chain = " -> ".join(render_version(x) for x in stack + [ref])
-                raise ReferralCycleError(f"referral cycle: {chain}")
-            if state[ref] == WHITE:
-                visit(ref, stack)
-        stack.pop()
-        state[v] = BLACK
-
-    for v in db.entries:
-        if state[v] == WHITE:
-            visit(v, [])
-
-
 def _ancestor_origins(x: Version) -> set[Version]:
     return {branch_origin(x, "minor"), branch_origin(x, "major")}
 
@@ -523,12 +493,7 @@ def _derive_availability(db: Database):
     for x, entry in db.entries.items():
         ancestors = _ancestor_origins(x)
         for ref in entry.branching_refs:
-            if ref == x or ref in ancestors:
-                continue
-            target = db.entries.get(ref)
-            if target is None or not target.has_payload:
-                continue
-            if ref >= x:
+            if ref == x or ref in ancestors or ref >= x or not db.entries[ref].has_payload:
                 continue
             hole_start = branch_origin(x, "minor" if x.patch != 0 else "major")
             if hole_start > ref:
@@ -573,48 +538,74 @@ def _mask_to_windows(mask: int, fam: tuple[Version, ...]):
 # Plan resolution
 
 
-def resolve_plan(db: Database, v: Version) -> TestPlan:
-    """Ordered sub-tests deciding version ``v``.
+def _resolve_plans(entries: dict[Version, VersionTest]) -> dict[Version, TestPlan]:
+    """Every entry's plan, from one walk over the referrals that also rejects a
+    referral or boundary naming no entry and a referral cycle.
 
-    Referrals expand recursively before the entry's own intrinsic test; a
-    deprecated boundary expands after it, tagged expect-fail.  A family
-    version without an entry yields an empty plan (vacuously true).
+    ``path`` holds the referral chain being walked, from its root, each link
+    with the referrals it has yet to walk; it is an explicit stack (a dict,
+    so a cycle is one lookup), so any depth resolves.  An entry is finished once all it refers to is: ``reached``
+    keeps its pass steps, in order and each once, for its referrers to reuse.
     """
-    if v not in db.entries:
+    passes = {v: PlanStep(v, True) for v, entry in entries.items() if entry.has_payload}
+    reached: dict[Version, TestPlan] = {}
+    plans: dict[Version, TestPlan] = {}
+    for root in entries:
+        path = {} if root in reached else {root: _referrals(entries, root)}
+        while path:
+            v, refs = next(reversed(path.items()))
+            ref = next(refs, None)
+            if ref is None:
+                del path[v]
+                entry, own = entries[v], (passes[v],) if v in passes else ()
+                # A self-reference places the entry's own test.  Each pass step
+                # is one shared object, so its id() dedups it cheaply.
+                found = [*chain(*(own if r == v else reached[r] for r in entry.branching_refs),
+                                own)]
+                steps = dict(zip(map(id, found), found))
+                reached[v] = plans[v] = tuple(steps.values())
+                boundary = passes.get(entry.deprecated_ref)
+                if boundary is not None and id(boundary) not in steps:
+                    plans[v] += (PlanStep(entry.deprecated_ref, False),)
+            elif ref in path:
+                links = [*path]
+                cycle = " -> ".join(render_version(x) for x in links[links.index(ref):] + [ref])
+                raise ReferralCycleError(f"referral cycle: {cycle}")
+            elif ref not in reached:
+                path[ref] = _referrals(entries, ref)
+    return plans
+
+
+def _referrals(entries: dict[Version, VersionTest], v: Version) -> Iterator[Version]:
+    """``v``'s referrals other than itself; a :class:`DanglingReferralError` if
+    one of them or its boundary names no entry."""
+    entry = entries[v]
+    for ref in entry.branching_refs:
+        if ref != v and ref not in entries:
+            raise DanglingReferralError(
+                f"entry {render_version(v)} refers to {render_version(ref)} which has no database entry"
+            )
+    if entry.deprecated_ref is not None and entry.deprecated_ref not in entries:
+        raise DanglingReferralError(
+            f"entry {render_version(v)} names deprecated boundary "
+            f"{render_version(entry.deprecated_ref)} which has no database entry"
+        )
+    return (ref for ref in entry.branching_refs if ref != v)
+
+
+def resolve_plan(db: Database, v: Version) -> TestPlan:
+    """Ordered sub-tests deciding version ``v``, resolved when ``db`` was built.
+
+    Referrals' tests come before the entry's own intrinsic test; a deprecated
+    boundary comes after it, tagged expect-fail.  A family version without an
+    entry yields an empty plan (vacuously true).
+    """
+    plan = db.plans.get(v)
+    if plan is None:
         if v not in db.family:
             raise DatabaseError(f"version {render_version(v)} is not part of the family")
         return ()
-
-    steps: list[PlanStep] = []
-    seen: set[Version] = set()
-    depth_budget = len(db.entries) + 1
-
-    def add(version: Version, expect_pass: bool) -> None:
-        if version in seen:
-            return
-        seen.add(version)
-        steps.append(PlanStep(version, expect_pass))
-
-    def expand(version: Version, depth: int) -> None:
-        if depth > depth_budget:
-            raise ReferralCycleError(f"referral expansion exceeded family size at {render_version(version)}")
-        entry = db.entries[version]
-        for ref in entry.branching_refs:
-            if ref == version:
-                if entry.has_payload:
-                    add(version, True)
-                continue
-            expand(ref, depth + 1)
-        if entry.has_payload:
-            add(version, True)
-
-    expand(v, 0)
-    entry = db.entries[v]
-    if entry.deprecated_ref is not None:
-        boundary = db.entries[entry.deprecated_ref]
-        if boundary.has_payload and entry.deprecated_ref not in seen:
-            steps.append(PlanStep(entry.deprecated_ref, False))
-    return tuple(steps)
+    return plan
 
 
 def fold_constraints(db: Database, observations: Iterable[tuple[Version, bool]],
@@ -642,7 +633,7 @@ def plan_truth_set(db: Database, v: Version) -> int:
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    problems: tuple[str, ...]
+    problems: tuple[str, ...]  # always empty: a database that builds has none
     equivalence_classes: tuple[tuple[str, ...], ...]
 
     @property
@@ -651,33 +642,20 @@ class IndependenceReport:
 
 
 def validate_strategy_independence(db: Database) -> IndependenceReport:
-    """Check that every entry resolves to concrete tests from any entry point.
+    """Report the family versions whose plans are empty, each as an
+    equivalence class with its nearest decided representative.
 
-    Versions whose plans are empty are reported as equivalence classes with
-    their nearest decided representative, not as errors.
+    Building ``db`` already resolved every entry's plan to payload entries'
+    tests, so from any entry point a plan is concrete; ``problems`` is empty.
     """
-    problems: list[str] = []
     classes: list[tuple[str, ...]] = []
     rep = None
     for v in db.family.versions:
         # prev: the nearest family version before v that has an entry.
         prev, rep = rep, (v if v in db.entries else rep)
-        try:
-            plan = resolve_plan(db, v)
-        except DatabaseError as exc:
-            problems.append(str(exc))
-            continue
-        if not plan:
+        if not resolve_plan(db, v):
             classes.append((render_version(prev), render_version(v)) if prev else (render_version(v),))
-            continue
-        for step in plan:
-            entry = db.entries.get(step.version)
-            if entry is None or not entry.has_payload:
-                problems.append(
-                    f"plan for {render_version(v)} references {render_version(step.version)} "
-                    "which has no concrete intrinsic test"
-                )
-    return IndependenceReport(tuple(problems), tuple(classes))
+    return IndependenceReport((), tuple(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ every hierarchy case:
 
 ``synth_docs(seed)`` builds a random family of up to 50 versions for
 property trials; it may leave some versions without entries to exercise
-equivalence classes.
+equivalence classes.  ``chain_db_doc(length)`` builds a database whose
+referrals form one chain ``length`` entries deep.
 
 To rewrite ``fixtures/*.json`` from the blueprint::
 
@@ -289,6 +290,17 @@ def synth_docs(seed: int) -> tuple[dict, dict]:
     name = f"synth-{seed}"
     versions = {label: entries[label] for label in ordered if label in entries}
     return db_doc(name, ordered, versions), sim_doc(name, ordered, functions)
+
+
+def chain_db_doc(length: int) -> dict:
+    """A database of ``length`` versions 1.0.0, 1.0.1, ... whose every entry
+    refers to the one before it, listed from the top down, so the referral
+    chain is as deep as the family is long."""
+    labels = [f"1.0.{i}" for i in range(length)]
+    versions = {labels[0]: {"test": echo_entry(labels[0])}}
+    for prev, label in zip(labels, labels[1:]):
+        versions[label] = {"test": {**echo_entry(label), "branching": {prev: "1"}}}
+    return db_doc("chain", labels, dict(reversed(versions.items())))
 
 
 def _label_key(label: str):

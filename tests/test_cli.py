@@ -5,6 +5,8 @@ import pytest
 
 from fpaudit.cli import main
 
+from families import chain_db_doc
+
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DB = str(FIXTURES / "php_like_db.json")
 SIM_HONEST = str(FIXTURES / "php_like_sim_honest.json")
@@ -273,12 +275,27 @@ def test_unusable_argument_is_one_error_line(args, named, tmp_path, capsys):
     assert (missing if named == "MISSING" else named) in err[0]
 
 
-def test_db_validate_reports_a_document_that_is_not_utf8_on_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("args, code, verdict", [
+    pytest.param(["db", "validate"], 1, "invalid: ", id="db-validate"),
+    pytest.param(["audit", "--sim-config", SIM_HONEST], 2, "error: ", id="audit"),
+])
+def test_a_database_that_is_not_utf8_is_a_verdict_only_to_db_validate(args, code, verdict,
+                                                                       tmp_path, capsys):
+    # db validate judges databases, so one that does not load is its verdict;
+    # to any other command it is malformed input.
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"service": "\xff"}')
-    assert run(["db", "validate", "--database", str(bad)]) == 1
+    assert run([*args, "--database", str(bad)]) == code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("invalid: database document is not valid JSON")
+    assert len(err) == 1 and err[0].startswith(verdict + "database document is not valid JSON")
+
+
+def test_db_validate_a_deep_referral_chain(tmp_path, capsys):
+    deep = tmp_path / "chain.json"
+    deep.write_text(json.dumps(chain_db_doc(2000)))
+    assert run(["db", "validate", "--database", str(deep)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "2000 entries over 2000 versions; perfect coverage\n" and err == ""
 
 
 def test_audit_over_http_served_simulator(capsys, sim_family, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fpaudit.database import (
     DanglingReferralError,
     DatabaseError,
+    PlanStep,
     ReferralCycleError,
     SchemaError,
     VariableSpec,
@@ -23,7 +24,7 @@ from fpaudit.database import (
 )
 from fpaudit.versions import parse_version as pv
 
-from families import synth_docs
+from families import chain_db_doc, synth_docs
 
 
 def minimal_doc(versions=None, family=None):
@@ -88,6 +89,17 @@ def test_referral_cycle_detected():
     }
     with pytest.raises(ReferralCycleError):
         load_database(json.dumps(minimal_doc(versions)).encode())
+
+
+def test_referral_cycle_names_only_its_links():
+    versions = {
+        "1.0.0": {"test": {"branching": {"2.0.0": "1"}}},
+        "2.0.0": {"test": {"branching": {"3.0.0": "1"}}},
+        "3.0.0": {"test": {"branching": {"2.0.0": "1"}}},
+    }
+    with pytest.raises(ReferralCycleError) as cycle:
+        load_database(json.dumps(minimal_doc(versions)).encode())
+    assert str(cycle.value) == "referral cycle: 2.0.0 -> 3.0.0 -> 2.0.0"
 
 
 def test_self_reference_is_not_a_cycle():
@@ -269,6 +281,80 @@ def test_resolve_plan_never_duplicates_subtests(db):
         assert len(seen) == len(set(seen))
         for step in plan:
             assert db.entries[step.version].has_payload
+
+
+def reference_plan(db, v):
+    """The recursive expansion ``resolve_plan`` once ran on every call: referrals
+    depth-first, the entry's own test, then an expect-fail boundary."""
+    if v not in db.entries:
+        return ()
+    steps, seen = [], set()
+
+    def add(version):
+        if version not in seen:
+            seen.add(version)
+            steps.append(PlanStep(version, True))
+
+    def expand(version):
+        entry = db.entries[version]
+        for ref in entry.branching_refs:
+            if ref != version:
+                expand(ref)
+            elif entry.has_payload:
+                add(version)
+        if entry.has_payload:
+            add(version)
+
+    expand(v)
+    boundary = db.entries[v].deprecated_ref
+    if boundary is not None and db.entries[boundary].has_payload and boundary not in seen:
+        steps.append(PlanStep(boundary, False))
+    return tuple(steps)
+
+
+def test_resolved_plans_equal_the_recursive_expansion(db):
+    synthetic = [load_database(json.dumps(synth_docs(seed)[0])) for seed in range(100)]
+    for each in [db, *synthetic]:
+        for v in each.family.versions:
+            assert resolve_plan(each, v) == reference_plan(each, v), (each.meta.service_name, str(v))
+
+
+def test_a_plan_is_resolved_once_and_shares_its_steps(db):
+    for v in db.entry_versions:
+        assert resolve_plan(db, v) is resolve_plan(db, v)
+    steps: dict[PlanStep, set[int]] = {}
+    for plan in db.plans.values():
+        for step in plan:
+            steps.setdefault(step, set()).add(id(step))
+    assert all(len(ids) == 1 for step, ids in steps.items() if step.expect_pass)
+
+
+def test_deep_referral_chain_resolves_in_version_order():
+    db = load_database(json.dumps(chain_db_doc(2000)))
+    plan = resolve_plan(db, pv("1.0.1999"))
+    assert [s.version for s in plan] == list(db.family.versions)
+    assert len(plan) == 2000 and all(s.expect_pass for s in plan)
+
+
+def test_criterion_12_faults_are_named_exactly(db_doc):
+    tests = db_doc["service"]["versions"]
+    tests["7.2.9"]["test"]["branching"]["9.9.9"] = "1"
+    with pytest.raises(DanglingReferralError) as dangling:
+        load_database(json.dumps(db_doc))
+    assert str(dangling.value) == "entry 7.2.9 refers to 9.9.9 which has no database entry"
+
+    del tests["7.2.9"]["test"]["branching"]["9.9.9"]
+    tests["7.0.22"]["test"]["deprecated"] = "7.1.99"
+    with pytest.raises(DanglingReferralError) as boundary:
+        load_database(json.dumps(db_doc))
+    assert str(boundary.value) == ("entry 7.0.22 names deprecated boundary 7.1.99 "
+                                   "which has no database entry")
+
+    tests["7.0.22"]["test"]["deprecated"] = "7.1.0"
+    tests["7.2.0"]["test"]["branching"] = {"7.2.9": "1"}
+    with pytest.raises(ReferralCycleError) as cycle:
+        load_database(json.dumps(db_doc))
+    assert str(cycle.value) == "referral cycle: 7.2.0 -> 7.2.9 -> 7.2.0"
 
 
 def test_backport_gap_derived_from_referrals(db):

@@ -397,20 +397,11 @@ def test_http_held_put_acknowledgement_counts_against_deadline(db, rng):
     # miss the 200 ms deadline.
     rt = render_test(db, pv("7.2.0"), rng)
     assert rt.deadline == pytest.approx(0.2)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _HeldAckHandler)
-    server.answer = rt.expected_payload
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(_HeldAckHandler, answer=rt.expected_payload) as server:
         base = f"http://127.0.0.1:{server.server_address[1]}"
         chl = InterfaceEndpoint(id="c", kind="http-fetch", address=base + "/challenge")
         rsp = InterfaceEndpoint(id="r", kind="http-fetch", address=base + "/response")
         record = exchange(chl, rsp, rt.challenge_payload, rt.deadline)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
     assert record.response_bytes == rt.expected_payload
     result = judge(record.response_bytes, rt.expected_payload, record.elapsed,
                    rt.deadline, record.transport_error)
@@ -443,19 +434,11 @@ class _WebrootHandler(BaseHTTPRequestHandler):
 def test_file_drop_challenge_with_http_fetched_response(tmp_path, work, answer):
     # The webroot deployment: the challenge is dropped where the provider
     # picks it up, and the answer is fetched over HTTP once it is ready.
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _WebrootHandler)
-    server.drop, server.work, server.seen_at, server.not_ready = tmp_path, work, None, 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _serving(_WebrootHandler, drop=tmp_path, work=work, seen_at=None, not_ready=0) as server:
         chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(tmp_path), timeout_cap=0.2)
         rsp = InterfaceEndpoint(id="r", kind="http-fetch",
                                 address=f"http://127.0.0.1:{server.server_address[1]}/response")
         record = exchange(chl, rsp, b"payload", 0.3)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
     assert record.transport_error is None
     assert record.response_bytes == answer
     assert server.not_ready >= 1
