@@ -13,7 +13,7 @@ import re
 import secrets
 from dataclasses import dataclass, field
 
-from .database import _PLACEHOLDER_RE, Database, VariableSpec, VersionTest
+from .database import _PLACEHOLDER_RE, Database, Tags, VariableSpec, VersionTest
 from .versions import Version, VersionSet, render_version
 
 _STRING_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -97,29 +97,6 @@ def draw_binding(entry: VersionTest, rng: RandomnessSource, family: VersionSet |
     return Binding({name: draw(spec, rng, family) for name, spec in entry.variables.items()})
 
 
-@dataclass(frozen=True)
-class Tags:
-    start: bytes = b""
-    end: bytes = b""
-
-    def apply(self, payload: bytes) -> bytes:
-        return self.start + payload + self.end
-
-
-def tags_for(db: Database, entry: VersionTest, side: str) -> Tags:
-    """Start/end tag strings for one side, honoring per-entry overrides."""
-    defaults = db.meta.default_values
-
-    def flag(name: str) -> bool:
-        override = entry.tag_overrides.get(f"{side}.{name}")
-        raw = override if override is not None else defaults.get(f"version.test.{side}.{name}", "false")
-        return str(raw).lower() == "true"
-
-    start = str(defaults.get(f"version.test.{side}.starttag", "")) if flag("setstarttag") else ""
-    end = str(defaults.get(f"version.test.{side}.endtag", "")) if flag("setendtag") else ""
-    return Tags(start.encode("utf-8"), end.encode("utf-8"))
-
-
 def render(template: bytes, binding: Binding, tags: Tags = Tags()) -> bytes:
     """Substitute placeholders and apply tags; deterministic."""
     values = binding.rendered()
@@ -146,8 +123,8 @@ def render_test(db: Database, version: Version, rng: RandomnessSource) -> Render
     if not entry.has_payload:
         raise RenderError(f"entry {render_version(version)} has no intrinsic test payload")
     binding = draw_binding(entry, rng, db.family)
-    challenge = render(entry.challenge_template, binding, tags_for(db, entry, "challenge"))
-    expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
+    challenge = render(entry.challenge_template, binding, entry.challenge_tags)
+    expected = render(entry.expect_template, binding, entry.expect_tags)
     return RenderedTest(challenge_payload=challenge, expected_payload=expected, deadline=entry.wait_time)
 
 

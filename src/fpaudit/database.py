@@ -155,6 +155,12 @@ class DatabaseMeta:
         unit = str(self.default_values.get("version.test.waittime.type", "milliseconds"))
         return _to_seconds(amount, unit)
 
+    @functools.cached_property
+    def default_tags(self) -> tuple[Tags, Tags]:
+        """The challenge and expect tags of an entry that overrides no tag flag."""
+        return (_side_tags({}, "challenge", self.default_values),
+                _side_tags({}, "expect", self.default_values))
+
 
 def _to_seconds(amount: float, unit: str) -> float:
     if unit in ("ms", "millisecond", "milliseconds"):
@@ -173,6 +179,15 @@ def _parse_rfc3339(value: str, key: str) -> str:
 
 
 @dataclass(frozen=True)
+class Tags:
+    start: bytes = b""
+    end: bytes = b""
+
+    def apply(self, payload: bytes) -> bytes:
+        return self.start + payload + self.end
+
+
+@dataclass(frozen=True)
 class VersionTest:
     """One database entry: intrinsic test plus referral structure."""
 
@@ -186,6 +201,10 @@ class VersionTest:
     deprecated_ref: Version | None = None
     explicit_windows: tuple[tuple[Version, Version | None], ...] | None = None
     tag_overrides: dict[str, object] = field(default_factory=dict)
+    # The tags each side's payload is wrapped in: the defaults, with
+    # ``tag_overrides`` applied, resolved when the entry is loaded.
+    challenge_tags: Tags = Tags()
+    expect_tags: Tags = Tags()
 
     @property
     def has_payload(self) -> bool:
@@ -254,6 +273,23 @@ class Database:
         an audit step scans, built once per database."""
         index = self.family.index
         return tuple((v, 1 << index[v], t) for v, t in self.truth.items())
+
+    @functools.cached_property
+    def entry_mask(self) -> int:
+        """The mask of the family versions that have an entry."""
+        index = self.family.index
+        return sum(1 << index[v] for v in self.entry_versions)
+
+    @functools.cached_property
+    def branch_heads(self) -> dict[tuple[int, ...], dict[int, Version]]:
+        """Branch prefix ``()``, ``(major,)`` or ``(major, minor)`` -> the lowest
+        entry for each value of the next component, both in ascending order."""
+        heads: dict[tuple[int, ...], dict[int, Version]] = {(): {}}
+        for v in self.entry_versions:
+            heads[()].setdefault(v.major, v)
+            heads.setdefault((v.major,), {}).setdefault(v.minor, v)
+            heads.setdefault((v.major, v.minor), {}).setdefault(v.patch, v)
+        return heads
 
     @property
     def is_perfect(self) -> bool:
@@ -445,15 +481,16 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
             for lo, hi in pairs
         )
 
-    tag_overrides = {}
-    for side in ("challenge", "expect"):
-        block = test.get(side) or {}
-        for tag_key in ("setstarttag", "setendtag"):
-            if tag_key in block:
-                tag_overrides[f"{side}.{tag_key}"] = block[tag_key]
+    tag_overrides = {f"{side}.{tag_key}": block[tag_key]
+                     for side, block in (("challenge", challenge), ("expect", expect))
+                     for tag_key in ("setstarttag", "setendtag") if tag_key in block}
 
     if challenge_payload is None and not refs:
         raise SchemaError(f"entry {label!r}: has neither a challenge payload nor referrals")
+    challenge_tags, expect_tags = (
+        (_side_tags(tag_overrides, "challenge", meta.default_values),
+         _side_tags(tag_overrides, "expect", meta.default_values))
+        if tag_overrides else meta.default_tags)
 
     return VersionTest(
         version=v,
@@ -466,7 +503,24 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
         deprecated_ref=deprecated_ref,
         explicit_windows=explicit,
         tag_overrides=tag_overrides,
+        challenge_tags=challenge_tags,
+        expect_tags=expect_tags,
     )
+
+
+def _side_tags(overrides: dict[str, object], side: str, defaults: dict[str, object]) -> Tags:
+    """One side's start and end tags: a tag is set when the entry's flag says
+    so, or, with no flag (or a null one), when the default flag does."""
+
+    def tag(name: str) -> bytes:
+        flag = overrides.get(f"{side}.set{name}")
+        if flag is None:
+            flag = defaults.get(f"version.test.{side}.set{name}", "false")
+        if str(flag).lower() != "true":
+            return b""
+        return str(defaults.get(f"version.test.{side}.{name}", "")).encode("utf-8")
+
+    return Tags(tag("starttag"), tag("endtag"))
 
 
 def _ancestor_origins(x: Version) -> set[Version]:

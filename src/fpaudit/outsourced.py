@@ -46,7 +46,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .challenge import Binding, RandomnessSource, draw_binding, judge, render, tags_for
+from .challenge import Binding, RandomnessSource, draw_binding, judge, render
 from .database import Database, VersionTest
 from .strategies import DecisionLog, drive_audit
 from .transport import ExchangeRecord
@@ -238,9 +238,9 @@ class RoundResult:
     e_prime: bytes
 
 
-def _replay(db: Database, entry: VersionTest, binding: Binding, fields: dict) -> RoundResult:
+def _replay(entry: VersionTest, binding: Binding, fields: dict) -> RoundResult:
     """Judge a round's response against the expectation its signed values imply."""
-    expected = render(entry.expect_template, binding, tags_for(db, entry, "expect"))
+    expected = render(entry.expect_template, binding, entry.expect_tags)
     elapsed = _epoch(fields["t4"]) - _epoch(fields["t2"])
     judged = judge(fields["ePrime"], expected, elapsed, entry.wait_time)
     return RoundResult(judged.delta, judged.reason, elapsed, fields["ePrime"])
@@ -279,7 +279,7 @@ def run_round(
     sent = time.time()
     fields.update(phi=_phi_bytes(binding.canonical()), t2=_stamp(sent))
     fields["S2"] = user.identity.sign(signed_bytes("S2", fields))
-    c_prime = render(fields["c"], binding, tags_for(db, entry, "challenge"))
+    c_prime = render(fields["c"], binding, entry.challenge_tags)
 
     fields["ePrime"], fields["t3"], fields["S3"], latency = provider.process(
         round_no, c_prime, fields["S2"])
@@ -301,7 +301,7 @@ def run_round(
         raise RoundError("user", "randomness value repeated")
     auditor._phi_seen.add(fields["phi"])
 
-    result = _replay(db, entry, binding, fields)
+    result = _replay(entry, binding, fields)
     auditor.log.append({**logged, "delta": result.delta})
     return result
 
@@ -481,7 +481,7 @@ def verify_liability(
         provider_copy = copies.get("provider")
         if provider_copy is not None:
             if provider_copy["cPrime"] != render(reference["c"], binding,
-                                                 tags_for(db, entry, "challenge")):
+                                                 entry.challenge_tags):
                 verdicts["provider"].blame(
                     f"{label}: logged challenge does not derive from the signed randomness")
             if provider_copy["ePrime"] != reference["ePrime"]:
@@ -490,7 +490,7 @@ def verify_liability(
             verdicts[blamed].blame(f"{label}: {reason}")
         auditor_copy = copies.get("auditor")
         if auditor_copy is not None and not faults and \
-                _replay(db, entry, binding, reference).delta != auditor_copy["delta"]:
+                _replay(entry, binding, reference).delta != auditor_copy["delta"]:
             verdicts["auditor"].blame(
                 f"{label}: recorded decision contradicts the replayed expected response")
     return verdicts

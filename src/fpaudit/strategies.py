@@ -9,21 +9,28 @@ stops when no untested entry could shrink that set further (or the test
 budget runs out).  This shared stopping rule is what makes all strategies
 land on the same candidate set.
 
-Each step the loop calls ``pick(ctx, informative)`` with the untested
-entries whose outcome would shrink the candidate set, in ascending order;
-a strategy that returns None gets the middle informative entry.  Strategy
-names: BS (bisection over the sorted family), CBS (cascaded bisections over
-major, then minor, then patch), HTL (the newest informative entry), LTH
-(the oldest informative entry), HMSU (start at the highest major's branch
-start and step optimistically upward).
+Each step the loop first asks whether any untested entry's outcome would
+shrink the candidate set (an *informative* entry), scanning down from the
+newest entry, then calls ``pick(ctx)``.  A strategy reads only what it
+needs from the context: HTL the newest informative entry, LTH the oldest
+(each found by a scan from its own end), BS the candidate entries' mask,
+CBS and HMSU the database's branch heads and the logged results.  A scan
+drops the rows it passes that no longer split the candidates, so an
+audit's scans together visit each entry about once.  The ascending list
+of every informative entry is built only when a strategy returns None:
+the loop then tests its middle entry.  Strategy names: BS (bisection over
+the sorted family), CBS (cascaded bisections over major, then minor, then
+patch), HTL (the newest informative entry), LTH (the oldest informative
+entry), HMSU (start at the highest major's branch start and step
+optimistically upward).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .challenge import RandomnessSource
 from .database import Database, STRATEGY_SHORT, fold_constraints, resolve_plan
@@ -98,10 +105,12 @@ class AuditContext:
         self.candidates: int = db.family.full
         self.tested = 0  # mask of the logged versions
         self.log = DecisionLog()
-        # The db.entry_truths rows that split the candidates at the last look.
-        # Candidates only shrink, so an entry that stopped splitting them never
-        # splits them again, and a tested entry stays tested.
+        # The db.entry_truths rows outside _splitting[_lo:_hi] no longer split
+        # the candidates.  Candidates only shrink, so an entry that stopped
+        # splitting them never splits them again, and a tested entry stays
+        # tested.
         self._splitting = db.entry_truths
+        self._lo, self._hi = 0, len(self._splitting)
 
     def apply(self, outcome: TestOutcome) -> None:
         logged = len(self.log.rows)
@@ -123,43 +132,76 @@ class AuditContext:
         hits = c & self.truth[v]
         return None if hits and hits != c else hits != 0
 
+    def newest_informative(self) -> Version | None:
+        """The newest untested entry whose outcome would shrink the candidate
+        set, or None; the rows scanned past above it are dropped."""
+        rows, c, tested = self._splitting, self.candidates, self.tested
+        lo, hi = self._lo, self._hi
+        while hi > lo:
+            _, bit, truth = rows[hi - 1]
+            if not tested & bit and (hits := c & truth) and hits != c:
+                break
+            hi -= 1
+        self._hi = hi
+        return rows[hi - 1][0] if hi > lo else None
+
+    def oldest_informative(self) -> Version | None:
+        """The oldest untested entry whose outcome would shrink the candidate
+        set, or None; the rows scanned past below it are dropped."""
+        rows, c, tested = self._splitting, self.candidates, self.tested
+        lo, hi = self._lo, self._hi
+        while lo < hi:
+            _, bit, truth = rows[lo]
+            if not tested & bit and (hits := c & truth) and hits != c:
+                break
+            lo += 1
+        self._lo = lo
+        return rows[lo][0] if lo < hi else None
+
     def informative(self) -> list[Version]:
-        """Untested entries whose outcome would shrink the candidate set."""
+        """Untested entries whose outcome would shrink the candidate set, ascending."""
         c, tested = self.candidates, self.tested
-        self._splitting = [row for row in self._splitting
+        self._splitting = [row for row in self._splitting[self._lo:self._hi]
                            if not tested & row[1] and (hits := c & row[2]) and hits != c]
+        self._lo, self._hi = 0, len(self._splitting)
         return [row[0] for row in self._splitting]
 
 
-def _heads(versions: Iterable[Version], level: str) -> dict[int, Version]:
-    """The lowest of the ascending ``versions`` for each value of ``level``."""
-    heads = {}
-    for v in versions:
-        heads.setdefault(getattr(v, level), v)
-    return heads
+def _nth_bit(mask: int, n: int) -> int:
+    """Position of the set bit of ``mask`` with ``n`` set bits below it,
+    found by bisecting on popcount."""
+    total = mask.bit_count()
+    lo, hi = 0, mask.bit_length()  # at most n set bits below lo, more below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if total - (mask >> mid).bit_count() > n:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 class BinarySearch:
     name = "BS"
 
-    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
-        c, tested = ctx.candidates, ctx.tested
-        pool = [v for v, bit, _ in ctx.db.entry_truths if c & bit and not tested & bit]
-        return _mid(pool) if pool else None
+    def pick(self, ctx: AuditContext) -> Version | None:
+        pool = ctx.candidates & ctx.db.entry_mask & ~ctx.tested
+        # The optimistic middle of the untested candidate entries, as _mid.
+        return ctx.db.family.versions[_nth_bit(pool, pool.bit_count() // 2)] if pool else None
 
 
 class HighToLow:
     name = "HTL"
 
-    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
-        return informative[-1]
+    def pick(self, ctx: AuditContext) -> Version | None:
+        return ctx.newest_informative()
 
 
 class LowToHigh:
     name = "LTH"
 
-    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
-        return informative[0]
+    def pick(self, ctx: AuditContext) -> Version | None:
+        return ctx.oldest_informative()
 
 
 class CascadingBinarySearch:
@@ -173,11 +215,12 @@ class CascadingBinarySearch:
 
     name = "CBS"
 
-    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
-        pool = ctx.entry_versions
-        for level in ("major", "minor", "patch"):
-            heads = _heads(pool, level)
-            results = {val: ctx.log.deltas.get(head) for val, head in heads.items()}
+    def pick(self, ctx: AuditContext) -> Version | None:
+        branch_heads, deltas = ctx.db.branch_heads, ctx.log.deltas
+        prefix: tuple[int, ...] = ()
+        while len(prefix) < 3:  # major, minor, patch
+            heads = branch_heads[prefix]
+            results = {val: deltas.get(head) for val, head in heads.items()}
             floor = max((val for val, res in results.items() if res is True), default=-1)
             cap = min((val for val, res in results.items() if res is False), default=math.inf)
             window = [heads[val] for val, res in results.items()
@@ -186,8 +229,11 @@ class CascadingBinarySearch:
                 return _mid(window)
             if floor < 0:
                 return None
-            pool = [v for v in pool if getattr(v, level) == floor]
+            prefix += (floor,)
         return None
+
+
+_minor_branch = attrgetter("major", "minor")
 
 
 class MajorHighestStepUp:
@@ -197,8 +243,8 @@ class MajorHighestStepUp:
 
     name = "HMSU"
 
-    def pick(self, ctx: AuditContext, informative: list[Version]) -> Version | None:
-        for frontier in reversed(_heads(ctx.entry_versions, "major").values()):
+    def pick(self, ctx: AuditContext) -> Version | None:
+        for frontier in reversed(ctx.db.branch_heads[()].values()):
             status = ctx.status(frontier)
             if status is None:
                 return frontier
@@ -211,10 +257,8 @@ class MajorHighestStepUp:
         while True:
             # The entries above the frontier on its minor branch, led by the
             # first entry of the next minor branch of the same major.
-            branch = (frontier.major, frontier.minor)
-            end = pos + 1
-            while end < len(entries) and (entries[end].major, entries[end].minor) == branch:
-                end += 1
+            end = bisect_left(entries, (frontier.major, frontier.minor + 1), pos + 1,
+                              key=_minor_branch)
             order = list(range(pos + 1, end))
             if end < len(entries) and entries[end].major == frontier.major:
                 order.insert(0, end)
@@ -270,18 +314,19 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     budget = budget if budget is not None else default_budget(db)
 
     tests_run = 0
-    while True:
-        informative = ctx.informative()
-        if not informative or tests_run >= budget:
-            ctx.log.stop_reason = "budget" if informative else "converged"
+    while ctx.newest_informative() is not None:
+        if tests_run >= budget:
+            ctx.log.stop_reason = "budget"
             break
-        pick = strategy.pick(ctx, informative)
+        pick = strategy.pick(ctx)
         if pick is None:
-            pick = _mid(informative)
+            pick = _mid(ctx.informative())
         if pick in ctx.log.deltas:
             raise AuditError(f"strategy repeated version {render_version(pick)}")
         plan = resolve_plan(db, pick)
         outcome = run_test(plan, pick, probe, prior=ctx.log.observations)
         ctx.apply(outcome)
         tests_run += 1
+    else:
+        ctx.log.stop_reason = "converged"
     return ctx.log

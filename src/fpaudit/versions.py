@@ -51,6 +51,8 @@ class Version:
     raw: str = field(default="", compare=False)
     # The only compared field, so equality, order and hash all use it.
     key: tuple = field(init=False, repr=False)
+    # hash(key), computed once: versions key every dict and set in the package.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.major < 0 or self.minor < 0 or self.patch < 0:
@@ -59,6 +61,15 @@ class Version:
         pre_key = (_PRE_STAGES[self.pre.stage], self.pre.ordinal) if self.pre \
             else (len(_PRE_STAGES), 0)
         object.__setattr__(self, "key", (self.major, self.minor, self.patch, *pre_key))
+        object.__setattr__(self, "_hash", hash(self.key))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Version):
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return render_version(self)

@@ -12,6 +12,7 @@ from fpaudit.database import (
     PlanStep,
     ReferralCycleError,
     SchemaError,
+    Tags,
     VariableSpec,
     add_entry,
     fold_constraints,
@@ -424,6 +425,45 @@ def test_round_trip_synthetic_family(seed):
 
 def test_defaults_fold_into_entries(db):
     assert db.entries[pv("7.2.0")].wait_time == pytest.approx(0.2)
+
+
+def reference_tags(db, entry, side: str) -> Tags:
+    """The tags a render once derived from the defaults and the entry's overrides."""
+    defaults = db.meta.default_values
+
+    def flag(name: str) -> bool:
+        override = entry.tag_overrides.get(f"{side}.{name}")
+        raw = override if override is not None else defaults.get(f"version.test.{side}.{name}", "false")
+        return str(raw).lower() == "true"
+
+    start = str(defaults.get(f"version.test.{side}.starttag", "")) if flag("setstarttag") else ""
+    end = str(defaults.get(f"version.test.{side}.endtag", "")) if flag("setendtag") else ""
+    return Tags(start.encode("utf-8"), end.encode("utf-8"))
+
+
+def test_entry_tags_fold_the_defaults_and_the_overrides(db_doc):
+    db_doc["defaultvalues"].update({"version.test.expect.starttag": "<<",
+                                    "version.test.expect.endtag": ">>"})
+    flags = [None, True, False, "true", "FALSE", "yes"]  # None: no override
+    payload_entries = [body["test"] for body in db_doc["service"]["versions"].values()
+                       if "challenge" in body["test"]]
+    for i, test in enumerate(payload_entries):
+        for j, (side, tag) in enumerate((("challenge", "setstarttag"), ("challenge", "setendtag"),
+                                         ("expect", "setstarttag"), ("expect", "setendtag"))):
+            value = flags[(i + j * 2) % len(flags)]
+            if value is not None:
+                test[side][tag] = value
+    db = load_database(json.dumps(db_doc))
+    seen = set()
+    for entry in db.entries.values():
+        assert entry.challenge_tags == reference_tags(db, entry, "challenge")
+        assert entry.expect_tags == reference_tags(db, entry, "expect")
+        seen.add((entry.challenge_tags, entry.expect_tags))
+    assert len(seen) >= 4
+    again = load_database(serialize_database(db))
+    assert again == db
+    assert [e.tag_overrides for e in again.entries.values()] == \
+        [e.tag_overrides for e in db.entries.values()]
 
 
 def test_per_entry_waittime_override():

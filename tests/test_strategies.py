@@ -1,6 +1,14 @@
+import functools
 import json
+import math
+import random
+import sys
+from bisect import bisect_left
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpaudit import database, verdict
 from fpaudit.challenge import RandomnessSource
@@ -8,11 +16,15 @@ from fpaudit.database import load_database, resolve_plan
 from fpaudit.protocol import SubOutcome, run_test, transport_probe
 from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce, sim_family_from_doc
-from fpaudit.strategies import STRATEGIES, AuditContext, AuditError, DecisionLog, run_audit
+from fpaudit.strategies import (STRATEGIES, AuditContext, AuditError, DecisionLog, _mid, _nth_bit,
+                                default_budget, drive_audit, run_audit)
 from families import synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
 from fpaudit.versions import parse_version as pv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import grid  # noqa: E402
 
 
 def trace(log):
@@ -63,7 +75,7 @@ def test_bisection_starts_at_middle_of_seven():
     }
     db = load_database(json.dumps(doc).encode())
     ctx = AuditContext(db)
-    pick = STRATEGIES["BS"]().pick(ctx, ctx.informative())
+    pick = STRATEGIES["BS"]().pick(ctx)
     assert str(pick) == "1.0.3"
 
 
@@ -230,7 +242,7 @@ def _status_checks(db, sim, src, behavior: str) -> int:
         probe = transport_probe(make_loopback(produce(sim, cfg)), RandomnessSource(seed=7), db)
         ctx = AuditContext(db)
         while informative := ctx.informative():
-            pick = strategy().pick(ctx, informative) or informative[0]
+            pick = strategy().pick(ctx) or informative[0]
             ctx.apply(run_test(resolve_plan(db, pick), pick, probe, prior=ctx.log.observations))
             if not ctx.candidates:
                 break
@@ -260,3 +272,187 @@ def test_status_of_a_tested_entry_is_its_result_on_synthetic_families():
         for src in random.Random(seed).sample(versions, min(3, len(versions))):
             checked += _status_checks(db, sim, src, "honest")
     assert checked > 500
+
+
+# -- The full scans every audit step once made, kept as the reference --------
+
+
+def reference_informative(ctx):
+    """Every untested entry whose outcome would shrink the candidate set,
+    ascending, from a scan of every entry."""
+    c, tested = ctx.candidates, ctx.tested
+    return [v for v, bit, truth in ctx.db.entry_truths
+            if not tested & bit and (hits := c & truth) and hits != c]
+
+
+def reference_heads(versions, level: str) -> dict:
+    """The lowest of the ascending ``versions`` for each value of ``level``."""
+    heads = {}
+    for v in versions:
+        heads.setdefault(getattr(v, level), v)
+    return heads
+
+
+def reference_pick(name: str, ctx, informative):
+    """The pick each strategy made from the full informative list; None
+    leaves it to the loop's fallback."""
+    if name == "HTL":
+        return informative[-1]
+    if name == "LTH":
+        return informative[0]
+    if name == "BS":
+        c, tested = ctx.candidates, ctx.tested
+        pool = [v for v, bit, _ in ctx.db.entry_truths if c & bit and not tested & bit]
+        return _mid(pool) if pool else None
+    if name == "CBS":
+        pool = ctx.entry_versions
+        for level in ("major", "minor", "patch"):
+            heads = reference_heads(pool, level)
+            results = {val: ctx.log.deltas.get(head) for val, head in heads.items()}
+            floor = max((val for val, res in results.items() if res is True), default=-1)
+            cap = min((val for val, res in results.items() if res is False), default=math.inf)
+            window = [heads[val] for val, res in results.items()
+                      if res is None and floor < val < cap]
+            if window:
+                return _mid(window)
+            if floor < 0:
+                return None
+            pool = [v for v in pool if getattr(v, level) == floor]
+        return None
+    assert name == "HMSU"
+    for frontier in reversed(reference_heads(ctx.entry_versions, "major").values()):
+        status = ctx.status(frontier)
+        if status is None:
+            return frontier
+        if status:
+            break
+    else:
+        return None
+    entries = ctx.entry_versions
+    pos = bisect_left(entries, frontier)
+    while True:
+        branch = (frontier.major, frontier.minor)
+        end = pos + 1
+        while end < len(entries) and (entries[end].major, entries[end].minor) == branch:
+            end += 1
+        order = list(range(pos + 1, end))
+        if end < len(entries) and entries[end].major == frontier.major:
+            order.insert(0, end)
+        for i in order:
+            status = ctx.status(entries[i])
+            if status is None:
+                return entries[i]
+            if status:
+                frontier, pos = entries[i], i
+                break
+        else:
+            return None
+
+
+def truth_probe(db, src):
+    """An honest provider at ``src``: each intrinsic test passes where its
+    function is available."""
+    bit = db.family.index[src]
+    return lambda v: (bool(db.avail_masks[v] >> bit & 1), None, None)
+
+
+def liar_probe(db, seed: int):
+    """A provider answering each intrinsic test by a coin flip seeded by the
+    version, so its answers rarely fit any one version."""
+    return lambda v: (random.Random(seed * 100_003 + db.family.index[v]).random() < 0.5,
+                      None, None)
+
+
+def assert_steps_match_reference(db, probes) -> int:
+    """Step every strategy through an audit per probe; every step's stop
+    test, edge scans and pick (with the loop's fallback) must match the
+    reference, and ``drive_audit`` must test the same versions and stop for
+    the same reason.  Returns the number of steps checked."""
+    steps = 0
+    for name, strategy in STRATEGIES.items():
+        for probe in probes:
+            ctx, budget, picks = AuditContext(db), default_budget(db), []
+            while True:
+                informative = reference_informative(ctx)
+                assert ctx.newest_informative() == (informative[-1] if informative else None)
+                assert ctx.oldest_informative() == (informative[0] if informative else None)
+                if not informative or len(picks) >= budget:
+                    stop_reason = "budget" if informative else "converged"
+                    break
+                want = reference_pick(name, ctx, informative)
+                got = strategy().pick(ctx)
+                want = _mid(informative) if want is None else want
+                got = _mid(ctx.informative()) if got is None else got
+                assert got == want, (name, len(picks), str(got), str(want))
+                picks.append(got)
+                ctx.apply(run_test(resolve_plan(db, got), got, probe, prior=ctx.log.observations))
+                steps += 1
+            log = drive_audit(db, name, probe)
+            assert [o.version for o in log.plan_outcomes()] == picks, name
+            assert log.stop_reason == stop_reason, name
+    return steps
+
+
+@functools.cache
+def grid_1024():
+    """The seed-0 4x16x16 grid database of the benchmark's generator."""
+    return load_database(grid.grid_docs(0, grid.GridShape(4, 16, 16)).db_bytes())
+
+
+def _synthetic_dbs():
+    return [load_database(json.dumps(synth_docs(seed)[0])) for seed in range(20)]
+
+
+def test_steps_match_the_full_scans_on_the_fixture(db):
+    probes = [truth_probe(db, src) for src in db.family.versions]
+    probes += [liar_probe(db, seed) for seed in range(24)]
+    assert assert_steps_match_reference(db, probes) > 1000
+
+
+def test_steps_match_the_full_scans_on_synthetic_families():
+    steps = 0
+    for seed, each in enumerate(_synthetic_dbs()):
+        versions = each.family.versions
+        sources = random.Random(seed).sample(versions, min(4, len(versions)))
+        probes = [truth_probe(each, src) for src in sources] + [liar_probe(each, seed)]
+        steps += assert_steps_match_reference(each, probes)
+    assert steps > 1000
+
+
+def test_steps_match_the_full_scans_on_the_1024_version_grid():
+    db = grid_1024()
+    versions = db.family.versions
+    assert len(versions) >= 1000
+    sources = [versions[i * (len(versions) - 1) // 16] for i in range(17)]
+    probes = [truth_probe(db, src) for src in sources] + [liar_probe(db, seed) for seed in range(4)]
+    assert assert_steps_match_reference(db, probes) > 1500
+
+
+def test_branch_heads_are_the_lowest_entry_of_each_branch(db):
+    for each in [db, *_synthetic_dbs(), grid_1024()]:
+        entries = each.entry_versions
+        want = {(): reference_heads(entries, "major")}
+        for major in want[()]:
+            on_major = [v for v in entries if v.major == major]
+            want[(major,)] = reference_heads(on_major, "minor")
+            for minor in want[(major,)]:
+                want[(major, minor)] = reference_heads(
+                    [v for v in on_major if v.minor == minor], "patch")
+        # Order matters too: HMSU walks the majors from the top.
+        assert {k: list(v.items()) for k, v in each.branch_heads.items()} == \
+            {k: list(v.items()) for k, v in want.items()}, each.meta.service_name
+
+
+@given(st.integers(1, 2**1500), st.data())
+def test_nth_bit_is_the_nth_set_bit(mask, data):
+    n = data.draw(st.integers(0, mask.bit_count() - 1))
+    assert _nth_bit(mask, n) == [i for i in range(mask.bit_length()) if mask >> i & 1][n]
+
+
+@given(st.data())
+def test_bs_mask_pick_is_the_middle_of_the_reference_pool(data):
+    db = grid_1024()
+    ctx = AuditContext(db)
+    ctx.candidates = data.draw(st.integers(0, db.family.full))
+    ctx.tested = data.draw(st.integers(0, db.family.full))
+    assert STRATEGIES["BS"]().pick(ctx) == reference_pick("BS", ctx, None)

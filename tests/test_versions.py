@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -155,6 +157,25 @@ def test_order_laws_bulk():
         assert (a < b) + (a == b) + (a > b) == 1
         if a <= b and b <= c:
             assert a <= c
+
+
+def test_equal_keys_are_equal_and_hash_equal():
+    short, full = parse_version("7.2"), parse_version("7.2.0")
+    assert short == full and hash(short) == hash(full)
+    assert len({short, full}) == 1
+
+
+def test_a_version_is_not_its_key():
+    v = parse_version("7.2.0")
+    assert v != v.key and v.key != v
+    assert v not in {v.key}
+
+
+@given(versions_st)
+def test_copy_and_pickle_keep_equality_and_hash(v):
+    for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert twin == v and hash(twin) == hash(v)
+        assert not twin < v and not v < twin
 
 
 def test_version_set_rejects_duplicates():
