@@ -10,14 +10,13 @@ variables when run via the CLI).
 
 from __future__ import annotations
 
-import base64
 import socket
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .transport import env_credentials
+from .transport import _basic_auth, env_credentials
 
 
 class SimHTTPServer(ThreadingHTTPServer):
@@ -93,9 +92,7 @@ class _Handler(BaseHTTPRequestHandler):
         creds = self.server.credentials
         if creds is None:
             return True
-        header = self.headers.get("Authorization", "")
-        expected = "Basic " + base64.b64encode(f"{creds[0]}:{creds[1]}".encode()).decode()
-        return header == expected
+        return self.headers.get("Authorization", "") == _basic_auth(*creds)
 
     def _deny(self) -> None:
         self._reply(401, b"", ("WWW-Authenticate", 'Basic realm="fpaudit"'), _CLOSE)

@@ -12,8 +12,12 @@ Provider behaviors:
 * ``claim-faker``     honest, except the version-claim output is replaced;
 * ``cacher``          replays recorded (challenge -> response) pairs, failing
                       closed on every miss;
-* ``proxy``           honest answers with a fixed extra delay on every exchange;
+* ``proxy``           honest, with a fixed forwarding delay added to the
+                      simulated latency of every exchange;
 * ``function-faker``  honest, with selected non-hard functions overridden.
+
+Every behavior but the cacher is one :class:`HonestResponder`: a proxy is
+a latency offset and a function-faker a set of overridden functions.
 
 Latency is simulated as a number attached to each response, never slept.
 """
@@ -97,18 +101,28 @@ def _unquote(arg: bytes) -> bytes:
 
 
 class HonestResponder:
-    """Evaluates payloads with the function set of one family version."""
+    """Evaluates payloads with the function set of one family version,
+    except that each function named in ``faked`` answers ``faked:<name>``;
+    simulation-hard functions are out of reach."""
 
     def __init__(self, sim: SimFamily, src_version: Version,
                  claim_label: str | None = None,
                  latency: LatencyModel = LatencyModel(),
+                 faked: tuple[str, ...] = (),
                  seed: int | None = None):
+        for name in faked:
+            fn = sim.functions.get(name)
+            if fn is None:
+                raise SimConfigError(f"cannot fake unknown function {name!r}")
+            if fn.hard:
+                raise SimConfigError(f"cannot fake simulation-hard function {name!r}")
         if src_version not in sim.family:
             raise SimConfigError(f"source version {render_version(src_version)} is not in the family")
         self.sim = sim
         self.src_version = src_version
         self.claim_label = claim_label if claim_label is not None else render_version(src_version)
         self.latency = latency
+        self.faked = frozenset(faked)
         self._rng = random.Random(seed)
 
     def respond(self, payload: bytes) -> tuple[bytes, float]:
@@ -119,6 +133,8 @@ class HonestResponder:
         if not m:
             return PARSE_ERROR
         name = m.group(1).decode("ascii")
+        if name in self.faked:
+            return b"faked:" + m.group(1) + b"\n"
         arg = _unquote(m.group(2))
         fn = self.sim.functions.get(name)
         if fn is None:
@@ -172,57 +188,22 @@ class RecordingResponder:
         return body, latency
 
 
-class ProxyResponder:
-    """Forwards to an honest upstream; every answer pays the forwarding delay."""
-
-    def __init__(self, upstream: HonestResponder, floor: float):
-        self.upstream = upstream
-        self.floor = floor
-
-    def respond(self, payload: bytes) -> tuple[bytes, float]:
-        body, latency = self.upstream.respond(payload)
-        return body, latency + self.floor
-
-
-class FunctionFakerResponder(HonestResponder):
-    """Overrides selected functions; hard functions are out of reach."""
-
-    def __init__(self, sim: SimFamily, src_version: Version, faked: tuple[str, ...], **kw):
-        for name in faked:
-            fn = sim.functions.get(name)
-            if fn is None:
-                raise SimConfigError(f"cannot fake unknown function {name!r}")
-            if fn.hard:
-                raise SimConfigError(f"cannot fake simulation-hard function {name!r}")
-        super().__init__(sim, src_version, **kw)
-        self.faked = set(faked)
-
-    def evaluate(self, payload: bytes) -> bytes:
-        m = _CALL_RE.match(_strip_tags(payload))
-        if m and m.group(1).decode("ascii") in self.faked:
-            return b"faked:" + m.group(1) + b"\n"
-        return super().evaluate(payload)
-
-
 def produce(sim: SimFamily, cfg: SimProviderConfig):
     """Build the challenge-facing responder for a provider configuration."""
-    if cfg.behavior == "honest":
-        return HonestResponder(sim, cfg.src_version, latency=cfg.latency, seed=cfg.seed)
-    if cfg.behavior == "claim-faker":
-        if not cfg.claim_label:
-            raise SimConfigError("claim-faker needs a claim label")
-        # Only the version-claim output is altered; every other function is genuine.
-        return HonestResponder(sim, cfg.src_version, claim_label=cfg.claim_label,
-                               latency=cfg.latency, seed=cfg.seed)
     if cfg.behavior == "cacher":
         return CacherResponder(cfg.cache_store or {}, latency=cfg.latency, seed=cfg.seed)
+    if cfg.behavior not in PROVIDER_BEHAVIORS:
+        raise SimConfigError(f"unknown provider behavior {cfg.behavior!r}")
+    if cfg.behavior == "claim-faker" and not cfg.claim_label:
+        raise SimConfigError("claim-faker needs a claim label")
+    latency = cfg.latency
     if cfg.behavior == "proxy":
-        upstream = HonestResponder(sim, cfg.src_version, latency=cfg.latency, seed=cfg.seed)
-        return ProxyResponder(upstream, cfg.proxy_floor)
-    if cfg.behavior == "function-faker":
-        return FunctionFakerResponder(sim, cfg.src_version, cfg.fake_functions,
-                                      latency=cfg.latency, seed=cfg.seed)
-    raise SimConfigError(f"unknown provider behavior {cfg.behavior!r}")
+        latency = LatencyModel(latency.base + cfg.proxy_floor, latency.jitter)
+    # Only the claim-faker alters the version-claim output.
+    claim = cfg.claim_label if cfg.behavior == "claim-faker" else None
+    faked = cfg.fake_functions if cfg.behavior == "function-faker" else ()
+    return HonestResponder(sim, cfg.src_version, claim_label=claim, latency=latency,
+                           faked=faked, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------

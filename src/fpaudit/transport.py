@@ -2,12 +2,13 @@
 
 A challenge may travel over one channel and its response over another; the
 two endpoints of an exchange are therefore passed separately.  All timing
-is measured on the verifier side, up to the last response byte received,
-from before the challenge PUT on HTTP and from the written file on file
-drop.  Credentials come from configuration or the environment, never from
-command lines.  HTTP requests from one thread to one scheme and host:port
-share one kept-alive connection, so an exchange pays no handshake in its
-timed window.
+is measured on the verifier side, up to the last response byte received.
+Over HTTP and file drop the clock starts before the challenge is
+delivered, so holding the PUT or the write acknowledgement counts against
+the provider; both run one deliver-then-poll loop.  Credentials come from
+configuration or the environment, never from command lines.  HTTP
+requests from one thread to one scheme and host:port share one kept-alive
+connection, so an exchange pays no handshake in its timed window.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import Protocol
 
 DEFAULT_TIMEOUT_CAP = 5.0  # seconds on top of the per-test deadline
+_POLLED = ("http-fetch", "file-drop")  # channels whose answer the verifier waits for
 
 
 class TransportError(RuntimeError):
@@ -76,10 +78,8 @@ def exchange(challenge_ep: InterfaceEndpoint, response_ep: InterfaceEndpoint,
     try:
         if challenge_ep.kind == "loopback-sim":
             return _exchange_loopback(challenge_ep, response_ep, payload, deadline)
-        if challenge_ep.kind == "http-fetch":
-            return _exchange_http(challenge_ep, response_ep, payload, deadline)
-        if challenge_ep.kind == "file-drop":
-            return _exchange_filedrop(challenge_ep, response_ep, payload, deadline)
+        if challenge_ep.kind in _POLLED:
+            return _exchange_polled(challenge_ep, response_ep, payload, deadline)
     except TransportError as exc:
         now = time.monotonic()
         return ExchangeRecord(payload, None, now, now, 0.0, transport_error=str(exc))
@@ -207,66 +207,60 @@ def _close(key: tuple[str, str]) -> None:
         link[0].close()
 
 
-def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
-                   payload: bytes, deadline: float) -> ExchangeRecord:
-    budget = deadline + chl.timeout_cap
-    # The clock starts before the PUT: a provider that holds the delivery
-    # acknowledgement while it forwards the challenge pays for the hold.
-    sent = time.monotonic()
-    _request("PUT", chl, payload, budget)
-    return _poll_http(rsp, payload, sent, budget)
-
-
-def _poll_http(rsp: InterfaceEndpoint, payload: bytes, sent: float,
-               budget: float) -> ExchangeRecord:
-    """GET the response until ready (404 is not yet) or ``budget`` s after ``sent``."""
-    while True:
-        remaining = budget - (time.monotonic() - sent)
-        if remaining <= 0:
-            now = time.monotonic()
-            return ExchangeRecord(payload, None, sent, now, now - sent)
-        status, body = _request("GET", rsp, None, max(remaining, 0.05))
-        if status == 404:
-            time.sleep(min(0.01, max(remaining, 0.0)))
-            continue
-        now = time.monotonic()
-        return ExchangeRecord(payload, body, sent, now, now - sent)
-
-
-def _exchange_filedrop(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
-                       payload: bytes, deadline: float) -> ExchangeRecord:
-    target = Path(chl.address) / chl.filename
-    source = Path(rsp.address) / rsp.filename
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if rsp.kind == "file-drop":
-            # A response already there predates this challenge, so it cannot
-            # answer it (e.g. a late answer to a round that timed out).
-            source.unlink(missing_ok=True)
-        target.write_bytes(payload)
-    except OSError as exc:
-        raise TransportError(f"file drop failed: {exc}") from exc
-    sent = time.monotonic()
-
-    if rsp.kind == "http-fetch":
-        return _poll_http(rsp, payload, sent, deadline + chl.timeout_cap)
+def _exchange_polled(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
+                     payload: bytes, deadline: float) -> ExchangeRecord:
+    """Deliver the challenge by PUT or file write, then check the response
+    channel every 10 ms until it answers or ``deadline`` + the cap has
+    passed.  The clock starts before delivery: a provider that holds the
+    PUT or write acknowledgement while it forwards the challenge pays for
+    the hold."""
+    if rsp.kind not in _POLLED:
+        raise TransportError(f"unsupported response channel {rsp.kind!r} for {chl.kind}")
+    answer = target = None
     if rsp.kind == "file-drop":
-        budget = deadline + chl.timeout_cap
-        while True:
-            if source.exists():
-                now = time.monotonic()
-                try:
-                    # Consume the answer so a later exchange cannot read it again.
-                    body = source.read_bytes()
-                    source.unlink()
-                except OSError as exc:
-                    raise TransportError(f"response read failed: {exc}") from exc
-                return ExchangeRecord(payload, body, sent, now, now - sent)
-            if time.monotonic() - sent > budget:
-                now = time.monotonic()
-                return ExchangeRecord(payload, None, sent, now, now - sent)
-            time.sleep(0.01)
-    raise TransportError(f"unsupported response channel {rsp.kind!r} for file-drop")
+        answer = Path(rsp.address) / rsp.filename
+        # An answer already there predates this challenge, so it cannot
+        # answer it (e.g. a late answer to a round that timed out).
+        _file_op("file drop", answer.unlink, missing_ok=True)
+    if chl.kind == "file-drop":
+        target = Path(chl.address) / chl.filename
+        _file_op("file drop", target.parent.mkdir, parents=True, exist_ok=True)
+    budget = deadline + chl.timeout_cap
+    sent = time.monotonic()
+    if chl.kind == "http-fetch":
+        _request("PUT", chl, payload, budget)
+    else:
+        _file_op("file drop", target.write_bytes, payload)
+    body = None
+    while (remaining := budget - (time.monotonic() - sent)) > 0:
+        body = _collect(rsp, answer, remaining)
+        if body is not None:
+            break
+        time.sleep(min(0.01, remaining))
+    now = time.monotonic()
+    return ExchangeRecord(payload, body, sent, now, now - sent)
+
+
+def _collect(rsp: InterfaceEndpoint, answer: Path | None, remaining: float) -> bytes | None:
+    """The response if ``rsp`` has one ready, else None: a GET that returns
+    404 is not ready yet, and a file-drop answer is read and then deleted so
+    a later exchange cannot read it again."""
+    if rsp.kind == "http-fetch":
+        status, body = _request("GET", rsp, None, max(remaining, 0.05))
+        return None if status == 404 else body
+    if not answer.exists():
+        return None
+    body = _file_op("response read", answer.read_bytes)
+    _file_op("response read", answer.unlink)
+    return body
+
+
+def _file_op(what: str, op, *args, **kwargs):
+    """``op(*args, **kwargs)``, with an OSError raised as a TransportError naming ``what``."""
+    try:
+        return op(*args, **kwargs)
+    except OSError as exc:
+        raise TransportError(f"{what} failed: {exc}") from exc
 
 
 CLAIM_PAYLOAD = b"<?php phpversion();"

@@ -115,19 +115,6 @@ def _name_conflict(db: Database, observations: list[tuple[Version, bool]]):
     return "inconsistent log: observations admit no family version", None
 
 
-def candidates(bounds: Bounds, db: Database) -> CandidateSet:
-    """All family versions consistent with every logged observation.
-
-    Versions without database entries ride along with whichever decided
-    neighbours they are indistinguishable from.
-    """
-    return CandidateSet(bounds.members)
-
-
-def compliance(c: CandidateSet, target: Version) -> bool:
-    return target in c
-
-
 def oracle_candidates(log: DecisionLog, db: Database, sim_family: SimFamily) -> CandidateSet:
     """Brute-force validation set: replay the logged plans at every version.
 
@@ -222,14 +209,14 @@ def build_report(log: DecisionLog, db: Database, target: Version | None = None,
             compliant=None, claimed_version=claimed_version, inconsistency=str(exc),
             rows=tuple(log.rows),
         )
-    c = candidates(b, db)
+    c = CandidateSet(b.members)
     # An audit cut short by its budget, or one whose exchange failed in
     # transport (which observed nothing of the provider), has not earned a
     # compliance verdict.
     decided = target is not None and log.stop_reason != "budget" and not any(
         sub.reason == "transport-error"
         for outcome in log.plan_outcomes() for sub in outcome.sub_outcomes)
-    compliant = compliance(c, target) if decided else None
+    compliant = target in c if decided else None
     return VerdictReport(
         strategy=log.strategy, bounds=b, candidate_set=c, target=target,
         compliant=compliant, claimed_version=claimed_version, inconsistency=None,

@@ -7,6 +7,7 @@ import time
 import urllib.parse
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -406,6 +407,50 @@ def test_http_held_put_acknowledgement_counts_against_deadline(db, rng):
     result = judge(record.response_bytes, rt.expected_payload, record.elapsed,
                    rt.deadline, record.transport_error)
     assert result.reason == "timeout"
+
+
+def test_file_drop_held_write_acknowledgement_counts_against_deadline(db, rng, tmp_path,
+                                                                      monkeypatch):
+    # The same over file drop: the answer is in place as soon as the
+    # challenge lands, but the challenge write returns 300 ms later.
+    rt = render_test(db, pv("7.2.0"), rng)
+    drop, out = tmp_path / "drop", tmp_path / "out"
+    out.mkdir()
+    write_bytes = Path.write_bytes
+
+    def held_write(path, data):
+        written = write_bytes(path, data)
+        if path.name == "challenge.txt":
+            write_bytes(out / "response.txt", rt.expected_payload)
+            time.sleep(0.3)
+        return written
+
+    monkeypatch.setattr(Path, "write_bytes", held_write)
+    chl = InterfaceEndpoint(id="c", kind="file-drop", address=str(drop))
+    rsp = InterfaceEndpoint(id="r", kind="file-drop", address=str(out), filename="response.txt")
+    record = exchange(chl, rsp, rt.challenge_payload, rt.deadline)
+    assert record.response_bytes == rt.expected_payload
+    result = judge(record.response_bytes, rt.expected_payload, record.elapsed,
+                   rt.deadline, record.transport_error)
+    assert result.reason == "timeout"
+
+
+@pytest.mark.parametrize("kind", ["http-fetch", "file-drop"])
+def test_a_polled_challenge_with_a_loopback_response_is_a_transport_error(kind, tmp_path,
+                                                                          sim_family):
+    address = "http://127.0.0.1:1/challenge" if kind == "http-fetch" else str(tmp_path)
+    chl = InterfaceEndpoint(id="c", kind=kind, address=address)
+    _, rsp = make_loopback(produce(sim_family, SimProviderConfig(src_version=pv("7.2.14"))))
+    record = exchange(chl, rsp, b"payload", 0.2)
+    assert record.response_bytes is None
+    assert "unsupported response channel 'loopback-sim'" in record.transport_error
+
+
+def test_an_unknown_challenge_kind_raises():
+    chl = InterfaceEndpoint(id="c", kind="carrier-pigeon")
+    rsp = InterfaceEndpoint(id="r", kind="http-fetch", address="http://127.0.0.1:1/response")
+    with pytest.raises(ValueError, match="unknown endpoint kind 'carrier-pigeon'"):
+        exchange(chl, rsp, b"payload", 0.2)
 
 
 class _WebrootHandler(BaseHTTPRequestHandler):
