@@ -1,7 +1,10 @@
 """Randomized challenge rendering and response judging.
 
-Placeholders in templates are ``#name#`` with names over ``[a-z0-9_]+``.
-A ``#`` that does not open a bound placeholder passes through untouched.
+Placeholders in templates are ``#name#`` with names over ``[a-z0-9_]+``;
+every other ``#`` is literal.  The loader compiles each entry's templates
+once (see ``VersionTest.challenge_parts``) and rejects a placeholder that no
+variable of the entry binds; rendering fills the compiled form, and a name
+the binding lacks raises :class:`RenderError`.
 Random string and dir-file values draw from the ``[a-z0-9]`` alphabet;
 binary values render as lowercase hex.
 """
@@ -9,11 +12,11 @@ binary values render as lowercase hex.
 from __future__ import annotations
 
 import random
-import re
 import secrets
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .database import _PLACEHOLDER_RE, Database, Tags, VariableSpec, VersionTest
+from .database import Database, Template, VariableSpec, VersionTest
 from .versions import Version, VersionSet, render_version
 
 _STRING_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -97,21 +100,24 @@ def draw_binding(entry: VersionTest, rng: RandomnessSource, family: VersionSet |
     return Binding({name: draw(spec, rng, family) for name, spec in entry.variables.items()})
 
 
-def render(template: bytes, binding: Binding, tags: Tags = Tags()) -> bytes:
-    """Substitute placeholders and apply tags; deterministic."""
+def render(entry: VersionTest, binding: Binding) -> tuple[bytes, bytes]:
+    """A payload entry's challenge and expected response under ``binding``;
+    deterministic.  Each value becomes bytes once and fills both templates."""
     values = binding.rendered()
-
-    def sub(match: re.Match) -> bytes:
-        name = match.group(1).decode("ascii")
-        if name not in values:
-            raise RenderError(f"unbound placeholder #{name}#")
-        return values[name]
-
-    return tags.apply(_PLACEHOLDER_RE.sub(sub, template))
+    return _fill(entry.challenge_parts, values), _fill(entry.expect_parts, values)
 
 
-@dataclass(frozen=True)
-class RenderedTest:
+def _fill(parts: Template, values: dict[str, bytes]) -> bytes:
+    out = [*parts]
+    try:
+        for i in range(1, len(out), 2):
+            out[i] = values[out[i]]
+    except KeyError as exc:
+        raise RenderError(f"unbound placeholder #{exc.args[0]}#") from None
+    return b"".join(out)
+
+
+class RenderedTest(NamedTuple):
     challenge_payload: bytes
     expected_payload: bytes
     deadline: float  # seconds
@@ -122,14 +128,11 @@ def render_test(db: Database, version: Version, rng: RandomnessSource) -> Render
     entry = db.entries[version]
     if not entry.has_payload:
         raise RenderError(f"entry {render_version(version)} has no intrinsic test payload")
-    binding = draw_binding(entry, rng, db.family)
-    challenge = render(entry.challenge_template, binding, entry.challenge_tags)
-    expected = render(entry.expect_template, binding, entry.expect_tags)
-    return RenderedTest(challenge_payload=challenge, expected_payload=expected, deadline=entry.wait_time)
+    challenge, expected = render(entry, draw_binding(entry, rng, db.family))
+    return RenderedTest(challenge, expected, entry.wait_time)
 
 
-@dataclass(frozen=True)
-class JudgeResult:
+class JudgeResult(NamedTuple):
     delta: bool
     reason: str | None  # None when delta, else mismatch | timeout | transport-error
 

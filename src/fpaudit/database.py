@@ -183,8 +183,20 @@ class Tags:
     start: bytes = b""
     end: bytes = b""
 
-    def apply(self, payload: bytes) -> bytes:
-        return self.start + payload + self.end
+
+# A payload template compiled at load: literal bytes at even positions and
+# placeholder names at odd ones, with the side's tags folded into the first
+# and last literal, so filling it is one join.
+Template = tuple[bytes | str, ...]
+
+
+def _compile(template: bytes, tags: Tags) -> Template:
+    """``template`` split at its ``#name#`` placeholders and wrapped in ``tags``."""
+    parts = _PLACEHOLDER_RE.split(template)
+    parts[0] = tags.start + parts[0]
+    parts[-1] += tags.end
+    parts[1::2] = [name.decode("ascii") for name in parts[1::2]]
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,18 @@ class VersionTest:
     # ``tag_overrides`` applied, resolved when the entry is loaded.
     challenge_tags: Tags = Tags()
     expect_tags: Tags = Tags()
+    # Each side's template compiled with its tags, derived at construction
+    # so every entry is compiled once.
+    challenge_parts: Template | None = field(default=None, init=False, repr=False, compare=False)
+    expect_parts: Template | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.challenge_template is not None:
+            object.__setattr__(self, "challenge_parts",
+                               _compile(self.challenge_template, self.challenge_tags))
+        if self.expect_template is not None:
+            object.__setattr__(self, "expect_parts",
+                               _compile(self.expect_template, self.expect_tags))
 
     @property
     def has_payload(self) -> bool:
@@ -445,10 +469,6 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
                               where, "expect.payload")
     if (challenge_payload is None) != (expect_payload is None):
         raise SchemaError(f"entry {label!r}: challenge and expect payloads must come together")
-    for payload in (challenge_payload or "", expect_payload or ""):
-        for name in _PLACEHOLDER_RE.findall(payload.encode("utf-8")):
-            if name.decode("ascii") not in variables:
-                raise SchemaError(f"entry {label!r}: no variable binds placeholder #{name.decode('ascii')}#")
 
     expect_type = str(expect.get("type", meta.default_values.get("version.test.expect.type", "string")))
     if expect_type != "string":
@@ -492,7 +512,7 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
          _side_tags(tag_overrides, "expect", meta.default_values))
         if tag_overrides else meta.default_tags)
 
-    return VersionTest(
+    entry = VersionTest(
         version=v,
         variables=variables,
         challenge_template=challenge_payload.encode("utf-8") if challenge_payload is not None else None,
@@ -506,6 +526,11 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
         challenge_tags=challenge_tags,
         expect_tags=expect_tags,
     )
+    for parts in (entry.challenge_parts or (), entry.expect_parts or ()):
+        for name in parts[1::2]:
+            if name not in variables:
+                raise SchemaError(f"entry {label!r}: no variable binds placeholder #{name}#")
+    return entry
 
 
 def _side_tags(overrides: dict[str, object], side: str, defaults: dict[str, object]) -> Tags:

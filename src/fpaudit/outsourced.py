@@ -238,9 +238,9 @@ class RoundResult:
     e_prime: bytes
 
 
-def _replay(entry: VersionTest, binding: Binding, fields: dict) -> RoundResult:
-    """Judge a round's response against the expectation its signed values imply."""
-    expected = render(entry.expect_template, binding, entry.expect_tags)
+def _replay(entry: VersionTest, expected: bytes, fields: dict) -> RoundResult:
+    """Judge a round's response against ``expected``, the expectation its
+    signed values imply."""
     elapsed = _epoch(fields["t4"]) - _epoch(fields["t2"])
     judged = judge(fields["ePrime"], expected, elapsed, entry.wait_time)
     return RoundResult(judged.delta, judged.reason, elapsed, fields["ePrime"])
@@ -279,7 +279,7 @@ def run_round(
     sent = time.time()
     fields.update(phi=_phi_bytes(binding.canonical()), t2=_stamp(sent))
     fields["S2"] = user.identity.sign(signed_bytes("S2", fields))
-    c_prime = render(fields["c"], binding, entry.challenge_tags)
+    c_prime, expected = render(entry, binding)
 
     fields["ePrime"], fields["t3"], fields["S3"], latency = provider.process(
         round_no, c_prime, fields["S2"])
@@ -301,7 +301,7 @@ def run_round(
         raise RoundError("user", "randomness value repeated")
     auditor._phi_seen.add(fields["phi"])
 
-    result = _replay(entry, binding, fields)
+    result = _replay(entry, expected, fields)
     auditor.log.append({**logged, "delta": result.delta})
     return result
 
@@ -478,10 +478,10 @@ def verify_liability(
         if binding.values.keys() != entry.variables.keys():
             verdicts["user"].blame(f"{label}: signed randomness does not bind the entry's variables")
             continue
+        c_prime, expected = render(entry, binding)
         provider_copy = copies.get("provider")
         if provider_copy is not None:
-            if provider_copy["cPrime"] != render(reference["c"], binding,
-                                                 entry.challenge_tags):
+            if provider_copy["cPrime"] != c_prime:
                 verdicts["provider"].blame(
                     f"{label}: logged challenge does not derive from the signed randomness")
             if provider_copy["ePrime"] != reference["ePrime"]:
@@ -490,7 +490,7 @@ def verify_liability(
             verdicts[blamed].blame(f"{label}: {reason}")
         auditor_copy = copies.get("auditor")
         if auditor_copy is not None and not faults and \
-                _replay(entry, binding, reference).delta != auditor_copy["delta"]:
+                _replay(entry, expected, reference).delta != auditor_copy["delta"]:
             verdicts["auditor"].blame(
                 f"{label}: recorded decision contradicts the replayed expected response")
     return verdicts

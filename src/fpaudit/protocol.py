@@ -13,8 +13,7 @@ the outsourced auditor's probe runs one signed round instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .challenge import RandomnessSource, judge, render_test
 from .database import Database, TestPlan
@@ -24,8 +23,7 @@ from .versions import Version
 Probe = Callable[[Version], tuple[bool, "str | None", ExchangeRecord]]
 
 
-@dataclass(frozen=True)
-class SubOutcome:
+class SubOutcome(NamedTuple):
     version: Version
     expect_pass: bool
     observed: bool
@@ -37,8 +35,7 @@ class SubOutcome:
         return self.observed == self.expect_pass
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     version: Version
     delta: bool
     sub_outcomes: tuple[SubOutcome, ...]

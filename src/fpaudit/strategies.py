@@ -31,6 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .challenge import RandomnessSource
 from .database import Database, STRATEGY_SHORT, fold_constraints, resolve_plan
@@ -43,8 +44,7 @@ class AuditError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LogRow:
+class LogRow(NamedTuple):
     version: Version
     delta: bool
     testorder: int

@@ -22,7 +22,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 DEFAULT_TIMEOUT_CAP = 5.0  # seconds on top of the per-test deadline
 _POLLED = ("http-fetch", "file-drop")  # channels whose answer the verifier waits for
@@ -51,8 +51,7 @@ class InterfaceEndpoint:
     responder: object | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class ExchangeRecord:
+class ExchangeRecord(NamedTuple):
     challenge_bytes: bytes
     response_bytes: bytes | None
     sent_at: float

@@ -70,13 +70,14 @@ class CandidateSet:
 
 def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     """Interpret the log's observations; raises on a contradictory log."""
-    observations = sorted(log.observations.items())
+    index = db.family.index
+    observations = sorted(log.observations.items(), key=lambda item: index[item[0]])
     members = fold_constraints(db, observations)
     if not members and observations:
         raise InconsistentLogError(*_name_conflict(db, observations))
 
     compound = {o.version: o.delta for o in log.plan_outcomes()}
-    full, index = db.family.full, db.family.index
+    full = db.family.full
     upward = {v: full & ~((1 << index[v]) - 1) for v in compound}  # masks of u >= v
     true_versions = [v for v, d in compound.items() if d]
     lower = max(true_versions) if true_versions else None

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,14 +8,23 @@ from fpaudit.challenge import (
     Binding,
     RandomnessSource,
     RenderError,
-    Tags,
     draw,
     judge,
     render,
     render_test,
 )
-from fpaudit.database import VariableSpec
+from fpaudit.database import (Tags, VariableSpec, VersionTest, add_entry, load_database,
+                              new_database, serialize_database)
 from fpaudit.versions import parse_version as pv
+
+
+def render_one(template: bytes, binding: Binding, tags: Tags = Tags()) -> bytes:
+    """``template`` rendered through an entry that uses it on both sides."""
+    entry = VersionTest(pv("1.0.0"), challenge_template=template, expect_template=template,
+                        challenge_tags=tags, expect_tags=tags)
+    challenge, expected = render(entry, binding)
+    assert challenge == expected
+    return challenge
 
 
 def test_draw_integer_within_range(rng):
@@ -55,38 +66,91 @@ def test_draw_dir_file_relative_path(rng):
 
 def test_render_listing_style_substitution():
     # Oracle: plain string replacement.
-    out = render(b"d:#ax#e++2;", Binding({"ax": 314159}))
+    out = render_one(b"d:#ax#e++2;", Binding({"ax": 314159}))
     assert out == b"d:314159e++2;"
 
 
 def test_render_without_placeholders_unchanged():
-    assert render(b"no placeholders here", Binding({})) == b"no placeholders here"
+    assert render_one(b"no placeholders here", Binding({})) == b"no placeholders here"
 
 
 def test_render_adjacent_placeholders():
     # Oracle: sequential scan-replace.
-    assert render(b"#a##b#", Binding({"a": "x", "b": "y"})) == b"xy"
+    assert render_one(b"#a##b#", Binding({"a": "x", "b": "y"})) == b"xy"
 
 
 def test_render_unbound_placeholder_named():
     with pytest.raises(RenderError, match="#ax#"):
-        render(b"d:#ax#;", Binding({}))
+        render_one(b"d:#ax#;", Binding({}))
 
 
 def test_render_literal_hash_passes_through():
-    assert render(b"a # b #NOT-AN-IDENT# c", Binding({})) == b"a # b #NOT-AN-IDENT# c"
+    assert render_one(b"a # b #NOT-AN-IDENT# c", Binding({})) == b"a # b #NOT-AN-IDENT# c"
 
 
 def test_render_applies_tags():
     tags = Tags(b"<?php ", b" ?>")
-    assert render(b"f(#ax#);", Binding({"ax": 1}), tags) == b"<?php f(1); ?>"
+    assert render_one(b"f(#ax#);", Binding({"ax": 1}), tags) == b"<?php f(1); ?>"
 
 
 @given(st.integers(1, 10**9), st.integers(1, 10**9))
 def test_render_deterministic(a, b):
     binding = Binding({"ax": a, "bx": b})
     t = b"x=#ax#,y=#bx#,x=#ax#"
-    assert render(t, binding) == render(t, binding)
+    assert render_one(t, binding) == render_one(t, binding)
+
+
+# Reference for the compiled render: regex substitution over the raw
+# template, then the tags around it.
+_REFERENCE_RE = re.compile(rb"#([a-z0-9_]+)#")
+
+
+def reference_render(template: bytes, binding: Binding, tags: Tags) -> bytes:
+    values = binding.rendered()
+
+    def sub(match: re.Match) -> bytes:
+        name = match.group(1).decode("ascii")
+        if name not in values:
+            raise RenderError(f"unbound placeholder #{name}#")
+        return values[name]
+
+    return tags.start + _REFERENCE_RE.sub(sub, template) + tags.end
+
+
+_NAMES = ("a", "b", "ax", "x_1")
+_CHUNKS = st.sampled_from([b"#", b"##", b"a", b"ax", b"A", b"AX", b"_", b" ", b"%s", b"\\1",
+                           b"#a#", b"#b#", b"#ax#", b"#x_1#", b"#A#", b"#AX#", b"#zz#",
+                           b"#a##b#", b"#a#b#", b"#ax#a#"]) | st.binary(max_size=3)
+_TAGS = st.builds(Tags, st.binary(max_size=4) | st.just(b"#a#"), st.binary(max_size=4))
+_VALUES = st.integers() | st.booleans() | st.text(max_size=4) | st.binary(max_size=3) | st.just("#b#")
+
+
+@given(st.lists(_CHUNKS, max_size=8).map(b"".join), _TAGS,
+       st.dictionaries(st.sampled_from(_NAMES), _VALUES))
+def test_compiled_render_matches_regex_substitution(template, tags, values):
+    binding = Binding(values)
+    try:
+        expected = reference_render(template, binding, tags)
+    except RenderError as exc:
+        # A name the binding lacks is named, as the reference names it.
+        with pytest.raises(RenderError, match=re.escape(str(exc))):
+            render_one(template, binding, tags)
+    else:
+        assert render_one(template, binding, tags) == expected
+
+
+def test_authored_and_reloaded_entries_render_identically():
+    db = add_entry(new_database("svc"), "1.0.0", challenge="f(#ax#, '#sx#');# #AX#",
+                   expect="#ax##sx#\n",
+                   variables={"ax": VariableSpec("ax", "integer", min=1, max=10**9),
+                              "sx": VariableSpec("sx", "string", length=6)})
+    again = load_database(serialize_database(db))
+    assert again == db
+    for seed in range(5):
+        authored = render_test(db, pv("1.0.0"), RandomnessSource(seed=seed))
+        reloaded = render_test(again, pv("1.0.0"), RandomnessSource(seed=seed))
+        assert authored == reloaded
+        assert authored.challenge_payload.startswith(b"<?php f(")
 
 
 def test_render_test_no_residual_placeholders(db, rng):

@@ -1,5 +1,11 @@
+import pytest
+
+from fpaudit.challenge import JudgeResult, RenderedTest
 from fpaudit.database import resolve_plan
-from fpaudit.protocol import run_test, transport_probe
+from fpaudit import protocol
+from fpaudit.protocol import SubOutcome, run_test, transport_probe
+from fpaudit.strategies import LogRow
+from fpaudit.transport import ExchangeRecord
 from fpaudit.versions import parse_version as pv
 
 
@@ -70,3 +76,40 @@ def test_fresh_randomness_each_subtest(db, honest_endpoints, rng):
     first = run_test(plan, pv("7.2.0"), transport_probe(endpoints, rng, db))
     second = run_test(plan, pv("7.2.0"), transport_probe(endpoints, rng, db))
     assert first.exchanges[0].challenge_bytes != second.exchanges[0].challenge_bytes
+
+
+_V = pv("7.2.0")
+_RECORD = ExchangeRecord(b"c", b"r", 1.0, 1.5, 0.5, None)
+_SUB = SubOutcome(_V, True, False, "mismatch", "exchanged")
+_OUTCOME = protocol.TestOutcome(_V, False, (_SUB,), (_RECORD,))
+# Each per-exchange record type with its fields, in order, and sample values.
+RECORD_FIELDS = [
+    (RenderedTest, {"challenge_payload": b"c", "expected_payload": b"e", "deadline": 0.2}),
+    (ExchangeRecord, {"challenge_bytes": b"c", "response_bytes": None, "sent_at": 1.0,
+                      "received_at": 1.5, "elapsed": 0.5, "transport_error": "auth"}),
+    (JudgeResult, {"delta": False, "reason": "timeout"}),
+    (SubOutcome, {"version": _V, "expect_pass": True, "observed": False, "reason": "mismatch",
+                  "provenance": "exchanged"}),
+    (protocol.TestOutcome, {"version": _V, "delta": False, "sub_outcomes": (_SUB,),
+                   "exchanges": (_RECORD,)}),
+    (LogRow, {"version": _V, "delta": False, "testorder": 1, "origin": "plan",
+              "outcome": _OUTCOME}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_FIELDS, ids=lambda x: getattr(x, "__name__", ""))
+def test_exchange_records_are_immutable_and_keep_their_fields(cls, fields):
+    record = cls(**fields)
+    assert cls(*fields.values()) == record  # the fields keep their order
+    hash(record)
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+def test_exchange_record_defaults_and_satisfied():
+    assert ExchangeRecord(b"c", b"r", 1.0, 1.5, 0.5).transport_error is None
+    assert LogRow(_V, True, 1, "exchange").outcome is None
+    assert not _SUB.satisfied
+    assert SubOutcome(_V, True, True, None, "exchanged").satisfied
