@@ -247,13 +247,14 @@ def _var_spec(text: str) -> VariableSpec:
 
 
 def cmd_simulate(args) -> int:
-    from .simserver import serve_forever
+    from .simserver import SimHTTPServer, serve_forever
 
     sim, provider_cfg = load_sim_config(Path(args.config).read_bytes())
-    responder = produce(sim, provider_cfg)
-    print(f"serving simulated provider on port {args.port} "
-          f"(behavior={provider_cfg.behavior}, source={provider_cfg.src_version})")
-    serve_forever(responder, args.port)
+    server = SimHTTPServer(produce(sim, provider_cfg), args.port, env_credentials())
+    # The port bound, so "--port 0" names the one the system chose.
+    print(f"serving simulated provider on port {server.port} "
+          f"(behavior={provider_cfg.behavior}, source={provider_cfg.src_version})", flush=True)
+    serve_forever(server)
     return 0
 
 

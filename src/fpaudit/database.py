@@ -356,7 +356,11 @@ def load_database(document: bytes | str) -> Database:
     elif not isinstance(family_labels, list):
         raise SchemaError(f"'service.family' must be a list of version labels, got {family_labels!r}")
     else:
-        family_versions = tuple(_parse_label(lbl, "'service.family'") for lbl in family_labels)
+        # The entry keys' own objects, so a lookup of a family version in a
+        # dict keyed by entry versions is an identity hit.
+        keys = {v: v for v in entries}
+        parsed = (_parse_label(lbl, "'service.family'") for lbl in family_labels)
+        family_versions = tuple(keys.get(v, v) for v in parsed)
     try:
         family = VersionSet(meta.service_name, family_versions)
     except ValueError as exc:
@@ -844,6 +848,8 @@ def add_entry(
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     meta = replace(db.meta, last_update_timestamp=now)
     entries = {**db.entries, v: _load_entry(label, v, {"test": test}, meta)}
-    versions = db.family.versions if v in db.family else db.family.versions + (v,)
+    versions = db.family.versions
+    at = db.family.index.get(v)  # the new key replaces its equal in the family
+    versions = versions + (v,) if at is None else versions[:at] + (v,) + versions[at + 1:]
     family = VersionSet(db.family.family_name, versions)
     return Database(meta=meta, entries=entries, family=family)

@@ -6,20 +6,32 @@ stored).  Connections are kept alive, with Nagle's algorithm off, so one
 connection serves a whole audit.  Optional basic auth is enabled by passing
 credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS environment
 variables when run via the CLI).
+
+It is a ``socketserver`` handler, not ``http.server``: requests are parsed
+by ``http1.Wire``, as the auditor parses answers, and each reply, head and
+body with its Content-Length, goes out in one write, with no Date header.
+A PUT that expects ``100 Continue`` gets it before its body is read.  A
+PUT without a Content-Length is answered 411, a malformed request 400; both
+close the connection, as does a reply that leaves a request body unread and
+the answer to an HTTP/1.0 request.
 """
 
 from __future__ import annotations
 
 import socket
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from http.client import HTTPException
 
-from .transport import _basic_auth, env_credentials
+from .http1 import Wire
+from .transport import _basic_auth
 
 
-class SimHTTPServer(ThreadingHTTPServer):
+class SimHTTPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, responder, port: int = 0,
@@ -67,47 +79,91 @@ class SimHTTPServer(ThreadingHTTPServer):
         return f"http://127.0.0.1:{self.port}{path}"
 
 
-# For a reply sent before the request body is read: on a kept-alive
-# connection the unread body would be parsed as the next request.
-_CLOSE = ("Connection", "close")
+class _Handler(socketserver.StreamRequestHandler):
+    """Serves the requests of one kept-alive connection in turn, each
+    dispatched to ``do_<METHOD>``."""
 
-
-class _Handler(BaseHTTPRequestHandler):
     server: SimHTTPServer
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # else each reply waits for a delayed ACK
 
-    def log_message(self, *args) -> None:
-        pass
+    def handle(self) -> None:
+        self.wire = Wire(self.connection)
+        self.close_connection = self.unread = False
+        while not self.close_connection and self._read_request():
+            getattr(self, f"do_{self.command}", self._unsupported)()
 
-    def _reply(self, status: int, body: bytes = b"", *headers: tuple[str, str]) -> None:
-        self.send_response(status)
-        for name, value in headers:
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _read_request(self) -> bool:
+        """Parse the next request's line and headers; False once the client
+        has closed, or a malformed request has been answered 400."""
+        try:
+            line = self.wire.line("request line")
+            if not line:
+                return False
+            parts = line.split()
+            if len(parts) != 3 or not parts[2].startswith(b"HTTP/1."):
+                raise HTTPException(f"bad request line {line!r}")
+            self.headers = self.wire.fields()
+        except HTTPException:
+            self.close_connection = True
+            self._reply(400)
+            return False
+        method, path, version = parts
+        self.command, self.path = method.decode("latin-1"), path.decode("latin-1")
+        self.close_connection = (version == b"HTTP/1.0"
+                                 or b"close" in self.headers.get(b"connection", b"").lower())
+        self.unread = (self.headers.get(b"content-length", b"0") != b"0"
+                       or b"transfer-encoding" in self.headers)
+        return True
+
+    def _body(self) -> bytes | None:
+        """The request body, or None if the request does not give its
+        Content-Length.  A client that waits for ``100 Continue`` gets it
+        now."""
+        length = self.headers.get(b"content-length", b"")
+        if not length.isdigit() or b"transfer-encoding" in self.headers:
+            self.close_connection = True
+            return None
+        if self.headers.get(b"expect", b"").lower() == b"100-continue":
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.unread = False
+        return self.wire.take(int(length))
+
+    def _reply(self, status: int, body: bytes = b"", *fields: tuple[str, str]) -> None:
+        """Send the reply, head and body, in one write.  A request body left
+        unread ends the connection: it would be parsed as the next request."""
+        self.close_connection = self.close_connection or self.unread
+        head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        for name, value in fields:
+            head += f"{name}: {value}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        if status != 204:  # which has no body to measure
+            head += f"Content-Length: {len(body)}\r\n"
+        self.connection.sendall((head + "\r\n").encode("latin-1") + body)
 
     def _authorized(self) -> bool:
         creds = self.server.credentials
         if creds is None:
             return True
-        return self.headers.get("Authorization", "") == _basic_auth(*creds)
+        return self.headers.get(b"authorization", b"") == _basic_auth(*creds).encode("latin-1")
 
     def _deny(self) -> None:
-        self._reply(401, b"", ("WWW-Authenticate", 'Basic realm="fpaudit"'), _CLOSE)
+        self._reply(401, b"", ("WWW-Authenticate", 'Basic realm="fpaudit"'))
+
+    def _unsupported(self) -> None:
+        self._reply(501)
 
     def do_PUT(self) -> None:
         if not self._authorized():
             return self._deny()
         if self.path != "/challenge":
-            return self._reply(404, b"", _CLOSE)
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length)
+            return self._reply(404)
+        body = self._body()
+        if body is None:
+            return self._reply(411)
         with self.server.lock:
             self.server.pending = body
-        self.send_response(204)
-        self.end_headers()
+        self._reply(204)
 
     def do_GET(self) -> None:
         if not self._authorized():
@@ -119,7 +175,8 @@ class _Handler(BaseHTTPRequestHandler):
         if pending is None:
             return self._reply(404)
         body, latency = self.server.responder.respond(pending)
-        time.sleep(latency)
+        if latency > 0:  # even a zero sleep waits out the timer slack, 50 us on Linux
+            time.sleep(latency)
         self._reply(200, body)
 
 
@@ -133,8 +190,8 @@ def start_server(responder, port: int = 0,
     return server
 
 
-def serve_forever(responder, port: int) -> None:
-    server = SimHTTPServer(responder, port, env_credentials())
+def serve_forever(server: SimHTTPServer) -> None:
+    """Serve until interrupted, then close the server."""
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -9,6 +9,10 @@ the provider; both run one deliver-then-poll loop.  Credentials come from
 configuration or the environment, never from command lines.  HTTP
 requests from one thread to one scheme and host:port share one kept-alive
 connection, so an exchange pays no handshake in its timed window.
+``http.client`` only opens that connection (proxy tunnel and TLS
+included); each request then goes out in one write and its answer is
+framed by ``http1``.  Bytes left over after an answer close the
+connection, so they are never read as a later request's answer.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import base64
 import http.client
 import os
+import re
 import threading
 import time
 import urllib.parse
@@ -23,6 +28,8 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Protocol
+
+from .http1 import Wire, read_answer
 
 DEFAULT_TIMEOUT_CAP = 5.0  # seconds on top of the per-test deadline
 _POLLED = ("http-fetch", "file-drop")  # channels whose answer the verifier waits for
@@ -120,16 +127,20 @@ def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
     what = "challenge delivery" if method == "PUT" else "response fetch"
     if not ep.address.startswith(("http://", "https://")):
         raise TransportError(f"{what} failed: {ep.address!r} is not an http(s) URL")
-    headers = {"Content-Type": "application/octet-stream"}
+    fields = "Content-Type: application/octet-stream\r\nAccept-Encoding: identity\r\n"
     if ep.credentials:
-        headers["Authorization"] = _basic_auth(*ep.credentials)
+        fields += f"Authorization: {_basic_auth(*ep.credentials)}\r\n"
     try:
         url = urllib.parse.urlsplit(ep.address)
         key = (url.scheme, url.netloc)
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        status, data = _send(key, method, target, body, headers, timeout)
+        if _UNSAFE(target) or _UNSAFE(url.netloc):
+            raise http.client.InvalidURL(f"{ep.address!r} has a character a request line "
+                                         "cannot carry")
+        status, data = _send(key, method, target, body, fields, timeout)
     # Timeouts and refusals are OSErrors; a malformed address is a ValueError
-    # or, for its port, an http.client.InvalidURL.
+    # or, for its port, an http.client.InvalidURL; a malformed answer is an
+    # http.client.HTTPException.
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise TransportError(f"{what} failed: {exc}") from exc
     if status >= 300 and not (method == "GET" and status == 404):
@@ -138,72 +149,101 @@ def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
     return status, data
 
 
+# Anything but visible ASCII in a request target or host would break the request line.
+_UNSAFE = re.compile(r"[^\x21-\x7e]").search
+
+
+class _Link(NamedTuple):
+    """A kept-alive connection, with the target prefix and header lines its
+    route adds (see ``_open``)."""
+
+    wire: Wire
+    prefix: str
+    route: str
+
+
 class _Pool(threading.local):
-    """This thread's kept-alive connections, keyed by scheme and host:port,
-    each with the target prefix and headers its route adds (see ``_open``)."""
+    """This thread's kept-alive connections, keyed by scheme and host:port."""
 
     def __init__(self) -> None:
-        self.links: dict[tuple[str, str], tuple[http.client.HTTPConnection, str, dict]] = {}
+        self.links: dict[tuple[str, str], _Link] = {}
 
 
 _POOL = _Pool()
 
 
 def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
-          headers: dict, timeout: float) -> tuple[int, bytes]:
-    """Send one request on this thread's connection for ``key`` and read the
-    whole answer.  A failure closes the connection.  A reused connection
-    that fails before any answer byte arrives (the server closed it while
-    idle) is reopened once; a new connection is not retried."""
+          fields: str, timeout: float) -> tuple[int, bytes]:
+    """Send one request, head and body in one write, on this thread's
+    connection for ``key`` and read the whole answer.  A failure closes the
+    connection; so does an answer after which the server closes it, or
+    after which bytes are left over (sent beyond the answer's length, or
+    unasked for), so they are never read as a later request's answer.  A
+    reused connection that fails before any answer byte arrives (the server
+    closed it while idle) is reopened once; a new connection is not
+    retried."""
     while True:
         link = _POOL.links.get(key)
-        # A connection the server ended after its last answer (HTTP/1.0 or
-        # "Connection: close") is opened anew, taking the proxy afresh too.
-        reused = link is not None and link[0].sock is not None
-        if not reused:
-            link = _POOL.links[key] = _open(*key)
-        conn, prefix, route_headers = link
-        response = None
+        reused = link is not None
+        if reused:
+            link.wire.sock.settimeout(timeout)
+        else:
+            link = _POOL.links[key] = _open(*key, timeout)
+        wire = link.wire
+        head = f"{method} {link.prefix}{target} HTTP/1.1\r\nHost: {key[1]}\r\n{fields}{link.route}"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        received = wire.nread
         try:
-            conn.timeout = timeout
-            if reused:
-                conn.sock.settimeout(timeout)
-            conn.request(method, prefix + target, body, headers | route_headers)
-            response = conn.getresponse()
-            return response.status, response.read()
+            wire.sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
+            status, data, keep = read_answer(wire)
         except BaseException as exc:
             _close(key)
-            if not (reused and response is None and isinstance(exc, ConnectionError)):
+            if not (reused and wire.nread == received and isinstance(exc, ConnectionError)):
                 raise
+            continue
+        if not keep or wire.pending():
+            _close(key)
+        return status, data
 
 
-def _open(scheme: str, hostport: str) -> tuple[http.client.HTTPConnection, str, dict]:
+def _open(scheme: str, hostport: str, timeout: float) -> _Link:
     """A new connection to ``hostport``, through the proxy the environment
-    names for ``scheme`` unless ``no_proxy`` exempts the host.  Returns it
-    with the prefix that turns a path into the request target and the
-    headers every request on it carries."""
+    names for ``scheme`` unless ``no_proxy`` exempts the host.
+    ``http.client`` only connects it: it opens the socket with
+    ``TCP_NODELAY``, asks a proxy for a ``CONNECT`` tunnel and wraps TLS."""
     cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     proxy = urllib.request.getproxies().get(scheme)
+    prefix = route = ""
     if not proxy or urllib.request.proxy_bypass(hostport):
-        return cls(hostport), "", {}
-    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-    auth = {}
-    if parts.username is not None:
-        auth["Proxy-Authorization"] = _basic_auth(urllib.parse.unquote(parts.username),
-                                                  urllib.parse.unquote(parts.password or ""))
-    conn = cls(parts.netloc.rpartition("@")[2])
-    if scheme == "https":
-        # A CONNECT tunnel: the proxy never sees the requests inside it.
-        conn.set_tunnel(hostport, headers=auth)
-        return conn, "", {}
-    # A forwarding proxy takes each request with the absolute URL as its target.
-    return conn, f"http://{hostport}", auth
+        conn = cls(hostport, timeout=timeout)
+    else:
+        parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        auth = {}
+        if parts.username is not None:
+            auth["Proxy-Authorization"] = _basic_auth(urllib.parse.unquote(parts.username),
+                                                      urllib.parse.unquote(parts.password or ""))
+        conn = cls(parts.netloc.rpartition("@")[2], timeout=timeout)
+        if scheme == "https":
+            # A CONNECT tunnel: the proxy never sees the requests inside it.
+            conn.set_tunnel(hostport, headers=auth)
+        else:
+            # A forwarding proxy takes each request with the absolute URL
+            # as its target.
+            prefix = f"http://{hostport}"
+            route = "".join(f"{name}: {value}\r\n" for name, value in auth.items())
+    try:
+        conn.connect()
+    except BaseException:
+        conn.close()  # a socket it opened before the tunnel or TLS failed
+        raise
+    return _Link(Wire(conn.sock), prefix, route)
 
 
 def _close(key: tuple[str, str]) -> None:
     link = _POOL.links.pop(key, None)
     if link is not None:
-        link[0].close()
+        link.wire.sock.close()
 
 
 def _exchange_polled(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import select
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +12,8 @@ from fpaudit.cli import main
 
 from families import chain_db_doc
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 DB = str(FIXTURES / "php_like_db.json")
 SIM_HONEST = str(FIXTURES / "php_like_sim_honest.json")
 SIM_FAKER = str(FIXTURES / "php_like_sim_faker.json")
@@ -320,6 +326,38 @@ def test_audit_over_http_served_simulator(capsys, sim_family, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["claimedVersion"] == "7.2.14"
+    assert doc["candidates"] == ["7.2.14"]
+
+
+def test_audit_over_http_against_a_simulate_process(capsys, monkeypatch):
+    # The deployed shape: the auditor and the provider are separate
+    # processes, and "--port 0" lets the system choose a free port.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FPAUDIT_HTTP_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for name in ("FPAUDIT_HTTP_USER", "FPAUDIT_HTTP_PASS"):
+        monkeypatch.delenv(name, raising=False)
+    server = subprocess.Popen([sys.executable, "-m", "fpaudit.cli", "simulate",
+                               "--config", SIM_HONEST, "--port", "0"],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 30)
+        assert ready, "simulate printed nothing within 30 s"
+        banner = server.stdout.readline()
+        port = int(re.search(r"on port (\d+) ", banner).group(1))
+        assert port != 0, banner
+        base = f"http://127.0.0.1:{port}"
+        code = run(["audit", "--database", DB, "--challenge-url", f"{base}/challenge",
+                    "--response-url", f"{base}/response", "--strategy", "BS",
+                    "--target", "7.2.14", "--seed", "4", "--format", "json"])
+    finally:
+        server.terminate()
+        try:
+            server.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.communicate()
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
     assert doc["candidates"] == ["7.2.14"]
 
 

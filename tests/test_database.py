@@ -511,3 +511,23 @@ def test_variable_spec_validation():
         VariableSpec("ax", "string")
     with pytest.raises(SchemaError):
         VariableSpec("Bad Name", "integer", min=1, max=2)
+
+
+def _family_holds_the_entry_keys(db) -> bool:
+    return all(db.family.versions[db.family.index[k]] is k for k in db.entries)
+
+
+def test_family_versions_are_the_entry_keys_own_objects(db):
+    # A lookup of a family version in a dict keyed by entry versions is then
+    # an identity hit, with no call to Version.__eq__.
+    assert _family_holds_the_entry_keys(db)
+    grown = add_entry(db, "7.2.15", challenge="var_dump(f(#ax#));", expect="f:ok:#ax#\n",
+                      variables={"ax": VariableSpec("ax", "integer", min=1, max=9)})
+    assert _family_holds_the_entry_keys(grown)
+    assert _family_holds_the_entry_keys(load_database(serialize_database(grown)))
+    # An entry added at a family version that had none takes its place.
+    toy = load_database(json.dumps(minimal_doc({"1.0.0": entry()}, family=["1.0.0", "1.1.0"])))
+    toy = add_entry(toy, "1.1.0", branching=["1.0.0"])
+    assert len(toy.family) == 2
+    assert _family_holds_the_entry_keys(toy)
+    assert _family_holds_the_entry_keys(load_database(serialize_database(toy)))

@@ -1,6 +1,7 @@
 import base64
 import http.client
 import socket
+import socketserver
 import statistics
 import threading
 import time
@@ -599,3 +600,134 @@ def test_exchange_timestamps_monotone(honest_endpoints):
     record = exchange(chl, rsp, b"<?php phpversion();", 0.5)
     assert record.sent_at <= record.received_at
     assert record.elapsed >= 0.0
+
+
+class _CannedAnswers(socketserver.StreamRequestHandler):
+    """Reads each request on a kept-alive connection and answers it with
+    ``server.answers[method]``, sent as it is in one write."""
+
+    def handle(self) -> None:
+        try:
+            while line := self.rfile.readline():
+                length = 0
+                while (field := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = field.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                self.rfile.read(length)
+                self.wfile.write(self.server.answers[line.split()[0].decode()])
+        except OSError:
+            pass  # the client closed the connection while its answer was being sent
+
+
+NO_CONTENT = b"HTTP/1.1 204 No Content\r\n\r\n"
+FRESH = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh"
+
+
+@pytest.mark.parametrize("put_answer, get_answer, connections", [
+    (NO_CONTENT + b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nstale", FRESH, 3),
+    (NO_CONTENT, FRESH + b" and more", 2),
+], ids=["an-answer-nobody-asked-for", "beyond-its-content-length"])
+def test_bytes_left_over_after_an_answer_close_the_connection(put_answer, get_answer,
+                                                              connections, monkeypatch):
+    # They are never read as the next request's answer.
+    with _serving(_CannedAnswers, answers={"PUT": put_answer, "GET": get_answer}) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(2)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 2
+    assert len(accepted) == connections
+
+
+@pytest.mark.parametrize("answer, error", [
+    (b"HTTP/1.1 200 " + b"x" * 65536 + b"\r\n\r\n",
+     "got more than 65536 bytes when reading status line"),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * 65536 + b"\r\n\r\n",
+     "got more than 65536 bytes when reading header line"),
+    (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 99 + b"Content-Length: 0\r\n\r\n",
+     "got more than 100 headers"),
+], ids=["status-line", "header-line", "header-count"])
+def test_an_answer_over_the_header_limits_fails_the_fetch_and_closes(answer, error, monkeypatch):
+    with _serving(_CannedAnswers, answers={"PUT": NO_CONTENT, "GET": answer}) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        first = exchange(chl, rsp, b"payload", 1.0)
+        server.answers["GET"] = FRESH
+        second = exchange(chl, rsp, b"payload", 1.0)
+    assert first.response_bytes is None
+    assert first.transport_error == f"response fetch failed: {error}"
+    assert (second.transport_error, second.response_bytes) == (None, b"fresh")
+    assert len(accepted) == 2
+
+
+def test_an_answer_at_the_header_limits_is_read(monkeypatch):
+    # A 65,536-byte status line, ending included, and 100 header lines,
+    # the blank one included, are what http.client accepts too.
+    status = b"HTTP/1.1 200 " + b"x" * (65536 - 15) + b"\r\n"
+    answer = status + b"X-Many: 1\r\n" * 98 + b"Content-Length: 5\r\n\r\nfresh"
+    assert len(status) == 65536
+    with _serving(_CannedAnswers, answers={"PUT": NO_CONTENT, "GET": answer}) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(2)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 2
+    assert len(accepted) == 1
+
+
+AUTH = b"Authorization: Basic " + base64.b64encode(b"auditor:sekrit") + b"\r\n"
+
+
+def _raw_connection(server) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", server.port), timeout=5)
+
+
+def _read_reply(sock: socket.socket) -> tuple[int, str | None, bytes]:
+    """The status, Connection header and body of the next answer, read by
+    http.client, which skips a ``100 Continue``."""
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return response.status, response.getheader("Connection"), response.read()
+
+
+def test_simserver_sends_100_continue_before_reading_a_put_body(http_server):
+    # What "curl -T" does: the body follows only once the server asks for it.
+    with _raw_connection(http_server) as sock:
+        sock.sendall(b"PUT /challenge HTTP/1.1\r\nHost: sim\r\n" + AUTH
+                     + b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(CLAIM_PAYLOAD))
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert sock.recv(len(interim), socket.MSG_WAITALL) == interim
+        sock.sendall(CLAIM_PAYLOAD)
+        assert _read_reply(sock) == (204, None, b"")
+        sock.sendall(b"GET /response HTTP/1.1\r\nHost: sim\r\n" + AUTH + b"\r\n")
+        assert _read_reply(sock) == (200, None, b"7.2.14")
+
+
+@pytest.mark.parametrize("request_head, status", [
+    (b"PUT /challenge HTTP/1.1\r\nHost: sim\r\n" + AUTH + b"\r\n", 411),
+    (b"HELLO\r\n\r\n", 400),
+    (b"GET /response\r\n\r\n", 400),
+    (b"GET /response SPDY/3\r\n\r\n", 400),
+], ids=["put-without-length", "one-word", "no-version", "not-http"])
+def test_simserver_answers_a_request_it_cannot_frame_and_closes(http_server, request_head,
+                                                                 status):
+    with _raw_connection(http_server) as sock:
+        sock.sendall(request_head)
+        assert _read_reply(sock)[:2] == (status, "close")
+        assert sock.recv(1) == b""
+
+
+def test_simserver_answers_one_http_1_0_request_and_closes(http_server):
+    request = b"GET /response HTTP/1.0\r\n" + AUTH + b"\r\n"
+    with _raw_connection(http_server) as sock:
+        sock.sendall(request * 2)
+        assert _read_reply(sock) == (404, "close", b"")
+        assert sock.recv(1) == b""
+
+
+@pytest.mark.parametrize("address", ["http://127.0.0.1:1/a challenge", "http://127.0.0.1:1/défi"])
+def test_an_address_a_request_line_cannot_carry_is_a_transport_error(address):
+    ep = InterfaceEndpoint(id="c", kind="http-fetch", address=address, timeout_cap=0.3)
+    record = exchange(ep, ep, b"payload", 0.1)
+    assert record.response_bytes is None
+    assert record.transport_error == (f"challenge delivery failed: {address!r} has a character "
+                                      "a request line cannot carry")
