@@ -29,15 +29,19 @@ versions named under ``branching`` are tested in order instead.
 
 Building a :class:`Database` walks the referrals once, without recursion,
 so any referral depth loads: the walk rejects a referral or ``deprecated``
-boundary that names no entry and a referral cycle, and resolves every
-entry's plan into ``Database.plans``.
+boundary that names no entry, a referral cycle and an entry that tests
+nothing (its plan is empty), and resolves every entry's plan into
+``Database.plans``.
 
-Referral semantics used to derive where each entry's probed function is
-actually available (its availability "windows" over the family):
+Availability is derived as masks: ``Database.avail_masks`` holds, per
+payload entry, the mask of the family versions where its probed function
+is available.  Windows are only input syntax (``deprecated``, ``windows``)
+and report output (``VersionSet.windows``).  The referral semantics:
 
 * plain entry with a payload: available from that version onward;
 * ``deprecated`` boundary (or an explicit ``windows`` list): available only
-  inside the stated window(s);
+  inside the stated window(s); a boundary at or below its entry, an empty
+  list and a window whose end is not above its start are rejected;
 * a referral entry for version ``x`` naming a non-ancestor version ``u``
   marks ``u``'s function as back-ported: the function is absent between the
   start of ``x``'s branch and ``x`` itself.
@@ -152,8 +156,8 @@ class DatabaseMeta:
     def wait_time(self) -> float:
         """Default per-test deadline in seconds."""
         amount = float(self.default_values.get("version.test.waittime.amount", DEFAULT_WAIT_MS))
-        unit = str(self.default_values.get("version.test.waittime.type", "milliseconds"))
-        return _to_seconds(amount, unit)
+        return _to_seconds(amount, self.default_values.get("version.test.waittime.type", "milliseconds"),
+                           "default key", "version.test.waittime.type")
 
     @functools.cached_property
     def default_tags(self) -> tuple[Tags, Tags]:
@@ -162,12 +166,14 @@ class DatabaseMeta:
                 _side_tags({}, "expect", self.default_values))
 
 
-def _to_seconds(amount: float, unit: str) -> float:
-    if unit in ("ms", "millisecond", "milliseconds"):
+def _to_seconds(amount: float, unit: object, where: str, key: str) -> float:
+    """``amount`` of ``unit`` in seconds; a unit that is not a known string is a
+    :class:`SchemaError` naming ``where`` and ``key``."""
+    if _checked(unit, str, "a string", where, key) in ("ms", "millisecond", "milliseconds"):
         return amount / 1000.0
     if unit in ("s", "second", "seconds"):
         return amount
-    raise SchemaError(f"unknown waittime unit {unit!r}")
+    raise SchemaError(f"{where} '{key}': unknown waittime unit {unit!r}")
 
 
 def _parse_rfc3339(value: str, key: str) -> str:
@@ -262,9 +268,6 @@ class Database:
     # version of a payload entry -> mask of the family versions where its
     # probed function is available (derived from the referral structure).
     avail_masks: dict[Version, int] = field(init=False, repr=False, compare=False)
-    availability_windows: dict[Version, tuple[tuple[Version, Version | None], ...]] = field(
-        init=False, repr=False, compare=False
-    )
     entry_versions: tuple[Version, ...] = field(init=False, repr=False, compare=False)
     # entry version -> its resolved plan (see ``resolve_plan``).
     plans: dict[Version, TestPlan] = field(init=False, repr=False, compare=False)
@@ -274,9 +277,7 @@ class Database:
         if missing:
             raise SchemaError(f"entries outside the declared family: {', '.join(missing)}")
         object.__setattr__(self, "plans", _resolve_plans(self.entries))
-        avail, windows = _derive_availability(self)
-        object.__setattr__(self, "avail_masks", avail)
-        object.__setattr__(self, "availability_windows", windows)
+        object.__setattr__(self, "avail_masks", _derive_availability(self))
         object.__setattr__(self, "entry_versions",
                            tuple(v for v in self.family.versions if v in self.entries))
 
@@ -408,8 +409,10 @@ def _load_meta(doc: dict) -> DatabaseMeta:
     default_format = defaults.get("version.test.variables.format", "integer")
     if not isinstance(default_format, str) or default_format not in VARIABLE_FORMATS:
         raise SchemaError(f"default key 'version.test.variables.format': unknown format {default_format!r}")
-    _wait_amount(defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS),
-                 "default key", "version.test.waittime.amount")
+    _to_seconds(_wait_amount(defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS),
+                             "default key", "version.test.waittime.amount"),
+                defaults.get("version.test.waittime.type", "milliseconds"),
+                "default key", "version.test.waittime.type")
     settings = _checked(doc.get("settings", {}), dict, "an object", "document", "settings")
     strategies = tuple(_checked(settings.get("strategies", list(STRATEGY_ALIASES.values())),
                                 list, "a list of strategy names", "settings", "strategies"))
@@ -482,7 +485,7 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     if wait is not None:
         _checked(wait, dict, "an object", where, "waittime")
         wait_s = _to_seconds(_wait_amount(wait.get("amount"), where, "waittime.amount"),
-                             str(wait.get("type", "milliseconds")))
+                             wait.get("type", "milliseconds"), where, "waittime.type")
     else:
         wait_s = meta.wait_time()
 
@@ -492,7 +495,9 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
 
     deprecated = test.get("deprecated")
-    deprecated_ref = _parse_label(deprecated, f"entry {label!r} 'deprecated'") if deprecated else None
+    deprecated_ref = _parse_label(deprecated, f"{where} 'deprecated'") if deprecated else None
+    if deprecated_ref is not None and deprecated_ref <= v:
+        raise SchemaError(f"{where} 'deprecated': boundary {deprecated!r} is not above the entry")
 
     explicit = None
     if "windows" in test:
@@ -500,10 +505,15 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
         pairs = test["windows"]
         if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
             raise SchemaError(f"{windows_at}: must be a list of [from, until] pairs, got {pairs!r}")
+        if not pairs:
+            raise SchemaError(f"{windows_at}: an empty list covers nothing")
         explicit = tuple(
             (_parse_label(lo, windows_at), _parse_label(hi, windows_at) if hi else None)
             for lo, hi in pairs
         )
+        for (lo, hi), pair in zip(explicit, pairs):
+            if hi is not None and hi <= lo:
+                raise SchemaError(f"{windows_at}: window {pair!r} covers nothing: until is not above from")
 
     tag_overrides = {f"{side}.{tag_key}": block[tag_key]
                      for side, block in (("challenge", challenge), ("expect", expect))
@@ -556,20 +566,8 @@ def _ancestor_origins(x: Version) -> set[Version]:
     return {branch_origin(x, "minor"), branch_origin(x, "major")}
 
 
-def _derive_availability(db: Database):
-    """Compute, per payload entry, the mask of where its probed function is
-    available, and the same as windows."""
-    windows: dict[Version, list[tuple[Version, Version | None]]] = {}
-    for v, entry in db.entries.items():
-        if not entry.has_payload:
-            continue
-        if entry.explicit_windows is not None:
-            windows[v] = list(entry.explicit_windows)
-        elif entry.deprecated_ref is not None:
-            windows[v] = [(v, entry.deprecated_ref)]
-        else:
-            windows[v] = [(v, None)]
-
+def _derive_availability(db: Database) -> dict[Version, int]:
+    """Per payload entry, the mask of where its probed function is available."""
     # A non-ancestor referral from entry x to payload entry u marks u's
     # function as back-ported: absent from the start of x's branch up to x.
     holes: dict[Version, list[tuple[Version, Version]]] = {}
@@ -582,8 +580,7 @@ def _derive_availability(db: Database):
             if hole_start > ref:
                 holes.setdefault(ref, []).append((hole_start, x))
 
-    fam = db.family.versions
-    keys = [u.key for u in fam]
+    keys = [u.key for u in db.family.versions]
 
     def span(lo: Version, hi: Version | None) -> int:
         """Mask of the family versions u with lo <= u < hi (no upper end if hi is None)."""
@@ -592,29 +589,18 @@ def _derive_availability(db: Database):
         return ((1 << j) - (1 << i)) if j > i else 0
 
     avail: dict[Version, int] = {}
-    final_windows: dict[Version, tuple[tuple[Version, Version | None], ...]] = {}
-    for v, wins in windows.items():
+    for v, entry in db.entries.items():
+        if not entry.has_payload:
+            continue
+        windows = (entry.explicit_windows if entry.explicit_windows is not None
+                   else ((v, entry.deprecated_ref),))
         mask = 0
-        for lo, hi in wins:
+        for lo, hi in windows:
             mask |= span(lo, hi)
-        for lo, hi in holes.get(v, []):
+        for lo, hi in holes.get(v, ()):
             mask &= ~span(lo, hi)
         avail[v] = mask
-        final_windows[v] = _mask_to_windows(mask, fam)
-    return avail, final_windows
-
-
-def _mask_to_windows(mask: int, fam: tuple[Version, ...]):
-    """Collapse a version mask into half-open windows over the family order,
-    one per run of set bits."""
-    spans = []
-    while mask:
-        start = (mask & -mask).bit_length() - 1
-        run = mask >> start
-        end = start + (run ^ (run + 1)).bit_length() - 1  # past the run's last bit
-        spans.append((fam[start], fam[end] if end < len(fam) else None))
-        mask ^= (1 << end) - (1 << start)
-    return tuple(spans)
+    return avail
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +609,8 @@ def _mask_to_windows(mask: int, fam: tuple[Version, ...]):
 
 def _resolve_plans(entries: dict[Version, VersionTest]) -> dict[Version, TestPlan]:
     """Every entry's plan, from one walk over the referrals that also rejects a
-    referral or boundary naming no entry and a referral cycle.
+    referral or boundary naming no entry, a referral cycle and an entry whose
+    plan is empty.
 
     ``path`` holds the referral chain being walked, from its root, each link
     with the referrals it has yet to walk; it is an explicit stack (a dict,
@@ -650,6 +637,9 @@ def _resolve_plans(entries: dict[Version, VersionTest]) -> dict[Version, TestPla
                 boundary = passes.get(entry.deprecated_ref)
                 if boundary is not None and id(boundary) not in steps:
                     plans[v] += (PlanStep(entry.deprecated_ref, False),)
+                if not plans[v]:
+                    raise SchemaError(f"entry {render_version(v)!r} tests nothing: "
+                                      "no challenge payload is reached through its referrals")
             elif ref in path:
                 links = [*path]
                 cycle = " -> ".join(render_version(x) for x in links[links.index(ref):] + [ref])
@@ -680,8 +670,8 @@ def resolve_plan(db: Database, v: Version) -> TestPlan:
     """Ordered sub-tests deciding version ``v``, resolved when ``db`` was built.
 
     Referrals' tests come before the entry's own intrinsic test; a deprecated
-    boundary comes after it, tagged expect-fail.  A family version without an
-    entry yields an empty plan (vacuously true).
+    boundary comes after it, tagged expect-fail.  Only a family version
+    without an entry yields an empty plan (vacuously true).
     """
     plan = db.plans.get(v)
     if plan is None:
@@ -725,8 +715,8 @@ class IndependenceReport:
 
 
 def validate_strategy_independence(db: Database) -> IndependenceReport:
-    """Report the family versions whose plans are empty, each as an
-    equivalence class with its nearest decided representative.
+    """Report the family versions without an entry, whose plans are empty,
+    each as an equivalence class with its nearest decided representative.
 
     Building ``db`` already resolved every entry's plan to payload entries'
     tests, so from any entry point a plan is concrete; ``problems`` is empty.
@@ -736,7 +726,7 @@ def validate_strategy_independence(db: Database) -> IndependenceReport:
     for v in db.family.versions:
         # prev: the nearest family version before v that has an entry.
         prev, rep = rep, (v if v in db.entries else rep)
-        if not resolve_plan(db, v):
+        if v not in db.entries:
             classes.append((render_version(prev), render_version(v)) if prev else (render_version(v),))
     return IndependenceReport((), tuple(classes))
 

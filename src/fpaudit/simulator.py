@@ -292,6 +292,13 @@ def sim_family_from_doc(doc: dict) -> SimFamily:
             raise SimConfigError(f"'{at}.windows' must be a list of [from, until] pairs, got {pairs!r}")
         windows = tuple((_label(lo, f"'{at}.windows'"), _label(hi, f"'{at}.windows'") if hi else None)
                         for lo, hi in pairs)
+        for (lo, hi), pair in zip(windows, pairs):
+            if hi is not None and hi <= lo:
+                raise SimConfigError(f"'{at}.windows': window {pair!r} covers nothing: "
+                                     "until is not above from")
+        hard = fdoc.get("hard", True)
+        if not isinstance(hard, bool):
+            raise SimConfigError(f"'{at}.hard' must be a boolean, got {hard!r}")
         behavior = fdoc.get("behavior", "echo-ok")
         if not isinstance(behavior, str) or behavior not in BEHAVIOR_KINDS:
             raise SimConfigError(f"function {name!r}: unknown behavior {behavior!r}")
@@ -299,7 +306,7 @@ def sim_family_from_doc(doc: dict) -> SimFamily:
         functions[name] = FunctionSpec(
             name=name,
             windows=windows,
-            hard=bool(fdoc.get("hard", True)),
+            hard=hard,
             behavior=behavior,
             syntax_floor=_label(floor, f"'{at}.syntax_floor'") if floor else None,
         )

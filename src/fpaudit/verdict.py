@@ -4,7 +4,14 @@ Every intrinsic-test observation constrains where the provider's version can
 sit: a passed test keeps only versions where the probed function is
 available, a failed one keeps the complement.  The candidate set is the
 family filtered by all constraints; bounds, satisfied windows and excluded
-windows summarize the same information for the report.
+windows summarize the same information for the report, which is the one
+place availability masks are read back as windows.
+
+The bounds come from compound (whole-plan) results.  The lower bound is the
+newest passed entry whose plan passes at no version below it, so a pass puts
+the provider at or above it; the upper bound is the oldest failed entry whose
+plan passes at exactly the versions from it up, so a fail puts the provider
+below it.  Neither bound can then cut into the candidate set.
 
 ``oracle_candidates`` is the independent check: it replays every logged plan
 against a fresh honest simulated provider pinned at each family version and
@@ -80,27 +87,19 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     full = db.family.full
     upward = {v: full & ~((1 << index[v]) - 1) for v in compound}  # masks of u >= v
     true_versions = [v for v, d in compound.items() if d]
-    lower = max(true_versions) if true_versions else None
-    upper_candidates = [v for v, d in compound.items()
-                        if not d and db.truth[v] == upward[v]]
-    upper = min(upper_candidates) if upper_candidates else None
+    # A pass puts the provider at or above v only when v's plan passes at no
+    # lower version; a fail puts it below v only when it passes at every version from v up.
+    truth = db.truth
+    lower = max([v for v in true_versions if not truth[v] & ~upward[v]], default=None)
+    upper = min([v for v, d in compound.items() if not d and truth[v] == upward[v]], default=None)
 
-    deprecated = []
-    for v in true_versions:
-        windows = db.availability_windows.get(v)
-        if windows and windows != ((v, None),) and db.avail_masks[v] != upward[v]:
-            deprecated.append(windows)
-    exclusions = []
-    for version, observed in observations:
-        if not observed:
-            windows = db.availability_windows.get(version)
-            if windows:
-                exclusions.append(windows)
+    windows, avail = db.family.windows, db.avail_masks
     return Bounds(
         lower=lower,
         upper=upper,
-        deprecated_windows=tuple(deprecated),
-        exclusions=tuple(exclusions),
+        deprecated_windows=tuple(windows(avail[v]) for v in true_versions
+                                 if avail.get(v) and avail[v] != upward[v]),
+        exclusions=tuple(windows(avail[v]) for v, observed in observations if not observed and avail[v]),
         members=db.family.select(members),
     )
 

@@ -170,5 +170,17 @@ class VersionSet:
             i = bits.find("1", i + 1)
         return tuple(out)
 
+    def windows(self, mask: int) -> tuple[tuple[Version, Version | None], ...]:
+        """``mask`` as half-open windows ``(from, until)``, ascending, one per
+        run of set bits; ``until`` is None for a run that reaches the newest version."""
+        spans = []
+        while mask:
+            start = (mask & -mask).bit_length() - 1
+            run = mask >> start
+            end = start + (run ^ (run + 1)).bit_length() - 1  # past the run's last bit
+            spans.append((self.versions[start], self.versions[end] if end < len(self.versions) else None))
+            mask ^= (1 << end) - (1 << start)
+        return tuple(spans)
+
     def labels(self) -> list[str]:
         return [render_version(v) for v in self.versions]

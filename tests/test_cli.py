@@ -113,6 +113,15 @@ def test_db_validate_reports_a_malformed_label_on_one_line(tmp_path, capsys, db_
     assert err.splitlines() == ["invalid: 'service.family': malformed version label: '5.two'"]
 
 
+def test_db_validate_rejects_an_entry_that_tests_nothing(tmp_path, capsys, db_doc):
+    db_doc["service"]["versions"]["4.4.9"] = {"test": {"branching": {"4.4.9": "1"}}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(db_doc))
+    assert run(["db", "validate", "--database", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid: entry '4.4.9' tests nothing")
+
+
 def test_db_new_stamps_creation(tmp_path, capsys):
     out = tmp_path / "new.json"
     assert run(["db", "new", "--service", "toy", "--out", str(out)]) == 0
@@ -402,6 +411,12 @@ def test_audit_with_every_exchange_failing_in_transport_is_undecided(
     pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
                              "functions": {"f": {"windows": [["7.2.14"]]}}}),
                  "'functions.f.windows'", id="one-element-window"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                             "functions": {"f": {"windows": [["7.2.14", "7.2.0"]]}}}),
+                 "'functions.f.windows'", id="window-covering-nothing"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                             "functions": {"f": {"hard": "false"}}}),
+                 "'functions.f.hard'", id="hard-not-a-boolean"),
     pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
                              "provider": {"latency": {"base_ms": "a"}}}),
                  "'provider.latency.base_ms'", id="latency-not-a-number"),

@@ -168,6 +168,30 @@ def test_one_element_windows_pair_is_a_schema_error():
         load_database(json.dumps(minimal_doc(versions)).encode())
 
 
+@pytest.mark.parametrize("where, test", [
+    ("entry '1.0.1' 'deprecated'", {"deprecated": "1.0.1"}),
+    ("entry '1.0.1' 'deprecated'", {"deprecated": "1.0.0"}),
+    ("entry '1.0.1' 'windows'", {"windows": []}),
+    ("entry '1.0.1' 'windows'", {"windows": [["1.0.1", "1.0.1"]]}),
+    ("entry '1.0.1' 'windows'", {"windows": [["1.0.0", None], ["1.0.1", "1.0.0"]]}),
+], ids=["deprecated-at-entry", "deprecated-below-entry", "windows-empty", "window-until-at-from",
+        "window-until-below-from"])
+def test_windows_that_cover_nothing_are_a_schema_error(where, test):
+    versions = {"1.0.0": entry(), "1.0.1": entry(**test), "1.0.2": entry()}
+    with pytest.raises(SchemaError, match=re.escape(where)):
+        load_database(json.dumps(minimal_doc(versions)).encode())
+
+
+@pytest.mark.parametrize("versions", [
+    {"1.0.0": entry(), "1.1.0": {"test": {"branching": {"1.1.0": "1"}}}},
+    {"1.0.0": entry(), "1.2.0": {"test": {"branching": {"1.1.0": "1"}}},
+     "1.1.0": {"test": {"branching": {"1.1.0": "1"}}}},
+], ids=["self-only-referral", "referral-to-a-self-only-referral"])
+def test_an_entry_that_tests_nothing_is_a_schema_error(versions):
+    with pytest.raises(SchemaError, match=re.escape("entry '1.1.0' tests nothing")):
+        load_database(json.dumps(minimal_doc(versions)).encode())
+
+
 def test_non_list_family_is_a_schema_error():
     doc = minimal_doc({"1.0.0": entry()})
     doc["service"]["family"] = 5
@@ -193,13 +217,16 @@ def _entry_test(doc):
     ("entry '7.2.0' 'waittime'", lambda doc: _entry_test(doc).update(waittime="200ms")),
     ("entry '7.2.0' 'waittime.amount'",
      lambda doc: _entry_test(doc).update(waittime={"amount": "x"})),
+    ("entry '7.2.0' 'waittime.type'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": 200, "type": 5})),
     ("'settings'", lambda doc: doc.update(settings=["BinarySearch"])),
     ("entry '7.2.0' variable 'ax' 'min'",
      lambda doc: _entry_test(doc)["variables"]["ax"].update(min="1")),
     ("settings 'strategies'", lambda doc: doc["settings"].update(strategies="CBS")),
     ("service 'name'", lambda doc: doc["service"].update(name=["x"])),
 ], ids=["variables-list", "payload-int", "challenge-list", "waittime-string",
-        "waittime-amount-not-a-number", "settings-list", "variable-min-string",
+        "waittime-amount-not-a-number", "waittime-type-not-a-string", "settings-list",
+        "variable-min-string",
         "strategies-string", "service-name-list"])
 def test_malformed_field_type_is_a_schema_error_naming_entry_and_key(db_doc, where, mutate):
     mutate(db_doc)
@@ -470,6 +497,18 @@ def test_per_entry_waittime_override():
     versions = {"1.0.0": entry(waittime={"amount": 500, "type": "milliseconds"})}
     db = load_database(json.dumps(minimal_doc(versions)).encode())
     assert db.entries[pv("1.0.0")].wait_time == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("where, mutate", [
+    ("entry '7.2.0' 'waittime.type'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": 200, "type": "hours"})),
+    ("default key 'version.test.waittime.type'",
+     lambda doc: doc["defaultvalues"].update({"version.test.waittime.type": "hours"})),
+], ids=["entry", "default"])
+def test_unknown_waittime_unit_is_a_schema_error_naming_the_key(db_doc, where, mutate):
+    mutate(db_doc)
+    with pytest.raises(SchemaError, match=re.escape(f"{where}: unknown waittime unit 'hours'")):
+        load_database(json.dumps(db_doc))
 
 
 def test_new_database_and_add_entry_round_trip(tmp_path):

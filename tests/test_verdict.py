@@ -130,6 +130,24 @@ def test_oracle_matches_candidates_for_real_audits(db, sim_family):
         oracle = oracle_candidates(log, db, sim_family)
         assert oracle.members == report.candidate_set.members
         assert pv(source) in report.candidate_set
+        members = report.candidate_set.members
+        if report.bounds.lower is not None:
+            assert report.bounds.lower <= members[0]
+        if report.bounds.upper is not None:
+            assert report.bounds.upper > members[-1]
+
+
+def test_a_pass_whose_window_starts_below_its_entry_sets_no_lower_bound(db_doc, sim_family):
+    # A hand-written back-port: 4.4.9's function is declared available from
+    # 4.0.0b1, so passing it does not place the provider at or above 4.4.9.
+    db_doc["service"]["versions"]["4.4.9"]["test"]["windows"] = [["4.0.0b1", None]]
+    db = load_database(json.dumps(db_doc))
+    cfg = SimProviderConfig(src_version=pv("4.4.9"), latency=LatencyModel(0.001, 0.0), seed=4)
+    log = run_audit(db, "BS", make_loopback(produce(sim_family, cfg)), RandomnessSource(seed=8))
+    bounds = build_report(log, db).bounds
+    assert log.observations[pv("4.4.9")] is True
+    assert labels(bounds) == ["4.0.0b1", "4.4.9"]
+    assert bounds.lower is None
 
 
 def test_monotone_consistency_within_branch(db, sim_family):

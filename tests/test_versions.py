@@ -186,3 +186,30 @@ def test_version_set_rejects_duplicates():
 def test_version_set_iterates_ascending():
     vs = VersionSet("x", tuple(parse_version(s) for s in ("2.0.0", "1.0.0", "1.5.0")))
     assert vs.labels() == ["1.0.0", "1.5.0", "2.0.0"]
+
+
+def naive_runs(mask: int, n: int) -> list[tuple[int, int]]:
+    """``(first, past_last)`` index pairs of the runs of set bits, read one version at a time."""
+    runs: list[tuple[int, int]] = []
+    for i in range(n):
+        if mask >> i & 1:
+            if runs and runs[-1][1] == i:
+                runs[-1] = (runs[-1][0], i + 1)
+            else:
+                runs.append((i, i + 1))
+    return runs
+
+
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_windows_are_the_maximal_runs_of_a_mask(n_mask):
+    n, mask = n_mask
+    vs = VersionSet("x", tuple(Version(1, i // 5, i % 5) for i in range(n)))
+    windows = vs.windows(mask)
+    runs = naive_runs(mask, n)
+    # Ascending, disjoint and maximal: exactly the runs of set bits.
+    assert [(vs.index[lo], n if hi is None else vs.index[hi]) for lo, hi in windows] == runs
+    # Only a run that reaches the newest version is open-ended.
+    assert [hi is None for _, hi in windows] == [end == n for _, end in runs]
+    spanned = sum(1 << i for i, v in enumerate(vs.versions)
+                  if any(lo <= v and (hi is None or v < hi) for lo, hi in windows))
+    assert spanned == mask
