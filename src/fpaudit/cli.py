@@ -29,8 +29,8 @@ from .database import (
 from .outsourced import read_keys, read_log, verify_liability
 from .simulator import SimConfigError, load_sim_config, produce
 from .strategies import AuditError, run_audit
-from .transport import (InterfaceEndpoint, TransportError, env_credentials, make_loopback,
-                        probe_version_claim)
+from .transport import (InterfaceEndpoint, TransportError, close_connections, env_credentials,
+                        make_loopback, probe_version_claim)
 from .verdict import build_report
 from .versions import VersionParseError, parse_version
 
@@ -95,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DatabaseError, SimConfigError, VersionParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        close_connections()
     return 2
 
 

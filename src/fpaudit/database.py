@@ -495,7 +495,7 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
 
     deprecated = test.get("deprecated")
-    deprecated_ref = _parse_label(deprecated, f"{where} 'deprecated'") if deprecated else None
+    deprecated_ref = _parse_label(deprecated, f"{where} 'deprecated'") if deprecated is not None else None
     if deprecated_ref is not None and deprecated_ref <= v:
         raise SchemaError(f"{where} 'deprecated': boundary {deprecated!r} is not above the entry")
 
@@ -508,7 +508,7 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
         if not pairs:
             raise SchemaError(f"{windows_at}: an empty list covers nothing")
         explicit = tuple(
-            (_parse_label(lo, windows_at), _parse_label(hi, windows_at) if hi else None)
+            (_parse_label(lo, windows_at), _parse_label(hi, windows_at) if hi is not None else None)
             for lo, hi in pairs
         )
         for (lo, hi), pair in zip(explicit, pairs):

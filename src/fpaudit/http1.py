@@ -11,6 +11,7 @@ one ``sendall``, so no message waits on a delayed ACK between two segments.
 
 from __future__ import annotations
 
+import re
 import socket
 from http.client import (BadStatusLine, HTTPException, IncompleteRead, LineTooLong,
                          RemoteDisconnected, UnknownProtocol)
@@ -19,6 +20,7 @@ MAXLINE = 65536  # bytes in a status, request, header or chunk-size line, with i
 MAXHEADERS = 100  # lines in a header block, counting the blank line that ends it
 _RECV = 65536
 _HEX = b"0123456789abcdefABCDEF"
+_BLANK = re.compile(rb"\n\r?\n")  # a line's end, then the blank line that ends a block
 
 
 class Wire:
@@ -65,16 +67,33 @@ class Wire:
     def fields(self, what: str = "header line") -> dict[bytes, bytes]:
         """The header (or trailer) lines up to the blank line that ends
         them: lower-case name to value, the first of a repeated name
-        winning.  A line without a colon is ignored."""
+        winning.  A line without a colon is ignored.
+
+        A block already received whole, and too short to reach a limit, is
+        split at its blank line in one pass; any other is read line by line."""
+        buf, pos = self.buf, self.pos
+        if buf.startswith((b"\n", b"\r\n"), pos):
+            self.pos = buf.index(b"\n", pos) + 1
+            return {}
+        blank = _BLANK.search(buf, pos)
+        lines = buf[pos:blank.start()].split(b"\n") if blank and blank.start() - pos < MAXLINE else []
+        if 0 < len(lines) < MAXHEADERS - 1:
+            self.pos = blank.end()
+        else:
+            lines = []
+            for _ in range(MAXHEADERS):
+                line = self.line(what)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                lines.append(line)
+            else:
+                raise HTTPException(f"got more than {MAXHEADERS} headers")
         fields: dict[bytes, bytes] = {}
-        for _ in range(MAXHEADERS):
-            line = self.line(what)
-            if line in (b"\r\n", b"\n", b""):
-                return fields
+        for line in lines:
             name, colon, value = line.partition(b":")
             if colon:
                 fields.setdefault(name.lower(), value.strip())
-        raise HTTPException(f"got more than {MAXHEADERS} headers")
+        return fields
 
     def take(self, n: int) -> bytes:
         """Exactly the next ``n`` bytes."""

@@ -37,7 +37,8 @@ class SimHTTPServer(socketserver.ThreadingTCPServer):
     def __init__(self, responder, port: int = 0,
                  credentials: tuple[str, str] | None = None):
         self.responder = responder
-        self.credentials = credentials
+        # The Authorization value every request must carry, if any.
+        self.authorization = _basic_auth(*credentials).encode("latin-1") if credentials else None
         self.pending: bytes | None = None
         self.connections: set[socket.socket] = set()
         self.lock = threading.Lock()  # guards pending and connections
@@ -77,6 +78,27 @@ class SimHTTPServer(socketserver.ThreadingTCPServer):
 
     def url(self, path: str) -> str:
         return f"http://127.0.0.1:{self.port}{path}"
+
+
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+
+
+def _message(status: int, body: bytes, fields: tuple[tuple[str, str], ...], close: bool) -> bytes:
+    """A whole reply: status line, ``fields``, ``Connection: close`` if
+    ``close``, the body's Content-Length unless it is a 204, and the body."""
+    head = _STATUS_LINES[status]
+    for name, value in fields:
+        head += f"{name}: {value}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    if status != 204:  # which has no body to measure
+        head += f"Content-Length: {len(body)}\r\n"
+    return (head + "\r\n").encode("latin-1") + body
+
+
+# The replies without fields or body, whole, with and without Connection: close.
+_BARE = {(status, close): _message(status, b"", (), close)
+         for status in (204, 404, 411, 501) for close in (False, True)}
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -131,21 +153,13 @@ class _Handler(socketserver.StreamRequestHandler):
     def _reply(self, status: int, body: bytes = b"", *fields: tuple[str, str]) -> None:
         """Send the reply, head and body, in one write.  A request body left
         unread ends the connection: it would be parsed as the next request."""
-        self.close_connection = self.close_connection or self.unread
-        head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-        for name, value in fields:
-            head += f"{name}: {value}\r\n"
-        if self.close_connection:
-            head += "Connection: close\r\n"
-        if status != 204:  # which has no body to measure
-            head += f"Content-Length: {len(body)}\r\n"
-        self.connection.sendall((head + "\r\n").encode("latin-1") + body)
+        close = self.close_connection = self.close_connection or self.unread
+        bare = None if body or fields else _BARE.get((status, close))
+        self.connection.sendall(bare or _message(status, body, fields, close))
 
     def _authorized(self) -> bool:
-        creds = self.server.credentials
-        if creds is None:
-            return True
-        return self.headers.get(b"authorization", b"") == _basic_auth(*creds).encode("latin-1")
+        expected = self.server.authorization
+        return expected is None or self.headers.get(b"authorization", b"") == expected
 
     def _deny(self) -> None:
         self._reply(401, b"", ("WWW-Authenticate", 'Basic realm="fpaudit"'))

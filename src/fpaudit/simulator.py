@@ -287,15 +287,14 @@ def sim_family_from_doc(doc: dict) -> SimFamily:
         at = f"functions.{name}"
         if not isinstance(fdoc, dict):
             raise SimConfigError(f"'{at}' must be an object, got {fdoc!r}")
-        pairs = fdoc.get("windows", [])
+        pairs, where = fdoc.get("windows", []), f"'{at}.windows'"
         if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise SimConfigError(f"'{at}.windows' must be a list of [from, until] pairs, got {pairs!r}")
-        windows = tuple((_label(lo, f"'{at}.windows'"), _label(hi, f"'{at}.windows'") if hi else None)
+            raise SimConfigError(f"{where} must be a list of [from, until] pairs, got {pairs!r}")
+        windows = tuple((_label(lo, where), _label(hi, where) if hi is not None else None)
                         for lo, hi in pairs)
         for (lo, hi), pair in zip(windows, pairs):
             if hi is not None and hi <= lo:
-                raise SimConfigError(f"'{at}.windows': window {pair!r} covers nothing: "
-                                     "until is not above from")
+                raise SimConfigError(f"{where}: window {pair!r} covers nothing: until is not above from")
         hard = fdoc.get("hard", True)
         if not isinstance(hard, bool):
             raise SimConfigError(f"'{at}.hard' must be a boolean, got {hard!r}")

@@ -8,7 +8,9 @@ delivered, so holding the PUT or the write acknowledgement counts against
 the provider; both run one deliver-then-poll loop.  Credentials come from
 configuration or the environment, never from command lines.  HTTP
 requests from one thread to one scheme and host:port share one kept-alive
-connection, so an exchange pays no handshake in its timed window.
+connection, so an exchange pays no handshake in its timed window; what
+every request to an endpoint shares (connection key, request target,
+header lines) is worked out once.
 ``http.client`` only opens that connection (proxy tunnel and TLS
 included); each request then goes out in one write and its answer is
 framed by ``http1``.  Bytes left over after an answer close the
@@ -18,6 +20,7 @@ connection, so they are never read as a later request's answer.
 from __future__ import annotations
 
 import base64
+import functools
 import http.client
 import os
 import re
@@ -125,18 +128,8 @@ def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
     leave the named host; so is every failure.  Either closes the
     connection, so a late answer is never read as a later request's."""
     what = "challenge delivery" if method == "PUT" else "response fetch"
-    if not ep.address.startswith(("http://", "https://")):
-        raise TransportError(f"{what} failed: {ep.address!r} is not an http(s) URL")
-    fields = "Content-Type: application/octet-stream\r\nAccept-Encoding: identity\r\n"
-    if ep.credentials:
-        fields += f"Authorization: {_basic_auth(*ep.credentials)}\r\n"
     try:
-        url = urllib.parse.urlsplit(ep.address)
-        key = (url.scheme, url.netloc)
-        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        if _UNSAFE(target) or _UNSAFE(url.netloc):
-            raise http.client.InvalidURL(f"{ep.address!r} has a character a request line "
-                                         "cannot carry")
+        key, target, fields = _prepare(ep.address, ep.credentials)
         status, data = _send(key, method, target, body, fields, timeout)
     # Timeouts and refusals are OSErrors; a malformed address is a ValueError
     # or, for its port, an http.client.InvalidURL; a malformed answer is an
@@ -147,6 +140,25 @@ def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
         _close(key)
         raise TransportError("auth" if status in (401, 403) else f"{what} rejected: HTTP {status}")
     return status, data
+
+
+@functools.lru_cache(maxsize=128)
+def _prepare(address: str, credentials: tuple[str, str] | None) -> tuple[tuple[str, str], str, str]:
+    """What every request to an endpoint shares, worked out once per address
+    and credentials: the connection key (scheme and host:port), the request
+    target and the header lines that follow ``Host``.  A malformed address
+    raises each time it is asked for."""
+    if not address.startswith(("http://", "https://")):
+        raise ValueError(f"{address!r} is not an http(s) URL")
+    url = urllib.parse.urlsplit(address)
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    if _UNSAFE(target) or _UNSAFE(url.netloc):
+        raise http.client.InvalidURL(f"{address!r} has a character a request line "
+                                     "cannot carry")
+    fields = "Content-Type: application/octet-stream\r\nAccept-Encoding: identity\r\n"
+    if credentials:
+        fields += f"Authorization: {_basic_auth(*credentials)}\r\n"
+    return (url.scheme, url.netloc), target, fields
 
 
 # Anything but visible ASCII in a request target or host would break the request line.
@@ -244,6 +256,12 @@ def _close(key: tuple[str, str]) -> None:
     link = _POOL.links.pop(key, None)
     if link is not None:
         link.wire.sock.close()
+
+
+def close_connections() -> None:
+    """Close this thread's kept-alive connections."""
+    for key in list(_POOL.links):
+        _close(key)
 
 
 def _exchange_polled(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,

@@ -26,7 +26,7 @@ from .challenge import RandomnessSource, render_test
 from .database import Database, fold_constraints, resolve_plan
 from .simulator import HonestResponder, LatencyModel, SimFamily
 from .strategies import DecisionLog
-from .versions import Version, render_version
+from .versions import Version, VersionSet, render_version
 
 
 class InconsistentLogError(ValueError):
@@ -44,9 +44,18 @@ Window = tuple[Version, "Version | None"]
 class Bounds:
     lower: Version | None
     upper: Version | None
-    deprecated_windows: tuple[tuple[Window, ...], ...] = ()
-    exclusions: tuple[tuple[Window, ...], ...] = ()
+    family: VersionSet = field(repr=False)
+    deprecated_masks: tuple[int, ...] = ()  # availability of each windowed passed entry
+    exclusion_masks: tuple[int, ...] = ()  # availability of each failed observation
     members: tuple[Version, ...] = ()  # family versions the observations admit, ascending
+
+    @property
+    def deprecated_windows(self) -> tuple[tuple[Window, ...], ...]:
+        return tuple(map(self.family.windows, self.deprecated_masks))
+
+    @property
+    def exclusions(self) -> tuple[tuple[Window, ...], ...]:
+        return tuple(map(self.family.windows, self.exclusion_masks))
 
     def to_doc(self) -> dict:
         return {
@@ -93,13 +102,14 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     lower = max([v for v in true_versions if not truth[v] & ~upward[v]], default=None)
     upper = min([v for v, d in compound.items() if not d and truth[v] == upward[v]], default=None)
 
-    windows, avail = db.family.windows, db.avail_masks
+    avail = db.avail_masks
     return Bounds(
         lower=lower,
         upper=upper,
-        deprecated_windows=tuple(windows(avail[v]) for v in true_versions
-                                 if avail.get(v) and avail[v] != upward[v]),
-        exclusions=tuple(windows(avail[v]) for v, observed in observations if not observed and avail[v]),
+        family=db.family,
+        deprecated_masks=tuple(avail[v] for v in true_versions
+                               if avail.get(v) and avail[v] != upward[v]),
+        exclusion_masks=tuple(avail[v] for v, observed in observations if not observed and avail[v]),
         members=db.family.select(members),
     )
 

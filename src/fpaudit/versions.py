@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 
 _PRE_STAGES = {"b": 0, "rc": 1}
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary numeral's digits as selector bytes
 
 _LABEL_RE = re.compile(
     r"""^
@@ -162,13 +164,8 @@ class VersionSet:
 
     def select(self, mask: int) -> tuple[Version, ...]:
         """The versions whose bits are set in ``mask``, ascending."""
-        bits = bin(mask)[:1:-1]  # bit 0 first
-        out = []
-        i = bits.find("1")
-        while i >= 0:
-            out.append(self.versions[i])
-            i = bits.find("1", i + 1)
-        return tuple(out)
+        # bit 0 first, as the bytes 0 and 1
+        return tuple(compress(self.versions, bin(mask)[:1:-1].encode().translate(_BITS)))
 
     def windows(self, mask: int) -> tuple[tuple[Version, Version | None], ...]:
         """``mask`` as half-open windows ``(from, until)``, ascending, one per

@@ -2,12 +2,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from fpaudit.challenge import RandomnessSource
 from fpaudit.database import load_database
 from fpaudit.simulator import LatencyModel, SimProviderConfig, load_sim_config, produce
 from fpaudit.transport import make_loopback
 from fpaudit.versions import parse_version
+
+# Properties are about what holds, not how fast: on a loaded machine the
+# default 200 ms deadline per example fails tests that are correct.  Only
+# the deadline changes; every test keeps its example count.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"

@@ -370,6 +370,35 @@ def test_audit_over_http_against_a_simulate_process(capsys, monkeypatch):
     assert doc["candidates"] == ["7.2.14"]
 
 
+def test_an_http_audit_leaves_no_socket_open_at_exit():
+    # The kept-alive connection is closed when the command ends, not left
+    # to the garbage collector (which warns about it under -X dev).
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FPAUDIT_HTTP_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    server = subprocess.Popen([sys.executable, "-m", "fpaudit.cli", "simulate",
+                               "--config", SIM_HONEST, "--port", "0"],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 30)
+        assert ready, "simulate printed nothing within 30 s"
+        base = "http://127.0.0.1:%s" % re.search(r"on port (\d+) ", server.stdout.readline()).group(1)
+        audit = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                                "-m", "fpaudit.cli", "audit", "--database", DB,
+                                "--challenge-url", f"{base}/challenge",
+                                "--response-url", f"{base}/response", "--strategy", "BS",
+                                "--target", "7.2.14", "--seed", "4"],
+                               env=env, capture_output=True, text=True, timeout=60)
+    finally:
+        server.terminate()
+        try:
+            server.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.communicate()
+    assert audit.returncode == 0, audit.stderr
+    assert "unclosed <socket" not in audit.stderr
+
+
 @pytest.mark.parametrize("strategy", ["BS", "CBS", "HTL", "LTH", "HMSU"])
 def test_audit_with_every_exchange_failing_in_transport_is_undecided(
         strategy, capsys, sim_family, monkeypatch):

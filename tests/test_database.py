@@ -156,6 +156,18 @@ def test_malformed_version_label_is_a_schema_error(where, mutate):
         load_database(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("value", [0, False, ""], ids=["zero", "false", "empty-string"])
+@pytest.mark.parametrize("key, test", [
+    ("deprecated", lambda value: {"deprecated": value}),
+    ("windows", lambda value: {"windows": [["1.0.1", value]]}),
+], ids=["deprecated", "window-until"])
+def test_a_falsy_label_is_a_schema_error_not_an_absent_one(key, test, value):
+    # Only null means "no boundary" or "open-ended".
+    versions = {"1.0.0": entry(), "1.0.1": entry(**test(value)), "1.0.2": entry()}
+    with pytest.raises(SchemaError, match=f"entry '1.0.1' '{key}'"):
+        load_database(json.dumps(minimal_doc(versions)).encode())
+
+
 def test_branching_naming_one_version_twice_is_a_schema_error():
     versions = {"1.0.0": entry(), "1.0.1": entry(branching={"1.0": "0", "1.0.0": "1"})}
     with pytest.raises(SchemaError, match="entry '1.0.1' 'branching': '1.0' and '1.0.0' name the same"):

@@ -10,6 +10,7 @@ from fpaudit.simulator import (
     SimConfigError,
     SimProviderConfig,
     produce,
+    sim_family_from_doc,
 )
 from fpaudit.challenge import render_test
 from fpaudit.versions import parse_version as pv
@@ -120,3 +121,12 @@ def test_latency_model_sampling(sim_family):
 def test_source_must_belong_to_family(sim_family):
     with pytest.raises(SimConfigError):
         HonestResponder(sim_family, pv("9.9.9"))
+
+
+@pytest.mark.parametrize("until", [0, False, ""], ids=["zero", "false", "empty-string"])
+def test_a_falsy_window_until_is_a_config_error_not_an_open_end(until):
+    # Only null leaves a window open-ended.
+    doc = {"family": {"versions": ["7.2.0", "7.2.14"]},
+           "functions": {"f": {"windows": [["7.2.0", until]]}}}
+    with pytest.raises(SimConfigError, match="'functions.f.windows'"):
+        sim_family_from_doc(doc)

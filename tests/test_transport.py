@@ -14,7 +14,7 @@ import pytest
 
 from fpaudit.challenge import judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
-from fpaudit.simserver import start_server
+from fpaudit.simserver import _message, start_server
 from fpaudit.strategies import run_audit
 from fpaudit.transport import (
     CLAIM_PAYLOAD,
@@ -731,3 +731,63 @@ def test_an_address_a_request_line_cannot_carry_is_a_transport_error(address):
     assert record.response_bytes is None
     assert record.transport_error == (f"challenge delivery failed: {address!r} has a character "
                                       "a request line cannot carry")
+
+
+@pytest.mark.parametrize("address", ["file:///etc/hostname", "127.0.0.1:1/challenge",
+                                     "http://127.0.0.1:port/challenge",
+                                     "http://127.0.0.1:1/a challenge"])
+def test_a_bad_address_fails_every_exchange_with_the_same_message(address):
+    # Each endpoint's request set-up is worked out once and reused; a bad
+    # address must not be remembered as a good one, nor change its message.
+    ep = InterfaceEndpoint(id="c", kind="http-fetch", address=address, timeout_cap=0.3)
+    errors = {exchange(ep, ep, b"payload", 0.1).transport_error for _ in range(3)}
+    assert len(errors) == 1
+    assert errors.pop().startswith("challenge delivery failed: ")
+
+
+class _RecordsAuthorization(socketserver.StreamRequestHandler):
+    """Answers each request 204 (PUT) or 200 (GET) on a kept-alive
+    connection and records its Authorization value (None without one)."""
+
+    def handle(self) -> None:
+        while line := self.rfile.readline():
+            fields = {}
+            while (field := self.rfile.readline()) not in (b"\r\n", b""):
+                name, _, value = field.partition(b":")
+                fields[name.strip().lower()] = value.strip()
+            self.rfile.read(int(fields.get(b"content-length", 0)))
+            self.server.seen.append(fields.get(b"authorization"))
+            self.wfile.write(NO_CONTENT if line.startswith(b"PUT") else FRESH)
+
+
+def test_endpoints_differing_only_in_credentials_send_their_own_authorization():
+    with _serving(_RecordsAuthorization, seen=[]) as server:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        for credentials in (CREDS, ("auditor", "other"), None, CREDS):
+            assert exchange(*_endpoints(base, credentials), b"payload", 1.0).response_bytes == b"fresh"
+    expected = [b"Basic " + base64.b64encode(b"auditor:sekrit"),
+                b"Basic " + base64.b64encode(b"auditor:other"), None,
+                b"Basic " + base64.b64encode(b"auditor:sekrit")]
+    assert server.seen == [value for value in expected for _ in ("PUT", "GET")]
+
+
+@pytest.mark.parametrize("request_head, status, close", [
+    (b"PUT /challenge HTTP/1.1\r\n" + AUTH + b"Content-Length: 1\r\n\r\nx", 204, False),
+    (b"PUT /challenge HTTP/1.1\r\n" + AUTH + b"Connection: close\r\nContent-Length: 1\r\n\r\nx",
+     204, True),
+    (b"GET /response HTTP/1.1\r\n" + AUTH + b"\r\n", 404, False),
+    (b"GET /elsewhere HTTP/1.0\r\n" + AUTH + b"\r\n", 404, True),
+    (b"PUT /challenge HTTP/1.1\r\n" + AUTH + b"\r\n", 411, True),
+    (b"DELETE /challenge HTTP/1.1\r\n\r\n", 501, False),
+    (b"DELETE /challenge HTTP/1.1\r\nConnection: close\r\n\r\n", 501, True),
+], ids=["204", "204-close", "404", "404-close", "411-close", "501", "501-close"])
+def test_a_prebuilt_simserver_reply_is_what_the_general_path_builds(http_server, request_head,
+                                                                      status, close):
+    with _raw_connection(http_server) as sock:
+        sock.sendall(request_head)
+        reply = b""
+        while not reply.endswith(b"\r\n\r\n"):
+            reply += sock.recv(4096)
+        assert reply == _message(status, b"", (), close)
+        if close:
+            assert sock.recv(1) == b""
