@@ -49,19 +49,25 @@ and report output (``VersionSet.windows``).  The referral semantics:
 Ancestor referrals (branch origins and technical prerequisites) always point
 at the first version of a branch, i.e. a version with zeroed patch (or
 zeroed minor and patch); anything else is treated as a back-port partner.
+
+This module also holds the rules for reading a field of an outside JSON
+document, which the simulator config's loader shares: ``null`` is the only
+absent value, a JSON bool is no number, numbers are finite (NaN, the
+infinities and an int beyond float range are errors), wait amounts are
+positive, and a window list must cover something.  Each error names its key.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import chain
-from types import NoneType
 
 from .versions import (Version, VersionParseError, VersionSet, branch_origin, parse_version,
                        render_version)
@@ -71,6 +77,7 @@ _IDENT_RE = re.compile(r"[a-z0-9_]+")
 _PLACEHOLDER_RE = re.compile(rb"#([a-z0-9_]+)#")
 
 DEFAULT_WAIT_MS = 200
+_WAIT_AMOUNT, _WAIT_TYPE = "version.test.waittime.amount", "version.test.waittime.type"
 
 # The "defaultvalues" block of every database this package authors.
 DEFAULT_VALUES = {
@@ -155,9 +162,10 @@ class DatabaseMeta:
 
     def wait_time(self) -> float:
         """Default per-test deadline in seconds."""
-        amount = float(self.default_values.get("version.test.waittime.amount", DEFAULT_WAIT_MS))
-        return _to_seconds(amount, self.default_values.get("version.test.waittime.type", "milliseconds"),
-                           "default key", "version.test.waittime.type")
+        defaults = self.default_values
+        return _to_seconds(
+            _number(defaults, _WAIT_AMOUNT, f"default key '{_WAIT_AMOUNT}'", DEFAULT_WAIT_MS, positive=True),
+            defaults, _WAIT_TYPE, f"default key '{_WAIT_TYPE}'")
 
     @functools.cached_property
     def default_tags(self) -> tuple[Tags, Tags]:
@@ -166,14 +174,15 @@ class DatabaseMeta:
                 _side_tags({}, "expect", self.default_values))
 
 
-def _to_seconds(amount: float, unit: object, where: str, key: str) -> float:
-    """``amount`` of ``unit`` in seconds; a unit that is not a known string is a
-    :class:`SchemaError` naming ``where`` and ``key``."""
-    if _checked(unit, str, "a string", where, key) in ("ms", "millisecond", "milliseconds"):
+def _to_seconds(amount: float, doc: dict, key: str, at: str) -> float:
+    """``amount`` of the unit ``doc[key]`` names (milliseconds if absent or null)
+    in seconds; a unit that is not a known string is a :class:`SchemaError` naming ``at``."""
+    unit = _field(doc, key, str, "a string", at, "milliseconds")
+    if unit in ("ms", "millisecond", "milliseconds"):
         return amount / 1000.0
     if unit in ("s", "second", "seconds"):
         return amount
-    raise SchemaError(f"{where} '{key}': unknown waittime unit {unit!r}")
+    raise SchemaError(f"{at}: unknown waittime unit {unit!r}")
 
 
 def _parse_rfc3339(value: str, key: str) -> str:
@@ -369,6 +378,8 @@ def load_database(document: bytes | str) -> Database:
     return Database(meta=meta, entries=entries, family=family)
 
 
+# The rules for reading one field of an outside JSON document, shared with
+# the simulator config's loader.
 def _parse_label(label: object, where: str) -> Version:
     """``label`` as a version; a malformed one is a :class:`SchemaError` naming ``where``."""
     if not isinstance(label, str):
@@ -389,42 +400,77 @@ def _parse_labels(labels: Iterable[object], where: str) -> tuple[Version, ...]:
     return tuple(first)
 
 
-def _checked(value: object, kind: type | tuple[type, ...], what: str, where: str, key: str):
+def _checked(value: object, kind: type | tuple[type, ...], what: str, at: str):
     """``value`` if it is a ``kind`` (a bool is no number); else a :class:`SchemaError`
-    naming ``where`` and ``key``."""
+    naming ``at``."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise SchemaError(f"{where} '{key}' must be {what}, got {value!r}")
+        raise SchemaError(f"{at} must be {what}, got {value!r}")
     return value
+
+
+def _field(doc: dict, key: str, kind: type | tuple[type, ...], what: str, at: str,
+           default: object = None):
+    """``doc[key]`` checked as :func:`_checked` checks it, or ``default`` if it
+    is absent or null: only null is absent, so ``0``, ``false``, ``""``, ``[]``
+    and ``{}`` are values."""
+    value = doc.get(key)
+    return default if value is None else _checked(value, kind, what, at)
+
+
+def _number(doc: dict, key: str, at: str, default: float | None = None, *,
+            positive: bool = False) -> float:
+    """``doc[key]`` (``default`` if absent or null) as a finite float that is
+    not negative, nor zero if ``positive``; else a :class:`SchemaError` naming
+    ``at``.  NaN, the infinities and an int beyond float range are no numbers."""
+    what = "a finite positive number" if positive else "a finite non-negative number"
+    value = doc.get(key)
+    try:
+        number = float(_checked(default if value is None else value, (int, float), what, at))
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number) or number < 0 or (positive and number == 0):
+        raise SchemaError(f"{at} must be {what}, got {value!r}")
+    return number
+
+
+def _windows(pairs: object, at: str) -> tuple[tuple[Version, Version | None], ...]:
+    """``pairs`` as ``[from, until]`` windows, ``until`` null for open-ended; a
+    malformed or empty list, or a window that covers nothing, is a
+    :class:`SchemaError` naming ``at``."""
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise SchemaError(f"{at} must be a list of [from, until] pairs, got {pairs!r}")
+    if not pairs:
+        raise SchemaError(f"{at}: an empty list covers nothing")
+    windows = tuple((_parse_label(lo, at), None if hi is None else _parse_label(hi, at))
+                    for lo, hi in pairs)
+    for (lo, hi), pair in zip(windows, pairs):
+        if hi is not None and hi <= lo:
+            raise SchemaError(f"{at}: window {pair!r} covers nothing: until is not above from")
+    return windows
 
 
 def _load_meta(doc: dict) -> DatabaseMeta:
     created = _parse_rfc3339(doc.get("creationTimestamp", ""), "creationTimestamp")
     updated = _parse_rfc3339(doc.get("lastUpdateTimestamp", created), "lastUpdateTimestamp")
-    defaults = doc.get("defaultvalues", {})
-    if not isinstance(defaults, dict):
-        raise SchemaError("'defaultvalues' must be an object")
+    defaults = _field(doc, "defaultvalues", dict, "an object", "document 'defaultvalues'", {})
     for key in defaults:
         if key not in KNOWN_DEFAULTS:
             raise SchemaError(f"unknown default key {key!r}")
-    default_format = defaults.get("version.test.variables.format", "integer")
-    if not isinstance(default_format, str) or default_format not in VARIABLE_FORMATS:
+    default_format = _field(defaults, "version.test.variables.format", str, "a string",
+                            "default key 'version.test.variables.format'", "integer")
+    if default_format not in VARIABLE_FORMATS:
         raise SchemaError(f"default key 'version.test.variables.format': unknown format {default_format!r}")
-    _to_seconds(_wait_amount(defaults.get("version.test.waittime.amount", DEFAULT_WAIT_MS),
-                             "default key", "version.test.waittime.amount"),
-                defaults.get("version.test.waittime.type", "milliseconds"),
-                "default key", "version.test.waittime.type")
-    settings = _checked(doc.get("settings", {}), dict, "an object", "document", "settings")
-    strategies = tuple(_checked(settings.get("strategies", list(STRATEGY_ALIASES.values())),
-                                list, "a list of strategy names", "settings", "strategies"))
+    settings = _field(doc, "settings", dict, "an object", "document 'settings'", {})
+    strategies = tuple(_field(settings, "strategies", list, "a list of strategy names",
+                              "settings 'strategies'", list(STRATEGY_ALIASES.values())))
     for name in strategies:
         if not isinstance(name, str) or (name not in STRATEGY_SHORT and name not in STRATEGY_ALIASES):
             raise SchemaError(f"unknown strategy name {name!r} in settings 'strategies'")
     service = doc.get("service", {})
-    name = service.get("name") if isinstance(service, dict) else None
+    name = _field(service, "name", str, "a string", "service 'name'") if isinstance(service, dict) else None
     if not name:
         raise SchemaError("missing 'service.name'")
-    _checked(name, str, "a string", "service", "name")
-    return DatabaseMeta(
+    meta = DatabaseMeta(
         creation_timestamp=created,
         last_update_timestamp=updated,
         default_values=dict(defaults),
@@ -433,17 +479,8 @@ def _load_meta(doc: dict) -> DatabaseMeta:
         strategies=strategies,
         service_name=name,
     )
-
-
-def _wait_amount(value: object, where: str, key: str) -> float:
-    if _checked(value, (int, float), "a positive number", where, key) <= 0:
-        raise SchemaError(f"{where} '{key}' must be a positive number, got {value!r}")
-    return float(value)
-
-
-# The typed fields of a variable; each may be left out.
-_VARIABLE_FIELDS = (("format", (str, NoneType), "a string"), ("min", (int, NoneType), "an integer"),
-                    ("max", (int, NoneType), "an integer"), ("length", (int, NoneType), "an integer"))
+    meta.wait_time()  # checks the default wait amount and unit
+    return meta
 
 
 def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> VersionTest:
@@ -452,28 +489,24 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     test = body["test"]
     where = f"entry {label!r}"
 
+    default_format = _field(meta.default_values, "version.test.variables.format", str, "a string",
+                            "default key 'version.test.variables.format'", "integer")
     variables: dict[str, VariableSpec] = {}
-    for name, spec in _checked(test.get("variables", {}), dict, "an object",
-                               where, "variables").items():
-        if not isinstance(spec, dict):
-            raise SchemaError(f"entry {label!r}: variable {name!r} must be an object")
-        variable_at = f"{where} variable {name!r}"
-        for key, kind, what in _VARIABLE_FIELDS:
-            _checked(spec.get(key), kind, what, variable_at, key)
+    for name, spec in _field(test, "variables", dict, "an object", f"{where} 'variables'", {}).items():
+        at = f"{where} variable {name!r}"
+        _checked(spec, dict, "an object", at)
         variables[name] = VariableSpec(
             name=name,
-            format=spec.get("format", str(meta.default_values.get("version.test.variables.format", "integer"))),
-            min=spec.get("min"),
-            max=spec.get("max"),
-            length=spec.get("length"),
+            format=_field(spec, "format", str, "a string", f"{at} 'format'", default_format),
+            min=_field(spec, "min", int, "an integer", f"{at} 'min'"),
+            max=_field(spec, "max", int, "an integer", f"{at} 'max'"),
+            length=_field(spec, "length", int, "an integer", f"{at} 'length'"),
         )
 
-    challenge = _checked(test.get("challenge") or {}, dict, "an object", where, "challenge")
-    expect = _checked(test.get("expect") or {}, dict, "an object", where, "expect")
-    challenge_payload = _checked(challenge.get("payload"), (str, NoneType), "a string",
-                                 where, "challenge.payload")
-    expect_payload = _checked(expect.get("payload"), (str, NoneType), "a string",
-                              where, "expect.payload")
+    challenge = _field(test, "challenge", dict, "an object", f"{where} 'challenge'", {})
+    expect = _field(test, "expect", dict, "an object", f"{where} 'expect'", {})
+    challenge_payload = _field(challenge, "payload", str, "a string", f"{where} 'challenge.payload'")
+    expect_payload = _field(expect, "payload", str, "a string", f"{where} 'expect.payload'")
     if (challenge_payload is None) != (expect_payload is None):
         raise SchemaError(f"entry {label!r}: challenge and expect payloads must come together")
 
@@ -481,15 +514,12 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     if expect_type != "string":
         raise SchemaError(f"entry {label!r}: unsupported expect type {expect_type!r}")
 
-    wait = test.get("waittime")
-    if wait is not None:
-        _checked(wait, dict, "an object", where, "waittime")
-        wait_s = _to_seconds(_wait_amount(wait.get("amount"), where, "waittime.amount"),
-                             wait.get("type", "milliseconds"), where, "waittime.type")
-    else:
-        wait_s = meta.wait_time()
+    wait = _field(test, "waittime", dict, "an object", f"{where} 'waittime'")
+    wait_s = meta.wait_time() if wait is None else _to_seconds(
+        _number(wait, "amount", f"{where} 'waittime.amount'", positive=True),
+        wait, "type", f"{where} 'waittime.type'")
 
-    branching = _checked(test.get("branching", {}), dict, "an object", where, "branching")
+    branching = _field(test, "branching", dict, "an object", f"{where} 'branching'", {})
     refs = _parse_labels(branching, f"{where} 'branching'")
     # Keyed by the canonical label, which is how serialize_database looks them up.
     flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
@@ -499,21 +529,8 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     if deprecated_ref is not None and deprecated_ref <= v:
         raise SchemaError(f"{where} 'deprecated': boundary {deprecated!r} is not above the entry")
 
-    explicit = None
-    if "windows" in test:
-        windows_at = f"{where} 'windows'"
-        pairs = test["windows"]
-        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise SchemaError(f"{windows_at}: must be a list of [from, until] pairs, got {pairs!r}")
-        if not pairs:
-            raise SchemaError(f"{windows_at}: an empty list covers nothing")
-        explicit = tuple(
-            (_parse_label(lo, windows_at), _parse_label(hi, windows_at) if hi is not None else None)
-            for lo, hi in pairs
-        )
-        for (lo, hi), pair in zip(explicit, pairs):
-            if hi is not None and hi <= lo:
-                raise SchemaError(f"{windows_at}: window {pair!r} covers nothing: until is not above from")
+    windows = test.get("windows")
+    explicit = None if windows is None else _windows(windows, f"{where} 'windows'")
 
     tag_overrides = {f"{side}.{tag_key}": block[tag_key]
                      for side, block in (("challenge", challenge), ("expect", expect))

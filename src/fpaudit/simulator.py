@@ -20,16 +20,22 @@ Every behavior but the cacher is one :class:`HonestResponder`: a proxy is
 a latency offset and a function-faker a set of overridden functions.
 
 Latency is simulated as a number attached to each response, never slept.
+
+A config document is read by the database loader's field rules, so ``null``
+is the only absent value and latencies are finite and not negative; a
+malformed one is a :class:`SimConfigError` naming the key.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
 from dataclasses import dataclass, field
 
-from .versions import Version, VersionParseError, VersionSet, parse_version, render_version
+from .database import SchemaError, _checked, _field, _number, _parse_label, _windows
+from .versions import Version, VersionSet, render_version
 
 PARSE_ERROR = b"parse error\n"
 UNKNOWN_FUNCTION = b"warn:unknown-function\n"
@@ -210,6 +216,18 @@ def produce(sim: SimFamily, cfg: SimProviderConfig):
 # Config file form
 
 
+def _config_errors(load):
+    """``load`` with the shared field readers' errors raised as :class:`SimConfigError`."""
+    @functools.wraps(load)
+    def wrapper(document):
+        try:
+            return load(document)
+        except SchemaError as exc:
+            raise SimConfigError(str(exc)) from None
+    return wrapper
+
+
+@_config_errors
 def load_sim_config(document: bytes | str) -> tuple[SimFamily, SimProviderConfig]:
     """Simulated family and provider of a config document; a malformed one is
     a :class:`SimConfigError` naming the key."""
@@ -222,91 +240,55 @@ def load_sim_config(document: bytes | str) -> tuple[SimFamily, SimProviderConfig
             or not family["versions"]:
         raise SimConfigError("simulator config: missing 'family' object with a 'versions' list")
     sim = sim_family_from_doc(doc)
-    provider = _object(doc, "provider", "'provider'")
-    behavior = provider.get("behavior", "honest")
+    provider = _field(doc, "provider", dict, "an object", "'provider'", {})
+    behavior = _field(provider, "behavior", str, "a string", "'provider.behavior'", "honest")
     if behavior not in PROVIDER_BEHAVIORS:
         raise SimConfigError(f"'provider.behavior': unknown behavior {behavior!r}")
-    latency_doc = _object(provider, "latency", "'provider.latency'")
-    fake_functions = provider.get("fake_functions", [])
-    if not isinstance(fake_functions, list) or not all(isinstance(f, str) for f in fake_functions):
+    latency = _field(provider, "latency", dict, "an object", "'provider.latency'", {})
+    fake_functions = _field(provider, "fake_functions", list, "a list of names",
+                            "'provider.fake_functions'", [])
+    if not all(isinstance(f, str) for f in fake_functions):
         raise SimConfigError(f"'provider.fake_functions' must be a list of names, got {fake_functions!r}")
-    claim = provider.get("claim")
-    if claim is not None and not isinstance(claim, str):
-        raise SimConfigError(f"'provider.claim' must be a string, got {claim!r}")
-    seed = provider.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise SimConfigError(f"'provider.seed' must be an integer, got {seed!r}")
+    source = _field(provider, "source", str, "a version label", "'provider.source'",
+                    family["versions"][-1])
     cfg = SimProviderConfig(
-        src_version=_label(provider.get("source", family["versions"][-1]), "'provider.source'"),
+        src_version=_parse_label(source, "'provider.source'"),
         behavior=behavior,
-        claim_label=claim,
-        latency=LatencyModel(base=_seconds(latency_doc, "base_ms", 5.0, "'provider.latency.base_ms'"),
-                             jitter=_seconds(latency_doc, "jitter_ms", 3.0,
-                                             "'provider.latency.jitter_ms'")),
-        proxy_floor=_seconds(provider, "proxy_floor_ms", 500.0, "'provider.proxy_floor_ms'"),
+        claim_label=_field(provider, "claim", str, "a string", "'provider.claim'"),
+        latency=LatencyModel(
+            base=_number(latency, "base_ms", "'provider.latency.base_ms'", 5.0) / 1000.0,
+            jitter=_number(latency, "jitter_ms", "'provider.latency.jitter_ms'", 3.0) / 1000.0),
+        proxy_floor=_number(provider, "proxy_floor_ms", "'provider.proxy_floor_ms'", 500.0) / 1000.0,
         fake_functions=tuple(fake_functions),
-        seed=seed,
+        seed=_field(provider, "seed", int, "an integer", "'provider.seed'"),
     )
     return sim, cfg
 
 
-def _object(doc: dict, key: str, where: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise SimConfigError(f"{where} must be an object, got {value!r}")
-    return value
-
-
-def _label(value: object, where: str) -> Version:
-    if not isinstance(value, str):
-        raise SimConfigError(f"{where}: version label {value!r} is not a string")
-    try:
-        return parse_version(value)
-    except VersionParseError as exc:
-        raise SimConfigError(f"{where}: {exc}") from None
-
-
-def _seconds(doc: dict, key: str, default_ms: float, where: str) -> float:
-    value = doc.get(key, default_ms)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SimConfigError(f"{where} must be a number of milliseconds, got {value!r}")
-    return value / 1000.0
-
-
+@_config_errors
 def sim_family_from_doc(doc: dict) -> SimFamily:
     """The simulated family of a config document; a malformed one is a
     :class:`SimConfigError` naming the key."""
     fam_doc = doc["family"]
-    versions = tuple(_label(x, "'family.versions'") for x in fam_doc["versions"])
+    versions = tuple(_parse_label(x, "'family.versions'") for x in fam_doc["versions"])
+    family_name = _field(fam_doc, "name", str, "a string", "'family.name'", "sim")
     try:
-        family = VersionSet(fam_doc.get("name", "sim"), versions)
+        family = VersionSet(family_name, versions)
     except ValueError as exc:
         raise SimConfigError(f"'family.versions': {exc}") from None
     functions: dict[str, FunctionSpec] = {}
-    for name, fdoc in _object(doc, "functions", "'functions'").items():
+    for name, fdoc in _field(doc, "functions", dict, "an object", "'functions'", {}).items():
         at = f"functions.{name}"
-        if not isinstance(fdoc, dict):
-            raise SimConfigError(f"'{at}' must be an object, got {fdoc!r}")
-        pairs, where = fdoc.get("windows", []), f"'{at}.windows'"
-        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-            raise SimConfigError(f"{where} must be a list of [from, until] pairs, got {pairs!r}")
-        windows = tuple((_label(lo, where), _label(hi, where) if hi is not None else None)
-                        for lo, hi in pairs)
-        for (lo, hi), pair in zip(windows, pairs):
-            if hi is not None and hi <= lo:
-                raise SimConfigError(f"{where}: window {pair!r} covers nothing: until is not above from")
-        hard = fdoc.get("hard", True)
-        if not isinstance(hard, bool):
-            raise SimConfigError(f"'{at}.hard' must be a boolean, got {hard!r}")
-        behavior = fdoc.get("behavior", "echo-ok")
-        if not isinstance(behavior, str) or behavior not in BEHAVIOR_KINDS:
+        _checked(fdoc, dict, "an object", f"'{at}'")
+        windows, floor = fdoc.get("windows"), fdoc.get("syntax_floor")
+        behavior = _field(fdoc, "behavior", str, "a string", f"'{at}.behavior'", "echo-ok")
+        if behavior not in BEHAVIOR_KINDS:
             raise SimConfigError(f"function {name!r}: unknown behavior {behavior!r}")
-        floor = fdoc.get("syntax_floor")
         functions[name] = FunctionSpec(
             name=name,
-            windows=windows,
-            hard=hard,
+            windows=() if windows is None else _windows(windows, f"'{at}.windows'"),
+            hard=_field(fdoc, "hard", bool, "a boolean", f"'{at}.hard'", True),
             behavior=behavior,
-            syntax_floor=_label(floor, f"'{at}.syntax_floor'") if floor else None,
+            syntax_floor=None if floor is None else _parse_label(floor, f"'{at}.syntax_floor'"),
         )
     return SimFamily(family=family, functions=functions)

@@ -113,6 +113,16 @@ def test_db_validate_reports_a_malformed_label_on_one_line(tmp_path, capsys, db_
     assert err.splitlines() == ["invalid: 'service.family': malformed version label: '5.two'"]
 
 
+def test_db_validate_reports_a_wait_amount_beyond_float_range_on_one_line(tmp_path, capsys, db_doc):
+    db_doc["service"]["versions"]["7.2.0"]["test"]["waittime"] = {"amount": 10**400}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(db_doc))
+    assert run(["db", "validate", "--database", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("invalid: entry '7.2.0' 'waittime.amount' must be a finite positive number")
+
+
 def test_db_validate_rejects_an_entry_that_tests_nothing(tmp_path, capsys, db_doc):
     db_doc["service"]["versions"]["4.4.9"] = {"test": {"branching": {"4.4.9": "1"}}}
     bad = tmp_path / "bad.json"
@@ -449,6 +459,16 @@ def test_audit_with_every_exchange_failing_in_transport_is_undecided(
     pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
                              "provider": {"latency": {"base_ms": "a"}}}),
                  "'provider.latency.base_ms'", id="latency-not-a-number"),
+    *(pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                               "provider": {"latency": {"base_ms": value}}}),
+                   "'provider.latency.base_ms'", id=f"latency-{name}")
+      for name, value in [("nan", float("nan")), ("inf", float("inf")), ("beyond-float", 10**400),
+                          ("negative", -5)]),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]},
+                             "provider": {"latency": {"jitter_ms": -5}}}),
+                 "'provider.latency.jitter_ms'", id="jitter-negative"),
+    pytest.param(json.dumps({"family": {"versions": ["7.2.14"]}, "provider": {"proxy_floor_ms": -5}}),
+                 "'provider.proxy_floor_ms'", id="proxy-floor-negative"),
 ])
 def test_audit_malformed_sim_config_is_one_error_line(document, named, tmp_path, capsys):
     cfgfile = tmp_path / "sim.json"

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from fpaudit.database import (
     serialize_database,
     validate_strategy_independence,
 )
+from fpaudit.simulator import SimConfigError, load_sim_config
 from fpaudit.versions import parse_version as pv
 
 from families import chain_db_doc, synth_docs
@@ -168,6 +170,32 @@ def test_a_falsy_label_is_a_schema_error_not_an_absent_one(key, test, value):
         load_database(json.dumps(minimal_doc(versions)).encode())
 
 
+@pytest.mark.parametrize("value", [0, False, "", []], ids=["zero", "false", "empty-string", "empty-list"])
+@pytest.mark.parametrize("key", ["challenge", "expect"])
+def test_a_falsy_object_is_a_schema_error_not_an_absent_one(db_doc, key, value):
+    # 7.1.20 refers to 7.0.0 and has its own test: read as absent, one side
+    # left without a payload would make it a referral-only entry that drops
+    # that test.
+    test = db_doc["service"]["versions"]["7.1.20"]["test"]
+    test.update(challenge={}, expect={})
+    test[key] = value
+    with pytest.raises(SchemaError, match=re.escape(f"entry '7.1.20' '{key}' must be an object")):
+        load_database(json.dumps(db_doc))
+
+
+def test_null_fields_are_absent(db_doc):
+    # null is the one absent value: each optional field left null loads as
+    # if it were left out.
+    db_doc["defaultvalues"]["version.test.waittime.amount"] = None
+    db_doc["settings"]["strategies"] = None
+    test = db_doc["service"]["versions"]["7.2.0"]["test"]
+    test.update(waittime=None, windows=None, deprecated=None)
+    test["variables"]["ax"]["format"] = None
+    db = load_database(json.dumps(db_doc))
+    assert db.meta.wait_time() == 0.2 and db.entries[pv("7.2.0")].wait_time == 0.2
+    assert len(db.meta.strategies) == 5
+
+
 def test_branching_naming_one_version_twice_is_a_schema_error():
     versions = {"1.0.0": entry(), "1.0.1": entry(branching={"1.0": "0", "1.0.0": "1"})}
     with pytest.raises(SchemaError, match="entry '1.0.1' 'branching': '1.0' and '1.0.0' name the same"):
@@ -236,10 +264,24 @@ def _entry_test(doc):
      lambda doc: _entry_test(doc)["variables"]["ax"].update(min="1")),
     ("settings 'strategies'", lambda doc: doc["settings"].update(strategies="CBS")),
     ("service 'name'", lambda doc: doc["service"].update(name=["x"])),
+    ("entry '7.2.0' 'waittime.amount'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": float("nan")})),
+    ("entry '7.2.0' 'waittime.amount'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": float("inf")})),
+    ("entry '7.2.0' 'waittime.amount'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": 10**400})),
+    ("default key 'version.test.waittime.amount'",
+     lambda doc: doc["defaultvalues"].update({"version.test.waittime.amount": float("nan")})),
+    ("default key 'version.test.waittime.amount'",
+     lambda doc: doc["defaultvalues"].update({"version.test.waittime.amount": float("inf")})),
+    ("default key 'version.test.waittime.amount'",
+     lambda doc: doc["defaultvalues"].update({"version.test.waittime.amount": 10**400})),
 ], ids=["variables-list", "payload-int", "challenge-list", "waittime-string",
         "waittime-amount-not-a-number", "waittime-type-not-a-string", "settings-list",
         "variable-min-string",
-        "strategies-string", "service-name-list"])
+        "strategies-string", "service-name-list", "waittime-amount-nan", "waittime-amount-inf",
+        "waittime-amount-beyond-float", "default-amount-nan", "default-amount-inf",
+        "default-amount-beyond-float"])
 def test_malformed_field_type_is_a_schema_error_naming_entry_and_key(db_doc, where, mutate):
     mutate(db_doc)
     with pytest.raises(SchemaError, match=re.escape(f"{where} must be")):
@@ -258,6 +300,7 @@ def test_unhashable_setting_is_a_schema_error_naming_the_key(db_doc, named, muta
 
 
 FIXTURE_TEXT = (Path(__file__).resolve().parents[1] / "fixtures" / "php_like_db.json").read_text()
+SIM_TEXT = (Path(__file__).resolve().parents[1] / "fixtures" / "php_like_sim_honest.json").read_text()
 
 
 def _paths(node, prefix=()):
@@ -268,8 +311,21 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _replaced(text, path, value):
+    """The JSON document ``text`` with the value at ``path`` replaced by ``value``."""
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+# Any JSON value, and the numbers Python's json also reads: NaN, the
+# infinities and integers beyond float range.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=4)
 
@@ -277,15 +333,23 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(path=st.sampled_from(list(_paths(json.loads(FIXTURE_TEXT)))), value=JSON_VALUES)
 def test_one_replaced_value_loads_or_is_a_database_error(path, value):
-    doc = json.loads(FIXTURE_TEXT)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
     try:
-        load_database(json.dumps(doc))
+        db = load_database(_replaced(FIXTURE_TEXT, path, value))
     except DatabaseError:
-        pass
+        return
+    assert all(math.isfinite(entry.wait_time) for entry in db.entries.values())
+    assert math.isfinite(db.meta.wait_time())
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(_paths(json.loads(SIM_TEXT)))), value=JSON_VALUES)
+def test_one_replaced_value_loads_or_is_a_sim_config_error(path, value):
+    # The simulator config reads its fields through this module's rules.
+    try:
+        _, cfg = load_sim_config(_replaced(SIM_TEXT, path, value))
+    except SimConfigError:
+        return
+    assert all(0 <= d < math.inf for d in (cfg.latency.base, cfg.latency.jitter, cfg.proxy_floor))
 
 
 def test_resolve_plan_prerequisite_before_intrinsic(db):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from fpaudit.simulator import (
@@ -9,6 +12,7 @@ from fpaudit.simulator import (
     RecordingResponder,
     SimConfigError,
     SimProviderConfig,
+    load_sim_config,
     produce,
     sim_family_from_doc,
 )
@@ -121,6 +125,31 @@ def test_latency_model_sampling(sim_family):
 def test_source_must_belong_to_family(sim_family):
     with pytest.raises(SimConfigError):
         HonestResponder(sim_family, pv("9.9.9"))
+
+
+SIM_BASE = {"family": {"versions": ["7.0.0", "7.2.0", "7.2.14"]},
+            "functions": {"f": {"windows": [["7.2.0", None]]}}}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    *(("functions.f", "syntax_floor", value) for value in (0, False, "", [], {})),
+    *(("family", "name", value) for value in (0, False, [], {}, ["x"])),  # "" is a name
+])
+def test_a_falsy_value_is_a_config_error_not_an_absent_one(section, key, value):
+    # Only null means absent: a falsy syntax floor used to load as none.
+    doc = json.loads(json.dumps(SIM_BASE))
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    with pytest.raises(SimConfigError, match=re.escape(f"'{section}.{key}'")):
+        load_sim_config(json.dumps(doc))
+
+
+def test_zero_durations_load():
+    provider = {"latency": {"base_ms": 0, "jitter_ms": 0}, "proxy_floor_ms": 0}
+    _, cfg = load_sim_config(json.dumps({**SIM_BASE, "provider": provider}))
+    assert (cfg.latency, cfg.proxy_floor) == (LatencyModel(0.0, 0.0), 0.0)
 
 
 @pytest.mark.parametrize("until", [0, False, ""], ids=["zero", "false", "empty-string"])

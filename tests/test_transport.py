@@ -1,7 +1,10 @@
 import base64
+import datetime
 import http.client
+import ipaddress
 import socket
 import socketserver
+import ssl
 import statistics
 import threading
 import time
@@ -11,15 +14,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from fpaudit.challenge import judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
-from fpaudit.simserver import _message, start_server
+from fpaudit.simserver import SimHTTPServer, _message, start_server
 from fpaudit.strategies import run_audit
 from fpaudit.transport import (
     CLAIM_PAYLOAD,
     InterfaceEndpoint,
     TransportError,
+    close_connections,
     exchange,
     make_loopback,
     probe_version_claim,
@@ -791,3 +799,67 @@ def test_a_prebuilt_simserver_reply_is_what_the_general_path_builds(http_server,
         assert reply == _message(status, b"", (), close)
         if close:
             assert sock.recv(1) == b""
+
+
+def _self_signed_certificate(directory: Path) -> tuple[Path, Path]:
+    """A certificate for 127.0.0.1, signed by its own key, and that key, as PEM files."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder()
+            .subject_name(name).issuer_name(name)
+            .public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(minutes=5))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+            .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+            .sign(key, hashes.SHA256()))
+    cert_file, key_file = directory / "cert.pem", directory / "key.pem"
+    cert_file.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_file.write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return cert_file, key_file
+
+
+@pytest.fixture
+def https_server(sim_family, tmp_path):
+    """The simulator served over TLS with a self-signed certificate, and the
+    certificate's file."""
+    cert_file, key_file = _self_signed_certificate(tmp_path)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_file, key_file)
+    cfg = SimProviderConfig(src_version=pv("7.2.14"), latency=LatencyModel(0.0, 0.0), seed=3)
+    server = SimHTTPServer(produce(sim_family, cfg), credentials=CREDS)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    yield server, cert_file
+    server.shutdown()
+    server.server_close()
+    close_connections()
+
+
+def test_https_exchange_round_trip_with_a_trusted_certificate(https_server, db, rng, monkeypatch):
+    server, cert_file = https_server
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+    chl, rsp = _endpoints(f"https://127.0.0.1:{server.port}", CREDS)
+    for _ in range(3):
+        rt = render_test(db, pv("7.2.0"), rng)
+        record = exchange(chl, rsp, rt.challenge_payload, 2.0)
+        assert record.transport_error is None
+        assert record.response_bytes == b"bool(false)\n"
+
+
+def test_https_exchange_with_an_untrusted_certificate_fails_delivery(https_server, tmp_path,
+                                                                     monkeypatch):
+    server, _ = https_server
+    (tmp_path / "other").mkdir()
+    other_cert, _ = _self_signed_certificate(tmp_path / "other")
+    monkeypatch.setenv("SSL_CERT_FILE", str(other_cert))
+    chl, rsp = _endpoints(f"https://127.0.0.1:{server.port}", CREDS)
+    record = exchange(chl, rsp, b"<?php phpversion();", 2.0)
+    assert record.response_bytes is None
+    assert record.transport_error.startswith("challenge delivery failed: ")
+    assert "CERTIFICATE_VERIFY_FAILED" in record.transport_error
