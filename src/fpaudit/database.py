@@ -54,7 +54,16 @@ This module also holds the rules for reading a field of an outside JSON
 document, which the simulator config's loader shares: ``null`` is the only
 absent value, a JSON bool is no number, numbers are finite (NaN, the
 infinities and an int beyond float range are errors), wait amounts are
-positive, and a window list must cover something.  Each error names its key.
+positive and, once converted, a deadline above 0 s (``5e-324`` ms is not),
+text fields (interfaces, ``expect.type``, ``branching`` flags) are strings,
+and a window list must cover something.  Each error names its key.  A
+``string`` or ``binary`` variable is at most ``MAX_VARIABLE_LENGTH`` long.
+
+Each distinct label string is parsed once per document: one dict, made by
+each load call and passed to every label reader, so every reference to an
+entry spelled as its key is the entry key's own ``Version``.  No parse
+outlives the document.  The default variable format, expect type and wait
+are resolved once per document too, on :class:`DatabaseMeta`.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ _PLACEHOLDER_RE = re.compile(rb"#([a-z0-9_]+)#")
 
 DEFAULT_WAIT_MS = 200
 _WAIT_AMOUNT, _WAIT_TYPE = "version.test.waittime.amount", "version.test.waittime.type"
+_VARIABLE_FORMAT, _EXPECT_TYPE = "version.test.variables.format", "version.test.expect.type"
 
 # The "defaultvalues" block of every database this package authors.
 DEFAULT_VALUES = {
@@ -100,6 +110,10 @@ DEFAULT_VALUES = {
 KNOWN_DEFAULTS = set(DEFAULT_VALUES) | {"version.test.expect.starttag", "version.test.expect.endtag"}
 
 VARIABLE_FORMATS = {"integer", "string", "binary", "version", "dir-file"}
+
+# The longest ``string`` or ``binary`` value a test may ask for: every
+# exchange renders it anew, so a database must not make one arbitrarily large.
+MAX_VARIABLE_LENGTH = 4096
 
 STRATEGY_ALIASES = {
     "BS": "BinarySearch",
@@ -146,6 +160,9 @@ class VariableSpec:
         if self.format in ("string", "binary"):
             if not self.length or self.length <= 0:
                 raise SchemaError(f"variable {self.name!r}: {self.format} format needs a positive length")
+            if self.length > MAX_VARIABLE_LENGTH:
+                raise SchemaError(f"variable {self.name!r}: length {self.length} is above "
+                                  f"{MAX_VARIABLE_LENGTH}")
         if not _IDENT_RE.fullmatch(self.name):
             raise SchemaError(f"variable name {self.name!r} is not a valid placeholder token")
 
@@ -161,11 +178,22 @@ class DatabaseMeta:
     service_name: str
 
     def wait_time(self) -> float:
-        """Default per-test deadline in seconds."""
-        defaults = self.default_values
-        return _to_seconds(
-            _number(defaults, _WAIT_AMOUNT, f"default key '{_WAIT_AMOUNT}'", DEFAULT_WAIT_MS, positive=True),
-            defaults, _WAIT_TYPE, f"default key '{_WAIT_TYPE}'")
+        """Default per-test deadline in seconds, resolved once per document."""
+        return self._default_wait
+
+    @functools.cached_property
+    def _default_wait(self) -> float:
+        return _deadline(self.default_values, _WAIT_AMOUNT, _WAIT_TYPE, "default key '{}'",
+                         DEFAULT_WAIT_MS)
+
+    @functools.cached_property
+    def default_format(self) -> str:
+        """The format of a variable that names none."""
+        fmt = _field(self.default_values, _VARIABLE_FORMAT, str, "a string",
+                     f"default key '{_VARIABLE_FORMAT}'", "integer")
+        if fmt not in VARIABLE_FORMATS:
+            raise SchemaError(f"default key '{_VARIABLE_FORMAT}': unknown format {fmt!r}")
+        return fmt
 
     @functools.cached_property
     def default_tags(self) -> tuple[Tags, Tags]:
@@ -174,15 +202,25 @@ class DatabaseMeta:
                 _side_tags({}, "expect", self.default_values))
 
 
-def _to_seconds(amount: float, doc: dict, key: str, at: str) -> float:
-    """``amount`` of the unit ``doc[key]`` names (milliseconds if absent or null)
-    in seconds; a unit that is not a known string is a :class:`SchemaError` naming ``at``."""
-    unit = _field(doc, key, str, "a string", at, "milliseconds")
+def _deadline(doc: dict, amount_key: str, unit_key: str, at: str,
+              default: float | None = None) -> float:
+    """``doc[amount_key]`` (``default`` if absent or null) of the unit
+    ``doc[unit_key]`` names (milliseconds if absent or null) in seconds.  An
+    amount that is no positive finite number, or that is 0 s once converted,
+    and a unit that is not a known string are a :class:`SchemaError` naming
+    the key, as ``at.format(key)``."""
+    amount_at, unit_at = at.format(amount_key), at.format(unit_key)
+    amount = _number(doc, amount_key, amount_at, default, positive=True)
+    unit = _field(doc, unit_key, str, "a string", unit_at, "milliseconds")
     if unit in ("ms", "millisecond", "milliseconds"):
-        return amount / 1000.0
-    if unit in ("s", "second", "seconds"):
-        return amount
-    raise SchemaError(f"{at}: unknown waittime unit {unit!r}")
+        seconds = amount / 1000.0
+    elif unit in ("s", "second", "seconds"):
+        seconds = amount
+    else:
+        raise SchemaError(f"{unit_at}: unknown waittime unit {unit!r}")
+    if seconds == 0.0:  # a subnormal amount of milliseconds
+        raise SchemaError(f"{amount_at} must be a deadline above 0 s, got {amount!r} {unit}")
+    return seconds
 
 
 def _parse_rfc3339(value: str, key: str) -> str:
@@ -349,6 +387,9 @@ def load_database(document: bytes | str) -> Database:
         raise SchemaError("database document must be a JSON object")
 
     meta = _load_meta(doc)
+    # Each distinct label string of the document is parsed once, so every
+    # reference to an entry in its key's spelling is the entry key's object.
+    parsed: dict[str, Version] = {}
     service = doc.get("service")
     if not isinstance(service, dict):
         raise SchemaError("missing 'service' object")
@@ -356,8 +397,8 @@ def load_database(document: bytes | str) -> Database:
     if not isinstance(versions_doc, dict):
         raise SchemaError("'service.versions' must be an object")
 
-    versions = _parse_labels(versions_doc, "'service.versions'")
-    entries = {v: _load_entry(label, v, body, meta)
+    versions = _parse_labels(versions_doc, "'service.versions'", parsed)
+    entries = {v: _load_entry(label, v, body, meta, parsed)
                for v, (label, body) in zip(versions, versions_doc.items())}
 
     family_labels = service.get("family")
@@ -366,11 +407,12 @@ def load_database(document: bytes | str) -> Database:
     elif not isinstance(family_labels, list):
         raise SchemaError(f"'service.family' must be a list of version labels, got {family_labels!r}")
     else:
-        # The entry keys' own objects, so a lookup of a family version in a
-        # dict keyed by entry versions is an identity hit.
+        # The entry keys' own objects, also for a label spelled apart from its
+        # key, so a lookup of a family version in a dict keyed by entry
+        # versions is an identity hit.
         keys = {v: v for v in entries}
-        parsed = (_parse_label(lbl, "'service.family'") for lbl in family_labels)
-        family_versions = tuple(keys.get(v, v) for v in parsed)
+        listed = (_parse_label(lbl, "'service.family'", parsed) for lbl in family_labels)
+        family_versions = tuple(keys.get(v, v) for v in listed)
     try:
         family = VersionSet(meta.service_name, family_versions)
     except ValueError as exc:
@@ -379,22 +421,28 @@ def load_database(document: bytes | str) -> Database:
 
 
 # The rules for reading one field of an outside JSON document, shared with
-# the simulator config's loader.
-def _parse_label(label: object, where: str) -> Version:
-    """``label`` as a version; a malformed one is a :class:`SchemaError` naming ``where``."""
+# the simulator config's loader.  ``parsed`` maps each label string of the
+# document read so far to its version; one dict serves one document.
+def _parse_label(label: object, where: str, parsed: dict[str, Version]) -> Version:
+    """``label`` as a version, parsed once per ``parsed``; a malformed one is a
+    :class:`SchemaError` naming ``where``."""
     if not isinstance(label, str):
         raise SchemaError(f"{where}: version label {label!r} is not a string")
-    try:
-        return parse_version(label)
-    except VersionParseError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    v = parsed.get(label)
+    if v is None:
+        try:
+            v = parsed[label] = parse_version(label)
+        except VersionParseError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    return v
 
 
-def _parse_labels(labels: Iterable[object], where: str) -> tuple[Version, ...]:
+def _parse_labels(labels: Iterable[object], where: str,
+                  parsed: dict[str, Version]) -> tuple[Version, ...]:
     """``labels`` as versions; two labels naming one version are a :class:`SchemaError`."""
     first: dict[Version, object] = {}
     for label in labels:
-        v = _parse_label(label, where)
+        v = _parse_label(label, where, parsed)
         if first.setdefault(v, label) != label:
             raise SchemaError(f"{where}: {first[v]!r} and {label!r} name the same version")
     return tuple(first)
@@ -433,7 +481,8 @@ def _number(doc: dict, key: str, at: str, default: float | None = None, *,
     return number
 
 
-def _windows(pairs: object, at: str) -> tuple[tuple[Version, Version | None], ...]:
+def _windows(pairs: object, at: str,
+             parsed: dict[str, Version]) -> tuple[tuple[Version, Version | None], ...]:
     """``pairs`` as ``[from, until]`` windows, ``until`` null for open-ended; a
     malformed or empty list, or a window that covers nothing, is a
     :class:`SchemaError` naming ``at``."""
@@ -441,8 +490,8 @@ def _windows(pairs: object, at: str) -> tuple[tuple[Version, Version | None], ..
         raise SchemaError(f"{at} must be a list of [from, until] pairs, got {pairs!r}")
     if not pairs:
         raise SchemaError(f"{at}: an empty list covers nothing")
-    windows = tuple((_parse_label(lo, at), None if hi is None else _parse_label(hi, at))
-                    for lo, hi in pairs)
+    windows = tuple((_parse_label(lo, at, parsed),
+                     None if hi is None else _parse_label(hi, at, parsed)) for lo, hi in pairs)
     for (lo, hi), pair in zip(windows, pairs):
         if hi is not None and hi <= lo:
             raise SchemaError(f"{at}: window {pair!r} covers nothing: until is not above from")
@@ -456,10 +505,10 @@ def _load_meta(doc: dict) -> DatabaseMeta:
     for key in defaults:
         if key not in KNOWN_DEFAULTS:
             raise SchemaError(f"unknown default key {key!r}")
-    default_format = _field(defaults, "version.test.variables.format", str, "a string",
-                            "default key 'version.test.variables.format'", "integer")
-    if default_format not in VARIABLE_FORMATS:
-        raise SchemaError(f"default key 'version.test.variables.format': unknown format {default_format!r}")
+    expect_type = _field(defaults, _EXPECT_TYPE, str, "a string", f"default key '{_EXPECT_TYPE}'",
+                         "string")
+    if expect_type != "string":
+        raise SchemaError(f"default key '{_EXPECT_TYPE}': unsupported expect type {expect_type!r}")
     settings = _field(doc, "settings", dict, "an object", "document 'settings'", {})
     strategies = tuple(_field(settings, "strategies", list, "a list of strategy names",
                               "settings 'strategies'", list(STRATEGY_ALIASES.values())))
@@ -474,23 +523,25 @@ def _load_meta(doc: dict) -> DatabaseMeta:
         creation_timestamp=created,
         last_update_timestamp=updated,
         default_values=dict(defaults),
-        challenge_interface=str(settings.get("interface.challenges", "loopback-sim")),
-        response_interface=str(settings.get("interface.responses", "loopback-sim")),
+        challenge_interface=_field(settings, "interface.challenges", str, "a string",
+                                   "settings 'interface.challenges'", "loopback-sim"),
+        response_interface=_field(settings, "interface.responses", str, "a string",
+                                  "settings 'interface.responses'", "loopback-sim"),
         strategies=strategies,
         service_name=name,
     )
-    meta.wait_time()  # checks the default wait amount and unit
+    meta.default_format, meta.wait_time()  # checks the default format, wait amount and unit
     return meta
 
 
-def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> VersionTest:
+def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta,
+                parsed: dict[str, Version]) -> VersionTest:
     if not isinstance(body, dict) or not isinstance(body.get("test"), dict):
         raise SchemaError(f"entry {label!r}: missing 'test' object")
     test = body["test"]
     where = f"entry {label!r}"
 
-    default_format = _field(meta.default_values, "version.test.variables.format", str, "a string",
-                            "default key 'version.test.variables.format'", "integer")
+    default_format = meta.default_format
     variables: dict[str, VariableSpec] = {}
     for name, spec in _field(test, "variables", dict, "an object", f"{where} 'variables'", {}).items():
         at = f"{where} variable {name!r}"
@@ -510,27 +561,30 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta) -> Ver
     if (challenge_payload is None) != (expect_payload is None):
         raise SchemaError(f"entry {label!r}: challenge and expect payloads must come together")
 
-    expect_type = str(expect.get("type", meta.default_values.get("version.test.expect.type", "string")))
+    # The default type was checked at load to be "string".
+    expect_type = _field(expect, "type", str, "a string", f"{where} 'expect.type'", "string")
     if expect_type != "string":
         raise SchemaError(f"entry {label!r}: unsupported expect type {expect_type!r}")
 
     wait = _field(test, "waittime", dict, "an object", f"{where} 'waittime'")
-    wait_s = meta.wait_time() if wait is None else _to_seconds(
-        _number(wait, "amount", f"{where} 'waittime.amount'", positive=True),
-        wait, "type", f"{where} 'waittime.type'")
+    wait_s = meta.wait_time() if wait is None else _deadline(wait, "amount", "type",
+                                                             f"{where} 'waittime.{{}}'")
 
     branching = _field(test, "branching", dict, "an object", f"{where} 'branching'", {})
-    refs = _parse_labels(branching, f"{where} 'branching'")
+    refs = _parse_labels(branching, f"{where} 'branching'", parsed)
     # Keyed by the canonical label, which is how serialize_database looks them up.
-    flags = {render_version(ref): str(flag) for ref, flag in zip(refs, branching.values())}
+    flags = {render_version(ref): _field(branching, ref_label, str, "a string",
+                                         f"{where} 'branching.{ref_label}'", "1")
+             for ref, ref_label in zip(refs, branching)}
 
     deprecated = test.get("deprecated")
-    deprecated_ref = _parse_label(deprecated, f"{where} 'deprecated'") if deprecated is not None else None
+    deprecated_ref = (None if deprecated is None
+                      else _parse_label(deprecated, f"{where} 'deprecated'", parsed))
     if deprecated_ref is not None and deprecated_ref <= v:
         raise SchemaError(f"{where} 'deprecated': boundary {deprecated!r} is not above the entry")
 
     windows = test.get("windows")
-    explicit = None if windows is None else _windows(windows, f"{where} 'windows'")
+    explicit = None if windows is None else _windows(windows, f"{where} 'windows'", parsed)
 
     tag_overrides = {f"{side}.{tag_key}": block[tag_key]
                      for side, block in (("challenge", challenge), ("expect", expect))
@@ -589,9 +643,11 @@ def _derive_availability(db: Database) -> dict[Version, int]:
     # function as back-ported: absent from the start of x's branch up to x.
     holes: dict[Version, list[tuple[Version, Version]]] = {}
     for x, entry in db.entries.items():
+        if not entry.branching_refs:
+            continue
         ancestors = _ancestor_origins(x)
         for ref in entry.branching_refs:
-            if ref == x or ref in ancestors or ref >= x or not db.entries[ref].has_payload:
+            if ref >= x or ref in ancestors or not db.entries[ref].has_payload:
                 continue
             hole_start = branch_origin(x, "minor" if x.patch != 0 else "major")
             if hole_start > ref:
@@ -841,7 +897,8 @@ def add_entry(
     deprecated: str | None = None,
 ) -> Database:
     """Return a new database with one more entry, checked as the loader checks it."""
-    v = _parse_label(label, "new entry")
+    parsed: dict[str, Version] = {}
+    v = _parse_label(label, "new entry", parsed)
     if v in db.entries:
         raise DatabaseError(f"entry {label!r} already exists")
     test: dict[str, object] = {
@@ -854,7 +911,7 @@ def add_entry(
             test[side] = {"payload": payload}
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     meta = replace(db.meta, last_update_timestamp=now)
-    entries = {**db.entries, v: _load_entry(label, v, {"test": test}, meta)}
+    entries = {**db.entries, v: _load_entry(label, v, {"test": test}, meta, parsed)}
     versions = db.family.versions
     at = db.family.index.get(v)  # the new key replaces its equal in the family
     versions = versions + (v,) if at is None else versions[:at] + (v,) + versions[at + 1:]

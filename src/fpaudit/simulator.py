@@ -252,7 +252,7 @@ def load_sim_config(document: bytes | str) -> tuple[SimFamily, SimProviderConfig
     source = _field(provider, "source", str, "a version label", "'provider.source'",
                     family["versions"][-1])
     cfg = SimProviderConfig(
-        src_version=_parse_label(source, "'provider.source'"),
+        src_version=_parse_label(source, "'provider.source'", {}),
         behavior=behavior,
         claim_label=_field(provider, "claim", str, "a string", "'provider.claim'"),
         latency=LatencyModel(
@@ -270,7 +270,10 @@ def sim_family_from_doc(doc: dict) -> SimFamily:
     """The simulated family of a config document; a malformed one is a
     :class:`SimConfigError` naming the key."""
     fam_doc = doc["family"]
-    versions = tuple(_parse_label(x, "'family.versions'") for x in fam_doc["versions"])
+    # Each distinct label string is parsed once, so a function's windows and
+    # syntax floor in a family label's spelling are the family's own objects.
+    parsed: dict[str, Version] = {}
+    versions = tuple(_parse_label(x, "'family.versions'", parsed) for x in fam_doc["versions"])
     family_name = _field(fam_doc, "name", str, "a string", "'family.name'", "sim")
     try:
         family = VersionSet(family_name, versions)
@@ -286,9 +289,10 @@ def sim_family_from_doc(doc: dict) -> SimFamily:
             raise SimConfigError(f"function {name!r}: unknown behavior {behavior!r}")
         functions[name] = FunctionSpec(
             name=name,
-            windows=() if windows is None else _windows(windows, f"'{at}.windows'"),
+            windows=() if windows is None else _windows(windows, f"'{at}.windows'", parsed),
             hard=_field(fdoc, "hard", bool, "a boolean", f"'{at}.hard'", True),
             behavior=behavior,
-            syntax_floor=None if floor is None else _parse_label(floor, f"'{at}.syntax_floor'"),
+            syntax_floor=(None if floor is None
+                          else _parse_label(floor, f"'{at}.syntax_floor'", parsed)),
         )
     return SimFamily(family=family, functions=functions)

@@ -181,7 +181,8 @@ def test_db_add_entry_rejects_a_malformed_label_on_one_line(tmp_path, capsys):
     assert err.splitlines() == ["rejected: new entry: malformed version label: '1.x'"]
 
 
-@pytest.mark.parametrize("spec", ["ax:integer", "ax:integer:x:3", "ax:string", "ax:binary:4:5"])
+@pytest.mark.parametrize("spec", ["ax:integer", "ax:integer:x:3", "ax:string", "ax:binary:4:5",
+                                  "s:string:100000"])
 def test_db_add_entry_rejects_a_malformed_var_on_one_line(spec, tmp_path, capsys):
     out = tmp_path / "toy.json"
     run(["db", "new", "--service", "toy", "--out", str(out)])

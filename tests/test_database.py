@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpaudit.database import (
+    MAX_VARIABLE_LENGTH,
     DanglingReferralError,
     DatabaseError,
     PlanStep,
@@ -276,12 +277,28 @@ def _entry_test(doc):
      lambda doc: doc["defaultvalues"].update({"version.test.waittime.amount": float("inf")})),
     ("default key 'version.test.waittime.amount'",
      lambda doc: doc["defaultvalues"].update({"version.test.waittime.amount": 10**400})),
+    # A positive amount of milliseconds whose deadline underflows to 0 s.
+    ("entry '7.2.0' 'waittime.amount'",
+     lambda doc: _entry_test(doc).update(waittime={"amount": 5e-324})),
+    ("default key 'version.test.waittime.amount'",
+     lambda doc: doc["defaultvalues"].update({"version.test.waittime.amount": 5e-324})),
+    ("settings 'interface.challenges'",
+     lambda doc: doc["settings"].update({"interface.challenges": ["x", 1]})),
+    ("settings 'interface.responses'",
+     lambda doc: doc["settings"].update({"interface.responses": 5})),
+    ("entry '7.2.0' 'expect.type'", lambda doc: _entry_test(doc)["expect"].update(type=["string"])),
+    ("default key 'version.test.expect.type'",
+     lambda doc: doc["defaultvalues"].update({"version.test.expect.type": 5})),
+    ("entry '7.2.9' 'branching.7.2.0'",
+     lambda doc: doc["service"]["versions"]["7.2.9"]["test"]["branching"].update({"7.2.0": [1]})),
 ], ids=["variables-list", "payload-int", "challenge-list", "waittime-string",
         "waittime-amount-not-a-number", "waittime-type-not-a-string", "settings-list",
         "variable-min-string",
         "strategies-string", "service-name-list", "waittime-amount-nan", "waittime-amount-inf",
         "waittime-amount-beyond-float", "default-amount-nan", "default-amount-inf",
-        "default-amount-beyond-float"])
+        "default-amount-beyond-float", "waittime-amount-underflows", "default-amount-underflows",
+        "interface-challenges-list", "interface-responses-int", "expect-type-list",
+        "default-expect-type-int", "branching-flag-list"])
 def test_malformed_field_type_is_a_schema_error_naming_entry_and_key(db_doc, where, mutate):
     mutate(db_doc)
     with pytest.raises(SchemaError, match=re.escape(f"{where} must be")):
@@ -626,6 +643,56 @@ def test_variable_spec_validation():
         VariableSpec("ax", "string")
     with pytest.raises(SchemaError):
         VariableSpec("Bad Name", "integer", min=1, max=2)
+
+
+@pytest.mark.parametrize("fmt", ["string", "binary"])
+def test_a_variable_length_above_the_bound_is_a_schema_error(db_doc, fmt):
+    variables = _entry_test(db_doc)["variables"]
+    variables["ax"] = {"format": fmt, "length": MAX_VARIABLE_LENGTH}
+    assert load_database(json.dumps(db_doc)).entries[pv("7.2.0")].variables["ax"].length \
+        == MAX_VARIABLE_LENGTH
+    variables["ax"]["length"] = 10**7
+    with pytest.raises(SchemaError, match=re.escape(f"variable 'ax': length {10**7} is above")):
+        load_database(json.dumps(db_doc))
+
+
+def _named_entries(db) -> list:
+    """Each referral, boundary and window end of ``db`` that names an entry,
+    with the entry's key; every label in the fixture and ``synth_docs`` is
+    spelled as its entry key is."""
+    keys = {v: v for v in db.entries}
+    named = [ref for entry in db.entries.values()
+             for ref in (*entry.branching_refs, entry.deprecated_ref,
+                         *(end for window in entry.explicit_windows or () for end in window))
+             if ref is not None and ref in keys]
+    assert all(ref.raw == keys[ref].raw for ref in named)
+    return [(ref, keys[ref]) for ref in named]
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)], ids=lambda s: "fixture" if s is None else s)
+def test_every_label_naming_an_entry_is_the_entry_keys_object(db, seed):
+    # Each label string is parsed once per document.
+    if seed is not None:
+        db = load_database(json.dumps(synth_docs(seed)[0]))
+    named = _named_entries(db)
+    assert named or seed is not None  # some synthetic families have no referral
+    assert all(ref is key for ref, key in named)
+
+
+def test_a_label_spelled_two_ways_behaves_as_its_canonical_spelling():
+    canonical = {"7.2.0": entry(), "7.2.9": entry(branching={"7.2.0": "0"}),
+                 "7.3.0": entry(), "7.3.1": entry(deprecated="7.4.0"), "7.4.0": entry(),
+                 "7.4.1": entry(windows=[["7.2.0", "7.3.0"], ["7.4.0", None]])}
+    mixed = {"7.2": entry(), "7.2.9": entry(branching={"7.2.0": "0"}),
+             "7.3.0": entry(), "7.3.1": entry(deprecated="7.4"), "7.4.0": entry(),
+             "7.4.1": entry(windows=[["7.2.0", "7.3"], ["7.4", None]])}
+    family = ["7.2.0", "7.2.9", "7.3", "7.3.1", "7.4.0", "7.4.1"]
+    want = load_database(json.dumps(minimal_doc(canonical, family=family)))
+    got = load_database(json.dumps(minimal_doc(mixed, family=family)))
+    assert got == want
+    assert (got.plans, got.avail_masks) == (want.plans, want.avail_masks)
+    assert serialize_database(got) == serialize_database(want)
+    assert _family_holds_the_entry_keys(got)
 
 
 def _family_holds_the_entry_keys(db) -> bool:

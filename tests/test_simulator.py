@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import chain
 
 import pytest
 
@@ -18,6 +19,8 @@ from fpaudit.simulator import (
 )
 from fpaudit.challenge import render_test
 from fpaudit.versions import parse_version as pv
+
+from families import FIXTURES, synth_docs
 
 
 def test_honest_old_version_answers_with_legacy_float(sim_family):
@@ -144,6 +147,18 @@ def test_a_falsy_value_is_a_config_error_not_an_absent_one(section, key, value):
     node[key] = value
     with pytest.raises(SimConfigError, match=re.escape(f"'{section}.{key}'")):
         load_sim_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)], ids=lambda s: "fixture" if s is None else s)
+def test_function_windows_and_floors_are_the_familys_own_objects(seed):
+    # Each label string is parsed once per document.
+    doc = json.loads((FIXTURES / "php_like_sim_honest.json").read_text()) if seed is None \
+        else synth_docs(seed)[1]
+    sim = sim_family_from_doc(doc)
+    family = sim.family
+    ends = [end for fn in sim.functions.values() for end in (*chain(*fn.windows), fn.syntax_floor)
+            if end is not None]
+    assert ends and all(end is family.versions[family.index[end]] for end in ends)
 
 
 def test_zero_durations_load():
