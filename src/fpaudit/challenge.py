@@ -38,7 +38,8 @@ class RandomnessSource:
         self._rng = random.Random(seed) if seed is not None else secrets.SystemRandom()
 
     def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
+        # What ``random.Random.randint`` draws, without its extra call.
+        return self._rng.randrange(lo, hi + 1)
 
     def choice(self, seq):
         return seq[self._rng.randrange(len(seq))]
@@ -124,17 +125,27 @@ class RenderedTest(NamedTuple):
 
 
 def render_test(db: Database, version: Version, rng: RandomnessSource) -> RenderedTest:
-    """Draw fresh randomness and render one entry's challenge and expectation."""
+    """Draw fresh randomness and render one entry's challenge and expectation,
+    as ``render`` does for the binding ``draw_binding`` would draw."""
     entry = db.entries[version]
     if not entry.has_payload:
         raise RenderError(f"entry {render_version(version)} has no intrinsic test payload")
-    challenge, expected = render(entry, draw_binding(entry, rng, db.family))
-    return RenderedTest(challenge, expected, entry.wait_time)
+    family = db.family
+    values = {name: value_bytes(draw(spec, rng, family)) for name, spec in entry.variables.items()}
+    return RenderedTest(_fill(entry.challenge_parts, values), _fill(entry.expect_parts, values),
+                        entry.wait_time)
 
 
 class JudgeResult(NamedTuple):
     delta: bool
     reason: str | None  # None when delta, else mismatch | timeout | transport-error
+
+
+# Every judgement is one of these; tuples are immutable, so they are shared.
+_PASSED = JudgeResult(True, None)
+_MISMATCH = JudgeResult(False, "mismatch")
+_TIMEOUT = JudgeResult(False, "timeout")
+_TRANSPORT_ERROR = JudgeResult(False, "transport-error")
 
 
 def judge(actual: bytes | None, expected: bytes, elapsed: float, deadline: float,
@@ -144,11 +155,9 @@ def judge(actual: bytes | None, expected: bytes, elapsed: float, deadline: float
     The deadline is inclusive; a missing response is a timeout.
     """
     if transport_error is not None:
-        return JudgeResult(False, "transport-error")
-    if actual is None:
-        return JudgeResult(False, "timeout")
-    if elapsed > deadline:
-        return JudgeResult(False, "timeout")
+        return _TRANSPORT_ERROR
+    if actual is None or elapsed > deadline:
+        return _TIMEOUT
     if actual != expected:
-        return JudgeResult(False, "mismatch")
-    return JudgeResult(True, None)
+        return _MISMATCH
+    return _PASSED

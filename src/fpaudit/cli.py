@@ -105,6 +105,10 @@ def _load_db(path: str):
 
 
 def cmd_audit(args) -> int:
+    for flag, value in (("--repeat", args.repeat), ("--budget", args.budget)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     db = _load_db(args.database)
     target = parse_version(args.target) if args.target else None
 
@@ -134,7 +138,7 @@ def cmd_audit(args) -> int:
     reports = []
     budget_stopped = False
     transport_error = None
-    for i in range(max(args.repeat, 1)):
+    for i in range(args.repeat):
         rng = RandomnessSource(seed=args.seed + i if args.seed is not None else None)
         try:
             log = run_audit(db, args.strategy, endpoints, rng, budget=args.budget)

@@ -77,17 +77,16 @@ def run_test(
     records: list[ExchangeRecord] = []
     delta = True
     for step in plan:
-        if step.version in prior:
-            observed = prior[step.version]
-            subs.append(SubOutcome(step.version, step.expect_pass, observed,
-                                   None if observed else "mismatch", "implied"))
-        else:
-            observed, reason, record = probe(step.version)
+        v, expect_pass = step.version, step.expect_pass
+        observed = prior.get(v)
+        if observed is None:
+            observed, reason, record = probe(v)
             records.append(record)
-            subs.append(SubOutcome(step.version, step.expect_pass, observed,
-                                   reason, "exchanged"))
-        if observed != step.expect_pass:
+            subs.append(SubOutcome(v, expect_pass, observed, reason, "exchanged"))
+        else:
+            subs.append(SubOutcome(v, expect_pass, observed,
+                                   None if observed else "mismatch", "implied"))
+        if observed != expect_pass:
             delta = False
             break
-    return TestOutcome(version=version, delta=delta,
-                       sub_outcomes=tuple(subs), exchanges=tuple(records))
+    return TestOutcome(version, delta, tuple(subs), tuple(records))

@@ -14,7 +14,9 @@ shrink the candidate set (an *informative* entry), scanning down from the
 newest entry, then calls ``pick(ctx)``.  A strategy reads only what it
 needs from the context: HTL the newest informative entry, LTH the oldest
 (each found by a scan from its own end), BS the candidate entries' mask,
-CBS and HMSU the database's branch heads and the logged results.  A scan
+CBS and HMSU the database's branch heads and the logged results.  HMSU
+keeps its walk on the context and resumes it at the next pick rather than
+climbing again from the top major.  A scan
 drops the rows it passes that no longer split the candidates, so an
 audit's scans together visit each entry about once.  The ascending list
 of every informative entry is built only when a strategy returns None:
@@ -31,7 +33,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .challenge import RandomnessSource
 from .database import Database, STRATEGY_SHORT, fold_constraints, resolve_plan
@@ -66,14 +68,18 @@ class DecisionLog:
                                               compare=False)
 
     def append_outcome(self, outcome: TestOutcome) -> None:
-        if outcome.version in self.deltas:
-            raise AuditError(f"version {render_version(outcome.version)} already decided")
+        version = outcome.version
+        if version in self.deltas:
+            raise AuditError(f"version {render_version(version)} already decided")
+        observations = self.observations
         for sub in outcome.sub_outcomes:
-            if self.observations.setdefault(sub.version, sub.observed) != sub.observed:
+            if observations.setdefault(sub.version, sub.observed) != sub.observed:
                 raise AuditError(f"version {render_version(sub.version)} observed both true and false")
-            if sub.provenance == "exchanged" and sub.version != outcome.version:
+            # The plan's own sub-test is usually the very same object.
+            if sub.provenance == "exchanged" and sub.version is not version \
+                    and sub.version != version:
                 self._append_row(sub.version, sub.observed, "exchange")
-        self._append_row(outcome.version, outcome.delta, "plan", outcome)
+        self._append_row(version, outcome.delta, "plan", outcome)
 
     def _append_row(self, version: Version, delta: bool, origin: str,
                     outcome: TestOutcome | None = None) -> None:
@@ -111,15 +117,19 @@ class AuditContext:
         # tested.
         self._splitting = db.entry_truths
         self._lo, self._hi = 0, len(self._splitting)
+        # A strategy's walk, resumed at its next pick (HMSU keeps one).
+        self.walk: Iterator[Version] | None = None
 
     def apply(self, outcome: TestOutcome) -> None:
-        logged = len(self.log.rows)
+        rows = self.log.rows
+        logged = len(rows)
         self.log.append_outcome(outcome)
-        index = self.db.family.index
-        for row in self.log.rows[logged:]:
-            self.tested |= 1 << index[row.version]
+        index, tested = self.db.family.index, self.tested
+        for row in rows[logged:]:
+            tested |= 1 << index[row.version]
+        self.tested = tested
         self.candidates = fold_constraints(
-            self.db, ((sub.version, sub.observed) for sub in outcome.sub_outcomes),
+            self.db, [(sub.version, sub.observed) for sub in outcome.sub_outcomes],
             self.candidates)
 
     def status(self, v: Version) -> bool | None:
@@ -219,12 +229,17 @@ class CascadingBinarySearch:
         branch_heads, deltas = ctx.db.branch_heads, ctx.log.deltas
         prefix: tuple[int, ...] = ()
         while len(prefix) < 3:  # major, minor, patch
-            heads = branch_heads[prefix]
-            results = {val: deltas.get(head) for val, head in heads.items()}
-            floor = max((val for val, res in results.items() if res is True), default=-1)
-            cap = min((val for val, res in results.items() if res is False), default=math.inf)
-            window = [heads[val] for val, res in results.items()
-                      if res is None and floor < val < cap]
+            # Values ascend, so the last pass is the greatest and the first fail the least.
+            floor, cap, untested = -1, math.inf, []
+            for val, head in branch_heads[prefix].items():
+                res = deltas.get(head)
+                if res is None:
+                    untested.append((val, head))
+                elif res:
+                    floor = val
+                elif cap == math.inf:
+                    cap = val
+            window = [head for val, head in untested if floor < val < cap]
             if window:
                 return _mid(window)
             if floor < 0:
@@ -239,19 +254,31 @@ _minor_branch = attrgetter("major", "minor")
 class MajorHighestStepUp:
     """Start at the highest major's branch start; climb minors eagerly,
     fall back to the next patch when a minor jump fails, and drop to a
-    lower major when nothing on the branch worked."""
+    lower major when nothing on the branch worked.
+
+    The walk is kept on the context and resumed at the next pick.  That is
+    exact: a status that is True or False stays so while any candidate is
+    left, so a walk started afresh would pass the same entries to the same
+    place, and once no candidate is left the loop's stop test ends the audit.
+    """
 
     name = "HMSU"
 
     def pick(self, ctx: AuditContext) -> Version | None:
+        if ctx.walk is None:
+            ctx.walk = self._walk(ctx)
+        return next(ctx.walk, None)
+
+    @staticmethod
+    def _walk(ctx: AuditContext) -> Iterator[Version]:
+        """Yield each entry the walk stops at, again until its status is known."""
         for frontier in reversed(ctx.db.branch_heads[()].values()):
-            status = ctx.status(frontier)
-            if status is None:
-                return frontier
+            while (status := ctx.status(frontier)) is None:
+                yield frontier
             if status:
                 break
         else:
-            return None
+            return
         entries = ctx.entry_versions
         pos = bisect_left(entries, frontier)
         while True:
@@ -263,14 +290,13 @@ class MajorHighestStepUp:
             if end < len(entries) and entries[end].major == frontier.major:
                 order.insert(0, end)
             for i in order:
-                status = ctx.status(entries[i])
-                if status is None:
-                    return entries[i]
+                while (status := ctx.status(entries[i])) is None:
+                    yield entries[i]
                 if status:
                     frontier, pos = entries[i], i
                     break
             else:
-                return None
+                return
 
 
 STRATEGIES = {

@@ -92,23 +92,31 @@ def compute_bounds(log: DecisionLog, db: Database) -> Bounds:
     if not members and observations:
         raise InconsistentLogError(*_name_conflict(db, observations))
 
-    compound = {o.version: o.delta for o in log.plan_outcomes()}
-    full = db.family.full
-    upward = {v: full & ~((1 << index[v]) - 1) for v in compound}  # masks of u >= v
-    true_versions = [v for v, d in compound.items() if d]
-    # A pass puts the provider at or above v only when v's plan passes at no
-    # lower version; a fail puts it below v only when it passes at every version from v up.
-    truth = db.truth
-    lower = max([v for v in true_versions if not truth[v] & ~upward[v]], default=None)
-    upper = min([v for v, d in compound.items() if not d and truth[v] == upward[v]], default=None)
+    # One pass over the plan rows, comparing by family index.  A pass puts the
+    # provider at or above v only when v's plan passes at no lower version; a
+    # fail puts it below v only when it passes at every version from v up.
+    full, truth, avail = db.family.full, db.truth, db.avail_masks
+    lower = upper = None  # (family index, logged version)
+    deprecated = []
+    for row in log.rows:
+        if row.outcome is None:
+            continue
+        v = row.version
+        i = index[v]
+        upward = full >> i << i  # the mask of u >= v
+        if row.delta:
+            if not truth[v] & ~upward and (lower is None or i > lower[0]):
+                lower = i, v
+            if (a := avail.get(v)) and a != upward:
+                deprecated.append(a)
+        elif truth[v] == upward and (upper is None or i < upper[0]):
+            upper = i, v
 
-    avail = db.avail_masks
     return Bounds(
-        lower=lower,
-        upper=upper,
+        lower=lower[1] if lower else None,
+        upper=upper[1] if upper else None,
         family=db.family,
-        deprecated_masks=tuple(avail[v] for v in true_versions
-                               if avail.get(v) and avail[v] != upward[v]),
+        deprecated_masks=tuple(deprecated),
         exclusion_masks=tuple(avail[v] for v, observed in observations if not observed and avail[v]),
         members=db.family.select(members),
     )

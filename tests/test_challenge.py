@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -9,6 +10,7 @@ from fpaudit.challenge import (
     RandomnessSource,
     RenderError,
     draw,
+    draw_binding,
     judge,
     render,
     render_test,
@@ -45,6 +47,34 @@ def test_draw_collision_rate_matches_range():
     rng = RandomnessSource(seed=7)
     collisions = sum(draw(spec, rng) == draw(spec, rng) for _ in range(10_000))
     assert collisions <= 2
+
+
+@pytest.mark.parametrize("lo,hi", [(5, 5), (-7, 3), (-2**40, -2**40 + 9), (0, 1), (1, 999999999)])
+def test_seeded_randint_draws_what_random_randint_draws(lo, hi):
+    for seed in (0, 1, 1234, 2**31 - 1):
+        ours, theirs = RandomnessSource(seed), random.Random(seed)
+        assert [ours.randint(lo, hi) for _ in range(50)] == \
+            [theirs.randint(lo, hi) for _ in range(50)], (seed, lo, hi)
+
+
+def test_render_test_renders_the_binding_draw_binding_draws(db):
+    every_format = add_entry(
+        new_database("svc"), "1.0.0", challenge="f(#ix#,#sx#,#bx#,#vx#,#dx#);",
+        expect="#dx#|#vx#|#bx#|#sx#|#ix#\n",
+        variables={"ix": VariableSpec("ix", "integer", min=-5, max=5),
+                   "sx": VariableSpec("sx", "string", length=6),
+                   "bx": VariableSpec("bx", "binary", length=4),
+                   "vx": VariableSpec("vx", "version"),
+                   "dx": VariableSpec("dx", "dir-file")})
+    for each in (db, every_format):
+        for v in each.entry_versions:
+            entry = each.entries[v]
+            if entry.has_payload:
+                for seed in range(5):
+                    rendered = render_test(each, v, RandomnessSource(seed))
+                    binding = draw_binding(entry, RandomnessSource(seed), each.family)
+                    assert rendered[:2] == render(entry, binding)
+                    assert rendered.deadline == entry.wait_time
 
 
 def test_draw_string_and_binary_lengths(rng):

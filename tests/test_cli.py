@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fpaudit import cli
 from fpaudit.cli import main
 
 from families import chain_db_doc
@@ -87,6 +88,18 @@ def test_audit_repeat_agreement(capsys):
 def test_audit_requires_provider_source(capsys):
     code = run(["audit", "--database", DB])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--repeat", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-1", "-2"])
+def test_audit_rejects_a_repeat_or_budget_below_one(flag, value, capsys, monkeypatch):
+    # Rejected before anything is read or contacted: neither file exists.
+    monkeypatch.setattr(cli, "_load_db", lambda path: pytest.fail("database was loaded"))
+    code = run(["audit", "--database", "missing.json", "--sim-config", "missing.json",
+                flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
 
 
 def test_db_validate_fixture_ok(capsys):

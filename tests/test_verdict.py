@@ -3,20 +3,24 @@ import json
 import pytest
 
 from fpaudit.challenge import RandomnessSource
-from fpaudit.database import load_database
+from fpaudit.database import fold_constraints, load_database
 from fpaudit.protocol import SubOutcome
 from fpaudit.protocol import TestOutcome as PlanOutcome
-from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
-from fpaudit.strategies import DecisionLog, run_audit
+from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder, SimProviderConfig,
+                               produce, sim_family_from_doc)
+from fpaudit.strategies import STRATEGIES, DecisionLog, run_audit
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import (
+    Bounds,
     InconsistentLogError,
+    _name_conflict,
     build_report,
     compute_bounds,
     oracle_candidates,
 )
 from fpaudit.versions import parse_version as pv
 from fpaudit.versions import render_version
+from families import synth_docs
 
 
 def synthetic_log(observations):
@@ -191,3 +195,86 @@ def test_budget_stopped_audit_leaves_compliance_undecided(db, honest_endpoints, 
     assert pv("7.2.14") in report.candidate_set
     assert len(report.candidate_set) > 1
     assert report.compliant is None
+
+
+# -- compute_bounds as it was before its one-pass form, kept as the reference --
+
+
+def reference_bounds(log, db) -> Bounds:
+    index = db.family.index
+    observations = sorted(log.observations.items(), key=lambda item: index[item[0]])
+    members = fold_constraints(db, observations)
+    if not members and observations:
+        raise InconsistentLogError(*_name_conflict(db, observations))
+    compound = {o.version: o.delta for o in log.plan_outcomes()}
+    full = db.family.full
+    upward = {v: full & ~((1 << index[v]) - 1) for v in compound}
+    true_versions = [v for v, d in compound.items() if d]
+    truth = db.truth
+    lower = max([v for v in true_versions if not truth[v] & ~upward[v]], default=None)
+    upper = min([v for v, d in compound.items() if not d and truth[v] == upward[v]], default=None)
+    avail = db.avail_masks
+    return Bounds(
+        lower=lower,
+        upper=upper,
+        family=db.family,
+        deprecated_masks=tuple(avail[v] for v in true_versions
+                               if avail.get(v) and avail[v] != upward[v]),
+        exclusion_masks=tuple(avail[v] for v, observed in observations if not observed and avail[v]),
+        members=db.family.select(members),
+    )
+
+
+BEHAVIORS = ("honest", "claim-faker", "function-faker", "proxy", "cacher")
+
+
+def audit_logs(db, sim, sources):
+    """Logs of every strategy against a provider at each source with each
+    behaviour; the cacher replays one honest CBS audit of the middle version."""
+    recorder = RecordingResponder(HonestResponder(sim, sim.family.versions[len(sim.family) // 2]))
+    run_audit(db, "CBS", make_loopback(recorder), RandomnessSource(seed=1))
+    fakeable = tuple(sorted(n for n, fn in sim.functions.items() if not fn.hard))
+    for name in STRATEGIES:
+        for src in sources:
+            for behavior in BEHAVIORS:
+                cfg = SimProviderConfig(src_version=src, behavior=behavior, claim_label="99.0.0",
+                                        latency=LatencyModel(0.001, 0.0), fake_functions=fakeable,
+                                        cache_store=recorder.store, seed=3)
+                yield run_audit(db, name, make_loopback(produce(sim, cfg)), RandomnessSource(seed=9))
+
+
+def assert_bounds_match_reference(db, logs) -> tuple[int, int]:
+    """Every field of ``compute_bounds`` equals the reference's, and so does
+    the message of a contradiction; returns (consistent, inconsistent) counts."""
+    counts = [0, 0]
+    for log in logs:
+        try:
+            want = reference_bounds(log, db)
+        except InconsistentLogError as exc:
+            with pytest.raises(InconsistentLogError) as got:
+                compute_bounds(log, db)
+            assert (str(got.value), got.value.conflict) == (str(exc), exc.conflict)
+            counts[1] += 1
+            continue
+        got = compute_bounds(log, db)
+        fields = ("lower", "upper", "deprecated_masks", "exclusion_masks", "members")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], \
+            [str(r.version) for r in log.rows]
+        counts[0] += 1
+    return counts[0], counts[1]
+
+
+def test_bounds_match_the_reference_on_fixture_audits(db, sim_family):
+    consistent, inconsistent = assert_bounds_match_reference(
+        db, audit_logs(db, sim_family, sim_family.family.versions))
+    assert consistent > 300 and inconsistent > 20
+
+
+def test_bounds_match_the_reference_on_synthetic_families():
+    consistent = inconsistent = 0
+    for seed in range(20):
+        db_doc, sim_doc = synth_docs(seed)
+        db, sim = load_database(json.dumps(db_doc)), sim_family_from_doc(sim_doc)
+        c, i = assert_bounds_match_reference(db, audit_logs(db, sim, sim.family.versions))
+        consistent, inconsistent = consistent + c, inconsistent + i
+    assert consistent > 1000 and inconsistent > 0
