@@ -2,11 +2,14 @@
 
 Placeholders in templates are ``#name#`` with names over ``[a-z0-9_]+``;
 every other ``#`` is literal.  The loader compiles each entry's templates
-once (see ``VersionTest.challenge_parts``) and rejects a placeholder that no
-variable of the entry binds; rendering fills the compiled form, and a name
-the binding lacks raises :class:`RenderError`.
-Random string and dir-file values draw from the ``[a-z0-9]`` alphabet;
-binary values render as lowercase hex.
+once, tags included, into a bytes format with one ``%s`` per placeholder
+(see ``database.Template``) and rejects a placeholder that no variable of
+the entry binds.  Rendering turns each drawn value into bytes once and
+fills each template with one ``%``; a name the binding lacks raises
+:class:`RenderError`.
+A seeded :class:`RandomnessSource` draws what ``random.Random`` of the same
+seed draws.  Random string and dir-file values draw from the ``[a-z0-9]``
+alphabet; binary values render as lowercase hex.
 """
 
 from __future__ import annotations
@@ -38,17 +41,25 @@ class RandomnessSource:
         self._rng = random.Random(seed) if seed is not None else secrets.SystemRandom()
 
     def randint(self, lo: int, hi: int) -> int:
-        # What ``random.Random.randint`` draws, without its extra call.
-        return self._rng.randrange(lo, hi + 1)
+        # What ``random.Random.randint`` draws: ``randrange``'s rejection loop
+        # over ``getrandbits``, without its argument checks.
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({lo}, {hi})")
+        getrandbits, k = self._rng.getrandbits, n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
 
     def choice(self, seq):
-        return seq[self._rng.randrange(len(seq))]
+        return seq[self.randint(0, len(seq) - 1)]
 
     def token(self, length: int, alphabet: str = _STRING_ALPHABET) -> str:
         return "".join(self.choice(alphabet) for _ in range(length))
 
     def randbytes(self, length: int) -> bytes:
-        return bytes(self._rng.randrange(256) for _ in range(length))
+        return bytes(self.randint(0, 255) for _ in range(length))
 
 
 def draw(spec: VariableSpec, rng: RandomnessSource, family: VersionSet | None = None):
@@ -70,6 +81,8 @@ def draw(spec: VariableSpec, rng: RandomnessSource, family: VersionSet | None = 
 
 def value_bytes(value) -> bytes:
     """Canonical byte form substituted into templates."""
+    if type(value) is int:  # the common case, ahead of the bool test (a bool is an int)
+        return b"%d" % value
     if isinstance(value, bool):
         return b"true" if value else b"false"
     if isinstance(value, int):
@@ -105,17 +118,14 @@ def render(entry: VersionTest, binding: Binding) -> tuple[bytes, bytes]:
     """A payload entry's challenge and expected response under ``binding``;
     deterministic.  Each value becomes bytes once and fills both templates."""
     values = binding.rendered()
-    return _fill(entry.challenge_parts, values), _fill(entry.expect_parts, values)
+    return _fill(entry.challenge_compiled, values), _fill(entry.expect_compiled, values)
 
 
-def _fill(parts: Template, values: dict[str, bytes]) -> bytes:
-    out = [*parts]
+def _fill(template: Template, values: dict[str, bytes]) -> bytes:
     try:
-        for i in range(1, len(out), 2):
-            out[i] = values[out[i]]
+        return template.format % template.pick(values)
     except KeyError as exc:
         raise RenderError(f"unbound placeholder #{exc.args[0]}#") from None
-    return b"".join(out)
 
 
 class RenderedTest(NamedTuple):
@@ -131,8 +141,9 @@ def render_test(db: Database, version: Version, rng: RandomnessSource) -> Render
     if not entry.has_payload:
         raise RenderError(f"entry {render_version(version)} has no intrinsic test payload")
     family = db.family
-    values = {name: value_bytes(draw(spec, rng, family)) for name, spec in entry.variables.items()}
-    return RenderedTest(_fill(entry.challenge_parts, values), _fill(entry.expect_parts, values),
+    values = {name: b"%d" % rng.randint(spec.min, spec.max) if spec.format == "integer"
+              else value_bytes(draw(spec, rng, family)) for name, spec in entry.variables.items()}
+    return RenderedTest(_fill(entry.challenge_compiled, values), _fill(entry.expect_compiled, values),
                         entry.wait_time)
 
 

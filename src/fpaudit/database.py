@@ -35,8 +35,9 @@ nothing (its plan is empty), and resolves every entry's plan into
 
 Availability is derived as masks: ``Database.avail_masks`` holds, per
 payload entry, the mask of the family versions where its probed function
-is available.  Windows are only input syntax (``deprecated``, ``windows``)
-and report output (``VersionSet.windows``).  The referral semantics:
+is available.  Windows are only input syntax (``deprecated``, ``windows``,
+read into masks by ``VersionSet.mask``) and report output
+(``VersionSet.windows``, its inverse).  The referral semantics:
 
 * plain entry with a payload: available from that version onward;
 * ``deprecated`` boundary (or an explicit ``windows`` list): available only
@@ -72,11 +73,12 @@ import functools
 import json
 import math
 import re
-from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 from .versions import (Version, VersionParseError, VersionSet, branch_origin, parse_version,
                        render_version)
@@ -237,19 +239,32 @@ class Tags:
     end: bytes = b""
 
 
-# A payload template compiled at load: literal bytes at even positions and
-# placeholder names at odd ones, with the side's tags folded into the first
-# and last literal, so filling it is one join.
-Template = tuple[bytes | str, ...]
+class Template(NamedTuple):
+    """A payload template compiled at load, with the side's tags around it:
+    a bytes format with one ``%s`` per ``#name#`` placeholder (every literal
+    ``%`` doubled) and the placeholders' names in order.  ``pick`` takes
+    their values from a dict keyed by name in the form ``%`` takes them, so
+    filling is ``format % pick(values)``; a name the dict lacks is a
+    ``KeyError``."""
+
+    format: bytes
+    names: tuple[str, ...]
+    pick: Callable[[dict], object]
+
+
+def _no_values(values: dict) -> tuple:
+    return ()
 
 
 def _compile(template: bytes, tags: Tags) -> Template:
-    """``template`` split at its ``#name#`` placeholders and wrapped in ``tags``."""
+    """``template`` wrapped in ``tags``, its ``#name#`` placeholders made ``%s``."""
     parts = _PLACEHOLDER_RE.split(template)
     parts[0] = tags.start + parts[0]
     parts[-1] += tags.end
-    parts[1::2] = [name.decode("ascii") for name in parts[1::2]]
-    return tuple(parts)
+    names = tuple(name.decode("ascii") for name in parts[1::2])
+    # One name picks the bare value, several a tuple: both are what % takes.
+    return Template(b"%s".join(literal.replace(b"%", b"%%") for literal in parts[::2]),
+                    names, itemgetter(*names) if names else _no_values)
 
 
 @dataclass(frozen=True)
@@ -272,15 +287,15 @@ class VersionTest:
     expect_tags: Tags = Tags()
     # Each side's template compiled with its tags, derived at construction
     # so every entry is compiled once.
-    challenge_parts: Template | None = field(default=None, init=False, repr=False, compare=False)
-    expect_parts: Template | None = field(default=None, init=False, repr=False, compare=False)
+    challenge_compiled: Template | None = field(default=None, init=False, repr=False, compare=False)
+    expect_compiled: Template | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.challenge_template is not None:
-            object.__setattr__(self, "challenge_parts",
+            object.__setattr__(self, "challenge_compiled",
                                _compile(self.challenge_template, self.challenge_tags))
         if self.expect_template is not None:
-            object.__setattr__(self, "expect_parts",
+            object.__setattr__(self, "expect_compiled",
                                _compile(self.expect_template, self.expect_tags))
 
     @property
@@ -611,8 +626,8 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta,
         challenge_tags=challenge_tags,
         expect_tags=expect_tags,
     )
-    for parts in (entry.challenge_parts or (), entry.expect_parts or ()):
-        for name in parts[1::2]:
+    if entry.has_payload:
+        for name in chain(entry.challenge_compiled.names, entry.expect_compiled.names):
             if name not in variables:
                 raise SchemaError(f"entry {label!r}: no variable binds placeholder #{name}#")
     return entry
@@ -653,26 +668,14 @@ def _derive_availability(db: Database) -> dict[Version, int]:
             if hole_start > ref:
                 holes.setdefault(ref, []).append((hole_start, x))
 
-    keys = [u.key for u in db.family.versions]
-
-    def span(lo: Version, hi: Version | None) -> int:
-        """Mask of the family versions u with lo <= u < hi (no upper end if hi is None)."""
-        i = bisect_left(keys, lo.key)
-        j = len(keys) if hi is None else bisect_left(keys, hi.key)
-        return ((1 << j) - (1 << i)) if j > i else 0
-
+    mask = db.family.mask
     avail: dict[Version, int] = {}
     for v, entry in db.entries.items():
         if not entry.has_payload:
             continue
         windows = (entry.explicit_windows if entry.explicit_windows is not None
                    else ((v, entry.deprecated_ref),))
-        mask = 0
-        for lo, hi in windows:
-            mask |= span(lo, hi)
-        for lo, hi in holes.get(v, ()):
-            mask &= ~span(lo, hi)
-        avail[v] = mask
+        avail[v] = mask(windows) & ~mask(holes.get(v, ()))
     return avail
 
 

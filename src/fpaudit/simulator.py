@@ -2,9 +2,12 @@
 
 The simulated family evaluates small PHP-flavored payloads of the shape
 ``<?php var_dump(fn(arg)); ?>``.  Each named function carries availability
-windows over the family's versions; functions flagged simulation-hard are
-the ones a rational provider cannot fake, and the simulator enforces that
-boundary by rejecting any configuration that tries.
+windows over the family's versions, which :class:`SimFamily` turns into a
+version mask once, when it is built (``VersionSet.mask``); a responder keeps
+its source version's bit, so whether a function is available to it is one
+bit test.  Functions flagged simulation-hard are the ones a rational
+provider cannot fake, and the simulator enforces that boundary by rejecting
+any configuration that tries.
 
 Provider behaviors:
 
@@ -59,14 +62,20 @@ class FunctionSpec:
     behavior: str
     syntax_floor: Version | None = None  # below this the payload cannot even parse
 
-    def available(self, v: Version) -> bool:
-        return any(lo <= v and (hi is None or v < hi) for lo, hi in self.windows)
-
 
 @dataclass(frozen=True)
 class SimFamily:
+    """Functions over a family; construction turns each function's windows
+    into the mask of the family versions where it is available (see
+    ``VersionSet``), so an answer reads one bit."""
+
     family: VersionSet
     functions: dict[str, FunctionSpec]
+    masks: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", {name: self.family.mask(fn.windows)
+                                           for name, fn in self.functions.items()})
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,7 @@ class HonestResponder:
             raise SimConfigError(f"source version {render_version(src_version)} is not in the family")
         self.sim = sim
         self.src_version = src_version
+        self._bit = 1 << sim.family.index[src_version]
         self.claim_label = claim_label if claim_label is not None else render_version(src_version)
         self.latency = latency
         self.faked = frozenset(faked)
@@ -147,11 +157,10 @@ class HonestResponder:
             return UNKNOWN_FUNCTION
         if fn.syntax_floor is not None and self.src_version < fn.syntax_floor:
             return PARSE_ERROR
-        return _evaluate_behavior(fn, arg, self.src_version, self.claim_label)
+        return _evaluate_behavior(fn, arg, bool(self.sim.masks[name] & self._bit), self.claim_label)
 
 
-def _evaluate_behavior(fn: FunctionSpec, arg: bytes, v: Version, claim: str) -> bytes:
-    present = fn.available(v)
+def _evaluate_behavior(fn: FunctionSpec, arg: bytes, present: bool, claim: str) -> bytes:
     if fn.behavior == "claim":
         return claim.encode("utf-8")
     if fn.behavior == "upper":

@@ -20,6 +20,7 @@ keeps the versions that reproduce the log, using only simulator semantics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .challenge import RandomnessSource, render_test
@@ -75,7 +76,12 @@ class CandidateSet:
     members: tuple[Version, ...]
 
     def __contains__(self, v: Version) -> bool:
-        return v in self.members
+        return v in self._lookup
+
+    @functools.cached_property
+    def _lookup(self) -> frozenset[Version]:
+        """``members`` as a set, built on the first membership test."""
+        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -139,31 +145,26 @@ def oracle_candidates(log: DecisionLog, db: Database, sim_family: SimFamily) -> 
     A version survives only if a fresh honest provider pinned at it
     reproduces every logged plan decision and sub-observation, in order.
     """
-    logged = []
-    for outcome in log.plan_outcomes():
-        plan = resolve_plan(db, outcome.version)
-        logged.append((outcome, plan))
-
-    observe_cache: dict[tuple[Version, Version], bool] = {}
-
-    def observe(tested: Version, src: Version) -> bool:
-        key = (tested, src)
-        if key not in observe_cache:
-            rendered = render_test(db, tested, RandomnessSource(seed=0xA11D17))
-            responder = HonestResponder(sim_family, src, latency=LatencyModel(0.0, 0.0))
-            observe_cache[key] = responder.evaluate(rendered.challenge_payload) == rendered.expected_payload
-        return observe_cache[key]
+    logged = [(outcome, resolve_plan(db, outcome.version)) for outcome in log.plan_outcomes()]
+    # A rendered test does not depend on the provider, so each tested entry
+    # is rendered once, with the same seed, for every source.
+    rendered = {step.version: render_test(db, step.version, RandomnessSource(seed=0xA11D17))
+                for _, plan in logged for step in plan}
 
     survivors = []
     for src in sim_family.family.versions:
-        prior: dict[Version, bool] = {}
+        responder = HonestResponder(sim_family, src, latency=LatencyModel(0.0, 0.0), seed=0)
+        prior: dict[Version, bool] = {}  # each entry's first observation at src
         consistent = True
         for outcome, plan in logged:
             delta = True
             replayed = []
             for step in plan:
-                observed = prior[step.version] if step.version in prior else observe(step.version, src)
-                prior.setdefault(step.version, observed)
+                observed = prior.get(step.version)
+                if observed is None:
+                    test = rendered[step.version]
+                    observed = prior[step.version] = \
+                        responder.evaluate(test.challenge_payload) == test.expected_payload
                 replayed.append((step.version, observed))
                 if observed != step.expect_pass:
                     delta = False

@@ -12,7 +12,9 @@ order by stage (b < rc) then ordinal.
 
 from __future__ import annotations
 
+import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -178,6 +180,22 @@ class VersionSet:
             spans.append((self.versions[start], self.versions[end] if end < len(self.versions) else None))
             mask ^= (1 << end) - (1 << start)
         return tuple(spans)
+
+    def mask(self, windows) -> int:
+        """The mask of the versions inside any of the half-open ``windows``
+        ``(from, until)``, ``until`` None for no upper end: the inverse of
+        :meth:`windows`.  A window's ends need not be family versions."""
+        keys, mask = self._keys, 0
+        for lo, hi in windows:
+            i = bisect_left(keys, lo.key)
+            j = len(keys) if hi is None else bisect_left(keys, hi.key)
+            if j > i:
+                mask |= (1 << j) - (1 << i)
+        return mask
+
+    @functools.cached_property
+    def _keys(self) -> list[tuple]:
+        return [v.key for v in self.versions]
 
     def labels(self) -> list[str]:
         return [render_version(v) for v in self.versions]

@@ -57,6 +57,23 @@ def test_seeded_randint_draws_what_random_randint_draws(lo, hi):
             [theirs.randint(lo, hi) for _ in range(50)], (seed, lo, hi)
 
 
+def test_seeded_choice_and_bytes_draw_what_random_randrange_draws():
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    for seed in (0, 1, 1234):
+        ours, theirs = RandomnessSource(seed), random.Random(seed)
+        assert [ours.choice(alphabet) for _ in range(50)] == \
+            [alphabet[theirs.randrange(len(alphabet))] for _ in range(50)]
+        assert ours.randbytes(40) == bytes(theirs.randrange(256) for _ in range(40))
+        assert ours.choice("x") == "x" and theirs.randrange(1) == 0  # both still draw a bit
+        assert ours.randint(1, 999999999) == theirs.randint(1, 999999999)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 0), (5, -5)])
+def test_an_empty_randint_range_is_an_error(lo, hi):
+    with pytest.raises(ValueError, match="empty range"):
+        RandomnessSource(1).randint(lo, hi)
+
+
 def test_render_test_renders_the_binding_draw_binding_draws(db):
     every_format = add_entry(
         new_database("svc"), "1.0.0", challenge="f(#ix#,#sx#,#bx#,#vx#,#dx#);",

@@ -1,12 +1,18 @@
 import json
 import re
+import sys
 from itertools import chain
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpaudit.simulator import (
+    _CALL_RE,
     CACHE_MISS,
     PARSE_ERROR,
+    UNKNOWN_FUNCTION,
     CacherResponder,
     HonestResponder,
     LatencyModel,
@@ -15,12 +21,17 @@ from fpaudit.simulator import (
     SimProviderConfig,
     load_sim_config,
     produce,
+    _strip_tags,
+    _unquote,
     sim_family_from_doc,
 )
-from fpaudit.challenge import render_test
+from fpaudit.challenge import RandomnessSource, render_test
 from fpaudit.versions import parse_version as pv
 
 from families import FIXTURES, synth_docs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import grid  # noqa: E402  (read-only: the benchmark's family generator)
 
 
 def test_honest_old_version_answers_with_legacy_float(sim_family):
@@ -174,3 +185,105 @@ def test_a_falsy_window_until_is_a_config_error_not_an_open_end(until):
            "functions": {"f": {"windows": [["7.2.0", until]]}}}
     with pytest.raises(SimConfigError, match="'functions.f.windows'"):
         sim_family_from_doc(doc)
+
+
+# -- Availability masks --------------------------------------------------------
+
+
+# The simulated seed-0 grid family of the benchmark's generator (257 versions).
+GRID_SIM = sim_family_from_doc(grid.grid_docs(0).sim_doc)
+
+
+def every_sim_family():
+    fixture, _ = load_sim_config((FIXTURES / "php_like_sim_honest.json").read_bytes())
+    return [fixture, GRID_SIM, *(sim_family_from_doc(synth_docs(seed)[1]) for seed in range(20))]
+
+
+def in_windows(v, windows) -> bool:
+    """The windows rule a function's availability followed before it was a mask."""
+    return any(lo <= v and (hi is None or v < hi) for lo, hi in windows)
+
+
+@pytest.mark.parametrize("which", ["fixture", "grid"])
+@given(data=st.data())
+def test_mask_inverts_windows_on_a_simulated_family(which, data):
+    family = (load_sim_config((FIXTURES / "php_like_sim_honest.json").read_bytes())[0]
+              if which == "fixture" else GRID_SIM).family
+    mask = data.draw(st.integers(0, family.full))
+    assert family.mask(family.windows(mask)) == mask
+
+
+def test_every_function_mask_bit_follows_the_windows_rule():
+    checked = 0
+    for sim in every_sim_family():
+        for name, fn in sim.functions.items():
+            mask = sim.masks[name]
+            assert 0 <= mask <= sim.family.full
+            for i, v in enumerate(sim.family.versions):
+                assert bool(mask >> i & 1) == in_windows(v, fn.windows), (name, str(v))
+                checked += 1
+    assert checked > 60_000
+
+
+# -- HonestResponder.evaluate as it was before it read a mask bit, kept as the reference --
+
+
+def reference_evaluate(sim, src_version, claim_label, faked, payload: bytes) -> bytes:
+    m = _CALL_RE.match(_strip_tags(payload))
+    if not m:
+        return PARSE_ERROR
+    name = m.group(1).decode("ascii")
+    if name in faked:
+        return b"faked:" + m.group(1) + b"\n"
+    arg = _unquote(m.group(2))
+    fn = sim.functions.get(name)
+    if fn is None:
+        return UNKNOWN_FUNCTION
+    if fn.syntax_floor is not None and src_version < fn.syntax_floor:
+        return PARSE_ERROR
+    present = in_windows(src_version, fn.windows)
+    if fn.behavior == "claim":
+        return claim_label.encode("utf-8")
+    if fn.behavior == "upper":
+        return arg.upper() + b"\n"
+    if fn.behavior == "echo-ok":
+        if present:
+            return fn.name.encode("ascii") + b":ok:" + arg + b"\n"
+        return b"warn:undefined:" + fn.name.encode("ascii") + b"\n"
+    if fn.behavior == "strict-bool":
+        if present:
+            return b"bool(false)\n"
+        digits = re.match(rb"d:(\d+)e", arg)
+        return b"float(" + (digits.group(1) if digits else b"0") + b")\n"
+    raise SimConfigError(f"unknown behavior {fn.behavior!r} for function {fn.name!r}")
+
+
+def probe_payloads(sim, db, rng) -> list[bytes]:
+    """Calls of every function with plain, quoted and ``d:Ne`` arguments, in
+    and out of tags, every rendered test of ``db`` and a few that parse to no
+    known function."""
+    payloads = [b"<?php while(true){};", b"<?php nosuchfn(1);", b"", b"<?php ?>"]
+    for name in sim.functions:
+        fn = name.encode("ascii")
+        payloads += [b"<?php var_dump(" + fn + b"(123456)); ?>", b"<?php " + fn + b"('abc');",
+                     b"var_dump(@" + fn + b"('d:314159e++2;'))", b"  " + fn + b'("d:e")  ',
+                     b"<?php var_dump(" + fn + b"());"]
+    payloads += [render_test(db, v, rng).challenge_payload
+                 for v in db.entry_versions if db.entries[v].has_payload]
+    return payloads
+
+
+def test_evaluate_matches_the_reference_on_every_function_and_version(db, sim_family):
+    payloads = probe_payloads(sim_family, db, RandomnessSource(seed=5))
+    fakeable = tuple(sorted(n for n, fn in sim_family.functions.items() if not fn.hard))
+    assert fakeable
+    compared = 0
+    for src in sim_family.family.versions:
+        for faked, claim in (((), None), (fakeable, None), ((), "99.0.0")):
+            responder = HonestResponder(sim_family, src, claim_label=claim, faked=faked)
+            for payload in payloads:
+                want = reference_evaluate(sim_family, src, responder.claim_label, frozenset(faked),
+                                          payload)
+                assert responder.evaluate(payload) == want, (str(src), faked, payload)
+                compared += 1
+    assert compared > 5_000

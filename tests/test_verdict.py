@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
-from fpaudit.challenge import RandomnessSource
-from fpaudit.database import fold_constraints, load_database
+from fpaudit.challenge import RandomnessSource, render_test
+from fpaudit.database import fold_constraints, load_database, resolve_plan
 from fpaudit.protocol import SubOutcome
 from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder, SimProviderConfig,
@@ -12,6 +13,7 @@ from fpaudit.strategies import STRATEGIES, DecisionLog, run_audit
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import (
     Bounds,
+    CandidateSet,
     InconsistentLogError,
     _name_conflict,
     build_report,
@@ -278,3 +280,111 @@ def test_bounds_match_the_reference_on_synthetic_families():
         c, i = assert_bounds_match_reference(db, audit_logs(db, sim, sim.family.versions))
         consistent, inconsistent = consistent + c, inconsistent + i
     assert consistent > 1000 and inconsistent > 0
+
+
+# -- oracle_candidates as it was before it rendered each entry once, kept as the reference --
+
+
+def reference_oracle_candidates(log, db, sim_family) -> CandidateSet:
+    logged = []
+    for outcome in log.plan_outcomes():
+        plan = resolve_plan(db, outcome.version)
+        logged.append((outcome, plan))
+
+    observe_cache = {}
+
+    def observe(tested, src) -> bool:
+        key = (tested, src)
+        if key not in observe_cache:
+            rendered = render_test(db, tested, RandomnessSource(seed=0xA11D17))
+            responder = HonestResponder(sim_family, src, latency=LatencyModel(0.0, 0.0))
+            observe_cache[key] = responder.evaluate(rendered.challenge_payload) == rendered.expected_payload
+        return observe_cache[key]
+
+    survivors = []
+    for src in sim_family.family.versions:
+        prior = {}
+        consistent = True
+        for outcome, plan in logged:
+            delta = True
+            replayed = []
+            for step in plan:
+                observed = prior[step.version] if step.version in prior else observe(step.version, src)
+                prior.setdefault(step.version, observed)
+                replayed.append((step.version, observed))
+                if observed != step.expect_pass:
+                    delta = False
+                    break
+            logged_subs = [(s.version, s.observed) for s in outcome.sub_outcomes]
+            if delta != outcome.delta or replayed != logged_subs:
+                consistent = False
+                break
+        if consistent:
+            survivors.append(src)
+    return CandidateSet(tuple(sorted(survivors)))
+
+
+def assert_oracle_matches_reference(db, sim, logs) -> tuple[int, int]:
+    """``oracle_candidates`` equals the reference on every log; returns the
+    number of logs and how many of them left no candidate."""
+    counts = [0, 0]
+    for log in logs:
+        got, want = oracle_candidates(log, db, sim), reference_oracle_candidates(log, db, sim)
+        assert got == want, [str(r.version) for r in log.rows]
+        counts[0] += 1
+        counts[1] += not got.members
+    return counts[0], counts[1]
+
+
+def test_oracle_matches_the_reference_on_fixture_audits(db, sim_family):
+    logs, empty = assert_oracle_matches_reference(
+        db, sim_family, audit_logs(db, sim_family, sim_family.family.versions))
+    assert logs == 600 and 0 < empty < logs
+
+
+def test_oracle_matches_the_reference_on_synthetic_families():
+    logs = empty = 0
+    for seed in range(20):
+        db_doc, sim_doc = synth_docs(seed)
+        db, sim = load_database(json.dumps(db_doc)), sim_family_from_doc(sim_doc)
+        versions = sim.family.versions
+        sources = random.Random(seed).sample(versions, min(3, len(versions)))
+        n, e = assert_oracle_matches_reference(db, sim, audit_logs(db, sim, sources))
+        logs, empty = logs + n, empty + e
+    assert logs > 1000 and 0 < empty < logs
+
+
+def toy_db():
+    """Entries at 7.2.12 and 7.2.14 of a family that also lists 7.2.13."""
+    test = {"variables": {"ax": {"format": "integer", "min": 1, "max": 9}},
+            "challenge": {"payload": "var_dump(a(#ax#));"}, "expect": {"payload": "a:ok:#ax#\n"}}
+    return load_database(json.dumps({
+        "creationTimestamp": "2025-01-01T00:00:00+00:00",
+        "service": {"name": "toy", "family": ["7.2.12", "7.2.13", "7.2.14"],
+                    "versions": {"7.2.12": {"test": test}, "7.2.14": {"test": test}}}}))
+
+
+def test_candidate_membership_is_a_lookup_built_on_first_use(db):
+    members = db.family.versions[3:9]
+    c = CandidateSet(members)
+    assert "_lookup" not in vars(c)  # a set nobody queries builds none
+    twin = pv(render_version(members[2]))  # parsed apart from the database
+    assert twin == members[2] and twin is not members[2]
+    assert twin in c
+    assert db.family.versions[0] not in c and db.family.versions[-1] not in c
+    assert pv("99.0.0") not in db.family and pv("99.0.0") not in c
+    # Members, labels and equality are unchanged by the lookup.
+    assert c.members == members and len(c) == 6
+    assert c.labels() == [render_version(v) for v in members]
+    assert c == CandidateSet(members) and hash(c) == hash(CandidateSet(members))
+    assert CandidateSet(()) != c and pv("7.2.14") not in CandidateSet(())
+
+
+def test_an_entry_less_family_version_is_a_member():
+    db = toy_db()
+    report = build_report(synthetic_log([("7.2.12", True), ("7.2.14", False)]), db,
+                          target=pv("7.2.13"))
+    assert pv("7.2.13") not in db.entries
+    assert pv("7.2.13") in report.candidate_set and pv("7.2.12") in report.candidate_set
+    assert pv("7.2.14") not in report.candidate_set
+    assert report.candidate_set.labels() == ["7.2.12", "7.2.13"] and report.compliant is True

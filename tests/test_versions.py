@@ -213,3 +213,23 @@ def test_windows_are_the_maximal_runs_of_a_mask(n_mask):
     spanned = sum(1 << i for i, v in enumerate(vs.versions)
                   if any(lo <= v and (hi is None or v < hi) for lo, hi in windows))
     assert spanned == mask
+
+
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_mask_inverts_windows(n_mask):
+    n, mask = n_mask
+    vs = VersionSet("x", tuple(Version(1, i // 5, i % 5) for i in range(n)))
+    assert vs.mask(vs.windows(mask)) == mask
+
+
+_ENDS = st.builds(Version, st.integers(0, 3), st.integers(0, 6), st.integers(0, 6))
+
+
+@given(st.lists(_ENDS, unique=True, max_size=30),
+       st.lists(st.tuples(_ENDS, st.none() | _ENDS), max_size=4))
+def test_mask_holds_the_versions_inside_any_window(versions, windows):
+    # Window ends need not be family versions, and a window may cover nothing.
+    vs = VersionSet("x", tuple(versions))
+    inside = sum(1 << i for i, v in enumerate(vs.versions)
+                 if any(lo <= v and (hi is None or v < hi) for lo, hi in windows))
+    assert vs.mask(windows) == inside
