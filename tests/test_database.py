@@ -369,6 +369,22 @@ def test_one_replaced_value_loads_or_is_a_sim_config_error(path, value):
     assert all(0 <= d < math.inf for d in (cfg.latency.base, cfg.latency.jitter, cfg.proxy_floor))
 
 
+@pytest.mark.parametrize("name, load, error", [
+    ("php_like_db.json", load_database, DatabaseError),
+    ("php_like_sim_honest.json", load_sim_config, SimConfigError),
+    ("php_like_sim_faker.json", load_sim_config, SimConfigError),
+])
+def test_a_document_cut_short_is_its_loaders_error(name, load, error):
+    document = (Path(__file__).resolve().parents[1] / "fixtures" / name).read_bytes()
+    # Every cut before the trailing whitespace, including inside a UTF-8 sequence.
+    for end in range(len(document.rstrip())):
+        try:
+            load(document[:end])
+        except error:
+            continue
+        pytest.fail(f"{name} cut at byte {end} loaded")
+
+
 def test_resolve_plan_prerequisite_before_intrinsic(db):
     plan = resolve_plan(db, pv("7.1.20"))
     assert [(str(s.version), s.expect_pass) for s in plan] == [

@@ -434,3 +434,33 @@ def test_copy_with_another_copys_signature_over_other_bytes_blames_its_holder(
     verdicts = verify_liability(mutated, keys, db)
     assert {role for role, v in verdicts.items() if v.status == "blamed"} == {holder}
     assert verdicts[holder].reason == f"round {entries[1]['round']}: S3 fails verification"
+
+
+def test_a_log_cut_short_is_a_value_error_or_gets_verdicts(session_logs, db, tmp_path):
+    logs, keys = session_logs
+    paths = {role: tmp_path / f"{role}.log" for role in ROLES}
+    for role, path in paths.items():
+        write_log(path, logs[role])
+    whole = {role: read_log(path) for role, path in paths.items()}
+    for role, path in paths.items():
+        text = path.read_bytes()
+        cut = tmp_path / "cut.log"
+        for end in range(0, len(text), 7):
+            cut.write_bytes(text[:end])
+            try:
+                entries = read_log(cut)
+            except ValueError:
+                continue
+            verdicts = verify_liability({**whole, role: entries}, keys, db)
+            assert {v.status for v in verdicts.values()} <= {"compliant", "blamed"}, (role, end)
+            assert set(verdicts) == set(ROLES)
+
+
+def test_keys_cut_short_are_a_value_error(tmp_path):
+    path = tmp_path / "keys.json"
+    write_keys(path, {role: PartyIdentity.generate(role) for role in ROLES})
+    text = path.read_bytes()
+    for end in range(len(text)):
+        path.write_bytes(text[:end])
+        with pytest.raises(ValueError, match="keys.json"):
+            read_keys(path)

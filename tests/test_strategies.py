@@ -3,7 +3,9 @@ import json
 import math
 import random
 import sys
+import threading
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from fpaudit.challenge import RandomnessSource
 from fpaudit.database import load_database, resolve_plan
 from fpaudit.protocol import SubOutcome, run_test, transport_probe
 from fpaudit.protocol import TestOutcome as PlanOutcome
-from fpaudit.simulator import LatencyModel, SimProviderConfig, produce, sim_family_from_doc
+from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder, SimProviderConfig,
+                               produce, sim_family_from_doc)
 from fpaudit.strategies import (STRATEGIES, AuditContext, AuditError, DecisionLog, _mid, _nth_bit,
                                 default_budget, drive_audit, run_audit)
 from families import synth_docs
@@ -478,3 +481,184 @@ def test_bs_mask_pick_is_the_middle_of_the_reference_pool(data):
     ctx.candidates = data.draw(st.integers(0, db.family.full))
     ctx.tested = data.draw(st.integers(0, db.family.full))
     assert STRATEGIES["BS"]().pick(ctx) == reference_pick("BS", ctx, None)
+
+
+# -- The decision memo: a warm database audits exactly as a cold one ----------
+
+FIXTURE_DB = (Path(__file__).resolve().parents[1] / "fixtures" / "php_like_db.json").read_bytes()
+GRID_48 = grid.grid_docs(0, grid.GridShape(3, 4, 4, 3, 2, 4)).db_bytes()
+BEHAVIORS = ("honest", "claim-faker", "function-faker", "proxy", "cacher")
+
+
+def _exchange_fields(record):
+    return record and (record.challenge_bytes, record.response_bytes, record.elapsed,
+                       record.transport_error)
+
+
+def audit_digest(log):
+    """What an audit returns, but the clock readings of its exchanges: every
+    row with its sub-test outcomes and exchanged bytes, the stop reason and
+    the exchange count."""
+    rows = [(row.version, row.delta, row.testorder, row.origin,
+             row.outcome and (row.outcome.sub_outcomes,
+                              tuple(map(_exchange_fields, row.outcome.exchanges))))
+            for row in log.rows]
+    return rows, log.stop_reason, log.exchange_count()
+
+
+def assert_warm_matches_cold(document: bytes, cases, audit):
+    """Run every case on one database, then again on it, warmed by all the
+    others, and on a freshly loaded copy: all three must agree.  Returns
+    the warm database."""
+    warm = load_database(document)
+    first = [audit_digest(audit(warm, case)) for case in cases]
+    for case, digest in zip(cases, first):
+        cold = audit_digest(audit(load_database(document), case))
+        assert audit_digest(audit(warm, case)) == cold == digest, case
+    return warm
+
+
+def probe_audit(db, case):
+    """Audit by ``case``: (strategy, "truth", source label, budget) or
+    (strategy, "liar", seed, budget); a budget of None is the default."""
+    name, kind, arg, budget = case
+    probe = truth_probe(db, pv(arg)) if kind == "truth" else liar_probe(db, arg)
+    return drive_audit(db, name, probe, budget)
+
+
+def test_warm_audits_match_cold_ones_for_every_fixture_provider(sim_family):
+    fakeable = tuple(sorted(n for n, fn in sim_family.functions.items() if not fn.hard))
+    recorder = RecordingResponder(HonestResponder(sim_family, pv("7.1.1"), seed=4))
+    run_audit(load_database(FIXTURE_DB), "CBS", make_loopback(recorder), RandomnessSource(seed=4))
+    providers = [(name, src, behavior) for name in STRATEGIES
+                 for src in sim_family.family.versions for behavior in BEHAVIORS]
+    cases = [(*provider, seed) for seed, provider in enumerate(providers)]
+
+    def audit(db, case):
+        name, src, behavior, seed = case
+        cfg = SimProviderConfig(src_version=src, behavior=behavior, claim_label="99.0.0-fake",
+                                latency=LatencyModel(0.002, 0.001), fake_functions=fakeable,
+                                cache_store=recorder.store, seed=seed)
+        return run_audit(db, name, make_loopback(produce(sim_family, cfg)),
+                         RandomnessSource(seed=seed))
+
+    assert len(cases) == 5 * 24 * 5
+    assert_warm_matches_cold(FIXTURE_DB, cases, audit)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_warm_coin_flip_audits_match_cold_ones_on_synthetic_families(seed):
+    document = json.dumps(synth_docs(seed)[0]).encode()
+    cases = [(name, "liar", liar, None) for name in STRATEGIES for liar in range(12)]
+    assert_warm_matches_cold(document, cases, probe_audit)
+
+
+def test_warm_coin_flip_audits_match_cold_ones_on_the_48_version_grid():
+    cases = [(name, "liar", liar, None) for name in STRATEGIES for liar in range(40)]
+    assert_warm_matches_cold(GRID_48, cases, probe_audit)
+
+
+def test_two_budgets_on_one_database_keep_two_trees():
+    sources = [str(v) for v in load_database(GRID_48).family.versions[::5]]
+    cases = [(name, kind, arg, budget) for name in STRATEGIES for budget in (3, None)
+             for kind, arg in [("truth", src) for src in sources] + [("liar", liar) for liar in range(8)]]
+    db = assert_warm_matches_cold(GRID_48, cases, probe_audit)
+    assert list(db.decisions) == [(cls, budget) for cls in STRATEGIES.values()
+                                  for budget in (3, default_budget(db))]
+    # Warmed by full-budget audits of the same provider, each still stops at 3 tests.
+    assert all(probe_audit(db, case).stop_reason == "budget"
+               for case in cases if case[1:] == ("truth", sources[5], 3))
+
+
+def test_a_replaced_strategy_class_never_reads_another_class_memo(monkeypatch):
+    class NewestFirst(STRATEGIES["HTL"]):
+        """Stands in for BS: picks as HTL, under its own memo."""
+
+    warm = load_database(FIXTURE_DB)
+    cases = [("BS", "truth", str(v), None) for v in warm.family.versions]
+    cases += [("BS", "liar", liar, None) for liar in range(12)]
+    bisected = [audit_digest(probe_audit(warm, case)) for case in cases]
+    monkeypatch.setitem(STRATEGIES, "BS", NewestFirst)
+    replaced = [audit_digest(probe_audit(warm, case)) for case in cases]
+    assert replaced == [audit_digest(probe_audit(load_database(FIXTURE_DB), case))
+                        for case in cases]
+    assert [rows for rows, _, _ in replaced] != [rows for rows, _, _ in bisected]
+    monkeypatch.undo()
+    assert [audit_digest(probe_audit(warm, case)) for case in cases] == bisected
+
+
+def test_threads_auditing_one_database_match_cold_audits():
+    cases = [(name, kind, arg, None) for name in STRATEGIES
+             for kind, arg in [("truth", str(v)) for v in load_database(FIXTURE_DB).family.versions]
+             + [("liar", liar) for liar in range(24)]]
+    serial = load_database(FIXTURE_DB)
+    cold = [audit_digest(probe_audit(load_database(FIXTURE_DB), case)) for case in cases]
+    assert [audit_digest(probe_audit(serial, case)) for case in cases] == cold
+    sizes = {key: memo_nodes(root) for key, root in serial.decisions.items()}
+    # More workers than this machine's cores; taking every fourth case, they
+    # grow the same strategy's tree at once.
+    workers = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the audits' steps finely
+    try:
+        for _ in range(20):
+            shared, start = load_database(FIXTURE_DB), threading.Barrier(workers)
+
+            def run(order):
+                start.wait(timeout=60)
+                return [(i, audit_digest(probe_audit(shared, cases[i]))) for i in order]
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                runs = [pool.submit(run, range(k, len(cases), workers)) for k in range(workers)]
+                digests = dict(pair for each in runs for pair in each.result(timeout=120))
+            assert [digests[i] for i in range(len(cases))] == cold
+            # A node lost to a concurrent insert leaves its tree smaller.
+            assert {key: memo_nodes(root) for key, root in shared.decisions.items()} == sizes
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def memo_nodes(node) -> int:
+    """Nodes of one decision tree in ``Database.decisions``."""
+    if type(node) is str:
+        return 1
+    return 1 + sum(memo_nodes(child) for child in node[2].values())
+
+
+def memo_sizes_after_many_audits(db) -> dict:
+    """Each strategy's tree size after a truth-probe audit from every source
+    and 2,000 coin-flip audits."""
+    for name in STRATEGIES:
+        for src in db.family.versions:
+            drive_audit(db, name, truth_probe(db, src))
+        for seed in range(2000):
+            drive_audit(db, name, liar_probe(db, seed))
+    assert [(cls, budget) for cls, budget in db.decisions] == \
+        [(cls, default_budget(db)) for cls in STRATEGIES.values()]
+    return {cls.name: memo_nodes(root) for (cls, _), root in db.decisions.items()}
+
+
+@pytest.mark.parametrize("document", [FIXTURE_DB, grid.grid_docs(0).db_bytes()],
+                         ids=["fixture", "grid-256"])
+def test_each_decision_tree_stays_within_2n_plus_1_nodes(document):
+    db = load_database(document)
+    sizes = memo_sizes_after_many_audits(db)
+    # Measured: at most 49 nodes at N=24 and 501 at N=256.
+    assert max(sizes.values()) <= 2 * len(db.family) + 1, sizes
+
+
+@pytest.mark.slow
+def test_each_decision_tree_stays_within_2n_plus_1_nodes_on_the_1024_version_grid():
+    db = load_database(grid.grid_docs(0, grid.GridShape(4, 16, 16)).db_bytes())
+    sizes = memo_sizes_after_many_audits(db)
+    # Measured: at most 2,036 nodes.
+    assert max(sizes.values()) <= 2 * len(db.family) + 1, sizes
+
+
+@pytest.mark.slow
+def test_warm_audits_match_cold_ones_on_the_1024_version_grid():
+    document = grid.grid_docs(0, grid.GridShape(4, 16, 16)).db_bytes()
+    versions = load_database(document).family.versions
+    sources = [versions[i * len(versions) // 20] for i in range(20)]
+    cases = [(name, "truth", str(src), None) for name in STRATEGIES for src in sources]
+    assert_warm_matches_cold(document, cases, probe_audit)
