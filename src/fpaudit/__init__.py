@@ -6,13 +6,12 @@ time-bounded challenges, instead of trusting whatever label the provider
 prints.
 """
 
-from .versions import Version, VersionSet, branch_origin, cmp, parse_version, render_version
+from .versions import Version, VersionSet, branch_origin, parse_version, render_version
 
 __all__ = [
     "Version",
     "VersionSet",
     "branch_origin",
-    "cmp",
     "parse_version",
     "render_version",
 ]

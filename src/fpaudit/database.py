@@ -380,15 +380,16 @@ class Database:
 
     @functools.cached_property
     def decisions(self) -> dict:
-        """The audit loop's decision memo: ``(strategy class, budget)`` -> the
-        root of that strategy's decision tree, filled by
-        ``strategies.drive_audit`` as audits reach new steps.
+        """The audit loop's decision memo: strategy class -> the root of that
+        strategy's decision tree, filled by ``strategies.drive_audit`` as
+        audits reach new steps.
 
         A node is the step the loop decided there: ``(pick, plan, children)``,
-        or the stop reason ``"converged"`` or ``"budget"``.  ``children`` maps
-        the tuple of the step's sub-test observations to the next node.  A
-        step depends only on the observations along its path, so no provider
-        can change what a later audit of another one does.
+        or the stop reason ``"converged"``.  ``children`` maps the tuple of
+        the step's sub-test observations to the next node.  A step depends
+        only on the observations along its path, so no provider can change
+        what a later audit of another one does.  The budget is the loop's
+        own stop at a pick node, so audits with any budget share the tree.
 
         Size: each outcome is the plan cut at its first unmet sub-test, so a
         step's children partition its candidates, and a path whose candidates
@@ -398,10 +399,10 @@ class Database:
         that tree has at most 2N-1 nodes; the others are the empty leaves of
         the outcomes the candidates rule out (fewer than a plan's sub-tests
         per step) and the steps that split nothing (each tests a new entry,
-        at most the budget on a path).  After truth-probe audits from every
-        source and 2,000 coin-flip audits per strategy, no tree exceeded 2N+1
-        nodes: 49 on the N=24 fixture, 501 on the N=256 grid and 2,036 on
-        the N=1,024 grid, at about 230-290 bytes a node.
+        at most the largest budget on a path).  After truth-probe audits
+        from every source and 2,000 coin-flip audits per strategy, no tree
+        exceeded 2N+1 nodes: 49 on the N=24 fixture, 501 on the N=256 grid
+        and 2,036 on the N=1,024 grid, at about 230-290 bytes a node.
         """
         return {}
 

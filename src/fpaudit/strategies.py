@@ -14,9 +14,7 @@ shrink the candidate set (an *informative* entry), scanning down from the
 newest entry, then calls ``pick(ctx)``.  A strategy reads only what it
 needs from the context: HTL the newest informative entry, LTH the oldest
 (each found by a scan from its own end), BS the candidate entries' mask,
-CBS and HMSU the database's branch heads and the logged results.  HMSU
-keeps its walk on the context and resumes it at the next pick rather than
-climbing again from the top major.  A scan
+CBS and HMSU the database's branch heads and the logged results.  A scan
 drops the rows it passes that no longer split the candidates, so an
 audit's scans together visit each entry about once.  The ascending list
 of every informative entry is built only when a strategy returns None:
@@ -28,12 +26,15 @@ optimistically upward).
 
 A strategy is a decision tree over test outcomes: each step is a function
 of the observations so far.  So the loop decides each step once per
-database: ``Database.decisions`` keeps one tree per strategy class and
-budget, and a node reached before gives its stop reason or pick and plan
-without the stop test, the pick or the plan lookup.  The probe still runs
-and every outcome is still applied to the audit's context and log.  An
-auditor of many providers at the same few versions thus pays for the
-decisions only on the first audit down each path.
+database: ``Database.decisions`` keeps one tree per strategy class, and a
+node reached before gives its pick and plan, or the stop reason
+``"converged"``, without the stop test, the pick or the plan lookup.  The
+budget is not part of the tree: the loop stops with ``"budget"`` at a pick
+node once it has run that many tests, so audits with any budget share one
+tree.  The probe still runs and every outcome is still applied to the
+audit's context and log.  An auditor of many providers at the same few
+versions thus pays for the decisions only on the first audit down each
+path.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .challenge import RandomnessSource
 from .database import Database, STRATEGY_SHORT, fold_constraints, resolve_plan
@@ -126,8 +127,6 @@ class AuditContext:
         # tested.
         self._splitting = db.entry_truths
         self._lo, self._hi = 0, len(self._splitting)
-        # A strategy's walk, resumed at its next pick (HMSU keeps one).
-        self.walk: Iterator[Version] | None = None
 
     def apply(self, outcome: TestOutcome) -> None:
         rows = self.log.rows
@@ -180,24 +179,8 @@ class AuditContext:
     def informative(self) -> list[Version]:
         """Untested entries whose outcome would shrink the candidate set, ascending."""
         c, tested = self.candidates, self.tested
-        self._splitting = [row for row in self._splitting[self._lo:self._hi]
-                           if not tested & row[1] and (hits := c & row[2]) and hits != c]
-        self._lo, self._hi = 0, len(self._splitting)
-        return [row[0] for row in self._splitting]
-
-
-def _nth_bit(mask: int, n: int) -> int:
-    """Position of the set bit of ``mask`` with ``n`` set bits below it,
-    found by bisecting on popcount."""
-    total = mask.bit_count()
-    lo, hi = 0, mask.bit_length()  # at most n set bits below lo, more below hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if total - (mask >> mid).bit_count() > n:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+        return [v for v, bit, truth in self._splitting[self._lo:self._hi]
+                if not tested & bit and (hits := c & truth) and hits != c]
 
 
 class BinarySearch:
@@ -205,8 +188,7 @@ class BinarySearch:
 
     def pick(self, ctx: AuditContext) -> Version | None:
         pool = ctx.candidates & ctx.db.entry_mask & ~ctx.tested
-        # The optimistic middle of the untested candidate entries, as _mid.
-        return ctx.db.family.versions[_nth_bit(pool, pool.bit_count() // 2)] if pool else None
+        return _mid(ctx.db.family.select(pool)) if pool else None
 
 
 class HighToLow:
@@ -265,31 +247,20 @@ class MajorHighestStepUp:
     fall back to the next patch when a minor jump fails, and drop to a
     lower major when nothing on the branch worked.
 
-    The walk is kept on the context and resumed at the next pick.  That is
-    exact: a status that is True or False stays so while any candidate is
-    left, so a walk started afresh would pass the same entries to the same
-    place, and once no candidate is left the loop's stop test ends the audit.
-    For the same reason the loop may drop the walk, as it does after a step
-    read from the database's decision memo: the next pick starts afresh.
+    Each pick climbs from the highest major and returns the first entry
+    whose status is not yet known.
     """
 
     name = "HMSU"
 
     def pick(self, ctx: AuditContext) -> Version | None:
-        if ctx.walk is None:
-            ctx.walk = self._walk(ctx)
-        return next(ctx.walk, None)
-
-    @staticmethod
-    def _walk(ctx: AuditContext) -> Iterator[Version]:
-        """Yield each entry the walk stops at, again until its status is known."""
         for frontier in reversed(ctx.db.branch_heads[()].values()):
-            while (status := ctx.status(frontier)) is None:
-                yield frontier
+            if (status := ctx.status(frontier)) is None:
+                return frontier
             if status:
                 break
         else:
-            return
+            return None
         entries = ctx.entry_versions
         pos = bisect_left(entries, frontier)
         while True:
@@ -301,13 +272,13 @@ class MajorHighestStepUp:
             if end < len(entries) and entries[end].major == frontier.major:
                 order.insert(0, end)
             for i in order:
-                while (status := ctx.status(entries[i])) is None:
-                    yield entries[i]
+                if (status := ctx.status(entries[i])) is None:
+                    return entries[i]
                 if status:
                     frontier, pos = entries[i], i
                     break
             else:
-                return
+                return None
 
 
 STRATEGIES = {
@@ -343,12 +314,13 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     """Drive successive tests, each sub-test decided by ``probe``.
 
     The steps are read from the strategy's tree in ``db.decisions``, keyed
-    by the strategy class and the budget; each child is keyed by the tuple
-    of the previous step's sub-test observations.  Only at a node no audit
-    of ``db`` has reached does the loop run its stop test, the pick (with
-    the ``_mid`` fallback) and ``resolve_plan`` on the live context, and
-    record the result with ``setdefault``, so audits of one database may run
-    in threads at once.  Every outcome is applied to the live context as
+    by the strategy class; each child is keyed by the tuple of the previous
+    step's sub-test observations.  Only at a node no audit of ``db`` has
+    reached does the loop run its stop test, the pick (with the ``_mid``
+    fallback) and ``resolve_plan`` on the live context, and record the
+    result with ``setdefault``, so audits of one database may run in threads
+    at once.  A pick node reached after ``budget`` tests stops the audit
+    with ``"budget"``.  Every outcome is applied to the live context as
     without the memo: the same rows, stop reason and errors.
     """
     short = STRATEGY_SHORT.get(strategy_name, strategy_name)
@@ -364,16 +336,17 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     log.strategy = short
     budget = budget if budget is not None else default_budget(db)
 
-    children, key = db.decisions, (type(strategy), budget)
+    children, key = db.decisions, type(strategy)
     tests_run = 0
     while True:
         node = children.get(key)
         if node is None:
-            node = children.setdefault(key, _decide(strategy, ctx, tests_run, budget))
-        else:
-            ctx.walk = None  # behind by this step; a fresh walk picks the same
+            node = children.setdefault(key, _decide(strategy, ctx))
         if type(node) is str:
             log.stop_reason = node
+            return log
+        if tests_run >= budget:
+            log.stop_reason = "budget"
             return log
         pick, plan, children = node
         if pick in log.deltas:
@@ -384,13 +357,11 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
         key = tuple(map(_observed, outcome.sub_outcomes))
 
 
-def _decide(strategy, ctx: AuditContext, tests_run: int, budget: int):
-    """The loop's step on the live context: a stop reason, or the pick, its
-    plan and an empty table of next steps."""
+def _decide(strategy, ctx: AuditContext):
+    """The loop's step on the live context: ``"converged"``, or the pick,
+    its plan and an empty table of next steps."""
     if ctx.newest_informative() is None:
         return "converged"
-    if tests_run >= budget:
-        return "budget"
     pick = strategy.pick(ctx)
     if pick is None:
         pick = _mid(ctx.informative())

@@ -107,11 +107,6 @@ def render_version(v: Version) -> str:
     return s
 
 
-def cmp(a: Version, b: Version) -> int:
-    """Three-way comparison: -1, 0 or 1."""
-    return (a.key > b.key) - (a.key < b.key)
-
-
 def branch_origin(v: Version, level: str = "minor") -> Version:
     """First version of the branch ``v`` lives on.
 

@@ -13,6 +13,7 @@ guarantees below are exact given honest timing.
 import copy
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from fpaudit.challenge import RandomnessSource
 from fpaudit.database import (
     DanglingReferralError,
     ReferralCycleError,
+    VariableSpec,
+    add_entry,
     load_database,
     resolve_plan,
     serialize_database,
@@ -48,6 +51,9 @@ from families import synth_docs
 from fpaudit.transport import make_loopback, probe_version_claim
 from fpaudit.verdict import build_report, oracle_candidates
 from fpaudit.versions import Version, parse_version as pv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import grid  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TRIAL_COUNT = 200
@@ -148,6 +154,44 @@ def test_criterion_5_oracle_equivalence(agreement_trials):
     assert mismatches == 0
     print(f"\nPASS criterion 5: candidate sets equal the brute-force replay "
           f"oracle on all {TRIAL_COUNT} trials x {len(STRATEGIES)} strategies")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape, sources", [(grid.GridShape(), 20),
+                                            (grid.GridShape(4, 16, 16), 5)],
+                         ids=["grid-256", "grid-1024"])
+def test_criteria_4_and_5_on_large_grids(shape, sources):
+    """Criteria 4 and 5 on a seed-0 grid, its new version authored as the
+    benchmark does: honest and claim-faker providers at sources spread over
+    the family, every strategy given a budget it cannot run out of."""
+    family = grid.grid_docs(0, shape)
+    test, ax = grid.echo_test(family.new_label), grid.AX
+    db = add_entry(load_database(family.db_bytes()), family.new_label,
+                   challenge=test["challenge"]["payload"], expect=test["expect"]["payload"],
+                   variables={"ax": VariableSpec("ax", ax["format"], ax["min"], ax["max"])})
+    db = load_database(serialize_database(db))
+    sim = sim_family_from_doc(family.sim_doc)
+    versions = db.family.versions
+    assert versions == sim.family.versions
+    started = time.monotonic()
+    for i in range(sources):
+        src = versions[i * (len(versions) - 1) // (sources - 1)]
+        for behavior in ("honest", "claim-faker"):
+            cfg = SimProviderConfig(src_version=src, behavior=behavior, claim_label="99.0.0-fake",
+                                    latency=LatencyModel(0.001, 0.0), seed=i)
+            endpoints = make_loopback(produce(sim, cfg))
+            sets = set()
+            for name in STRATEGIES:
+                log = run_audit(db, name, endpoints, RandomnessSource(seed=i),
+                                budget=len(versions) + 8)
+                assert log.stop_reason == "converged", (name, src)
+                members = build_report(log, db).candidate_set.members
+                assert members == oracle_candidates(log, db, sim).members, (name, src)
+                sets.add(members)
+            assert len(sets) == 1 and src in sets.pop(), (behavior, src)
+    print(f"\nPASS criteria 4 and 5 at N={len(versions)}: {sources} sources x 2 behaviours, "
+          f"all five strategies agree with each other and the oracle "
+          f"({time.monotonic() - started:.1f}s)")
 
 
 def test_criterion_6_caching_soundness(db, sim_family):

@@ -24,21 +24,24 @@ def run(args):
     return main(args)
 
 
-def test_audit_faker_is_non_compliant(capsys):
+@pytest.mark.parametrize("strategy", ["CBS", "HMSU"])
+def test_audit_faker_is_non_compliant(strategy, capsys):
     code = run(["audit", "--database", DB, "--sim-config", SIM_FAKER,
-                "--strategy", "CBS", "--target", "7.3.0", "--seed", "11"])
+                "--strategy", strategy, "--target", "7.3.0", "--seed", "11"])
     out = capsys.readouterr().out
     assert code == 1
     assert "20.9.85-car" in out
-    assert "7.1.1" in out
+    assert "candidates      : 7.1.1" in out.splitlines()
     assert "NOT compliant" in out
 
 
-def test_audit_honest_compliant_exit_zero(capsys):
+@pytest.mark.parametrize("strategy", ["BS", "CBS", "HTL", "LTH", "HMSU"])
+def test_audit_honest_compliant_exit_zero(strategy, capsys):
     code = run(["audit", "--database", DB, "--sim-config", SIM_HONEST,
-                "--strategy", "HTL", "--target", "7.2.14", "--seed", "11"])
+                "--strategy", strategy, "--target", "7.2.14", "--seed", "11", "--budget", "60"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "candidates      : 7.2.14" in out.splitlines()
     assert "compliant" in out
 
 

@@ -35,6 +35,24 @@ def test_every_package_module_is_reachable_from_the_cli():
     assert reached == {path.stem for path in PACKAGE.glob("*.py")}
 
 
+def test_every_public_name_is_used_by_another_package_module():
+    import fpaudit
+
+    for name in fpaudit.__all__:
+        home = getattr(fpaudit, name).__module__.rpartition(".")[2]
+        users = []
+        for path in PACKAGE.glob("*.py"):
+            if path.stem in (home, "__init__"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and node.id == name \
+                        or isinstance(node, ast.Attribute) and node.attr == name \
+                        or isinstance(node, ast.alias) and node.name == name:
+                    users.append(path.stem)
+                    break
+        assert users, f"{name} is used by no package module but {home}"
+
+
 def test_declared_dependencies_are_the_third_party_imports():
     tomllib = pytest.importorskip("tomllib")
     imported = set()

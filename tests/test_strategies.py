@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fpaudit import database, verdict
+from fpaudit import database, strategies, verdict
 from fpaudit.challenge import RandomnessSource
 from fpaudit.database import load_database, resolve_plan
 from fpaudit.protocol import SubOutcome, run_test, transport_probe
 from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder, SimProviderConfig,
                                produce, sim_family_from_doc)
-from fpaudit.strategies import (STRATEGIES, AuditContext, AuditError, DecisionLog, _mid, _nth_bit,
+from fpaudit.strategies import (STRATEGIES, AuditContext, AuditError, DecisionLog, _mid,
                                 default_budget, drive_audit, run_audit)
 from families import synth_docs
 from fpaudit.transport import make_loopback
@@ -431,28 +431,6 @@ def test_steps_match_the_full_scans_on_the_1024_version_grid():
     assert assert_steps_match_reference(db, probes) > 1500
 
 
-def test_hmsu_resumes_its_walk_instead_of_climbing_again(monkeypatch):
-    """Resumed at each pick, the walk asks about a picked entry once to stop
-    at it and once to pass it, plus the next minor's head again after each
-    step up a patch; climbing again from the top major at every pick asks
-    about every entry it passed before, each time."""
-    db = grid_1024()
-    versions = db.family.versions
-    asked = []
-    real = AuditContext.status
-    monkeypatch.setattr(AuditContext, "status", lambda ctx, v: asked.append(v) or real(ctx, v))
-    total = 0
-    for i in range(20):
-        asked.clear()
-        log = drive_audit(db, "HMSU", truth_probe(db, versions[i * len(versions) // 20]))
-        picks = len(log.plan_outcomes())
-        # Measured: at most 2.4 calls per pick here, against up to 18.6 for a fresh climb.
-        assert len(asked) <= 3 * picks, (i, len(asked), picks)
-        total += len(asked)
-    # Measured: 37.6 calls per audit, against 208 for a fresh climb.
-    assert total <= 50 * 20
-
-
 def test_branch_heads_are_the_lowest_entry_of_each_branch(db):
     for each in [db, *_synthetic_dbs(), grid_1024()]:
         entries = each.entry_versions
@@ -466,12 +444,6 @@ def test_branch_heads_are_the_lowest_entry_of_each_branch(db):
         # Order matters too: HMSU walks the majors from the top.
         assert {k: list(v.items()) for k, v in each.branch_heads.items()} == \
             {k: list(v.items()) for k, v in want.items()}, each.meta.service_name
-
-
-@given(st.integers(1, 2**1500), st.data())
-def test_nth_bit_is_the_nth_set_bit(mask, data):
-    n = data.draw(st.integers(0, mask.bit_count() - 1))
-    assert _nth_bit(mask, n) == [i for i in range(mask.bit_length()) if mask >> i & 1][n]
 
 
 @given(st.data())
@@ -526,7 +498,9 @@ def probe_audit(db, case):
     return drive_audit(db, name, probe, budget)
 
 
-def test_warm_audits_match_cold_ones_for_every_fixture_provider(sim_family):
+def fixture_provider_cases(sim_family):
+    """Every strategy against a provider of each behaviour at every fixture
+    source, each case seeded apart, and the loopback audit that runs one."""
     fakeable = tuple(sorted(n for n, fn in sim_family.functions.items() if not fn.hard))
     recorder = RecordingResponder(HonestResponder(sim_family, pv("7.1.1"), seed=4))
     run_audit(load_database(FIXTURE_DB), "CBS", make_loopback(recorder), RandomnessSource(seed=4))
@@ -543,7 +517,38 @@ def test_warm_audits_match_cold_ones_for_every_fixture_provider(sim_family):
                          RandomnessSource(seed=seed))
 
     assert len(cases) == 5 * 24 * 5
-    assert_warm_matches_cold(FIXTURE_DB, cases, audit)
+    return cases, audit
+
+
+def test_warm_audits_match_cold_ones_for_every_fixture_provider(sim_family):
+    assert_warm_matches_cold(FIXTURE_DB, *fixture_provider_cases(sim_family))
+
+
+def assert_warm_database_decides_nothing(document: bytes, cases, audit, monkeypatch):
+    """Run every case on one database, then the same pass again: the second
+    pass must give the same audits without deciding a single step."""
+    decided = []
+    real = strategies._decide
+    monkeypatch.setattr(strategies, "_decide",
+                        lambda strategy, ctx: decided.append(strategy) or real(strategy, ctx))
+    db = load_database(document)
+    first = [audit_digest(audit(db, case)) for case in cases]
+    assert {type(strategy) for strategy in decided} == set(STRATEGIES.values())
+    decided.clear()
+    assert [audit_digest(audit(db, case)) for case in cases] == first
+    assert decided == []
+
+
+def test_a_warm_fixture_database_decides_nothing(sim_family, monkeypatch):
+    assert_warm_database_decides_nothing(FIXTURE_DB, *fixture_provider_cases(sim_family),
+                                         monkeypatch)
+
+
+def test_a_warm_48_version_grid_decides_nothing(monkeypatch):
+    cases = [(name, kind, arg, None) for name in STRATEGIES
+             for kind, arg in [("truth", str(v)) for v in load_database(GRID_48).family.versions]
+             + [("liar", liar) for liar in range(12)]]
+    assert_warm_database_decides_nothing(GRID_48, cases, probe_audit, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -558,16 +563,17 @@ def test_warm_coin_flip_audits_match_cold_ones_on_the_48_version_grid():
     assert_warm_matches_cold(GRID_48, cases, probe_audit)
 
 
-def test_two_budgets_on_one_database_keep_two_trees():
+def test_two_budgets_on_one_database_share_one_tree():
     sources = [str(v) for v in load_database(GRID_48).family.versions[::5]]
     cases = [(name, kind, arg, budget) for name in STRATEGIES for budget in (3, None)
              for kind, arg in [("truth", src) for src in sources] + [("liar", liar) for liar in range(8)]]
     db = assert_warm_matches_cold(GRID_48, cases, probe_audit)
-    assert list(db.decisions) == [(cls, budget) for cls in STRATEGIES.values()
-                                  for budget in (3, default_budget(db))]
+    assert list(db.decisions) == list(STRATEGIES.values())
     # Warmed by full-budget audits of the same provider, each still stops at 3 tests.
-    assert all(probe_audit(db, case).stop_reason == "budget"
-               for case in cases if case[1:] == ("truth", sources[5], 3))
+    for case in cases:
+        if case[1:] == ("truth", sources[5], 3):
+            log = probe_audit(db, case)
+            assert (len(log.plan_outcomes()), log.stop_reason) == (3, "budget"), case
 
 
 def test_a_replaced_strategy_class_never_reads_another_class_memo(monkeypatch):
@@ -633,9 +639,8 @@ def memo_sizes_after_many_audits(db) -> dict:
             drive_audit(db, name, truth_probe(db, src))
         for seed in range(2000):
             drive_audit(db, name, liar_probe(db, seed))
-    assert [(cls, budget) for cls, budget in db.decisions] == \
-        [(cls, default_budget(db)) for cls in STRATEGIES.values()]
-    return {cls.name: memo_nodes(root) for (cls, _), root in db.decisions.items()}
+    assert list(db.decisions) == list(STRATEGIES.values())
+    return {cls.name: memo_nodes(root) for cls, root in db.decisions.items()}
 
 
 @pytest.mark.parametrize("document", [FIXTURE_DB, grid.grid_docs(0).db_bytes()],

@@ -11,7 +11,6 @@ from fpaudit.versions import (
     VersionParseError,
     VersionSet,
     branch_origin,
-    cmp,
     parse_version,
     render_version,
 )
@@ -63,14 +62,6 @@ def test_render_round_trip_canonical():
         assert render_version(parse_version(label)) == label
 
 
-def test_cmp_minor_beats_patch():
-    assert cmp(Version(7, 1, 21), Version(7, 2, 0)) == -1
-
-
-def test_cmp_equal():
-    assert cmp(Version(1, 2, 3), Version(1, 2, 3)) == 0
-
-
 def test_prerelease_orders_below_release():
     # Oracle: sorting the fixture labels must follow release chronology.
     labels = ["7.2.14", "7.3.0rc4", "7.2.0", "4.0.0b1", "5.0.0b1", "4.4.9"]
@@ -120,12 +111,6 @@ versions_st = st.builds(
                   st.sampled_from(["b", "rc"]), st.integers(1, 9)),
     ),
 )
-
-
-@given(versions_st, versions_st)
-def test_total_order_antisymmetry(a, b):
-    assert (cmp(a, b) == 0) == (a == b)
-    assert cmp(a, b) == -cmp(b, a)
 
 
 @given(versions_st, versions_st, versions_st)
