@@ -4,9 +4,11 @@ Placeholders in templates are ``#name#`` with names over ``[a-z0-9_]+``;
 every other ``#`` is literal.  The loader compiles each entry's templates
 once, tags included, into a bytes format with one ``%s`` per placeholder
 (see ``database.Template``) and rejects a placeholder that no variable of
-the entry binds.  Rendering turns each drawn value into bytes once and
-fills each template with one ``%``; a name the binding lacks raises
-:class:`RenderError`.
+the entry binds.  Each variable is drawn straight into the bytes its
+placeholders take, and rendering fills each template with one ``%`` over
+those values; a name the values lack raises :class:`RenderError`.  Direct
+and outsourced audits draw and render the same way: the outsourced user
+signs the drawn values as ``phi``.
 A seeded :class:`RandomnessSource` draws what ``random.Random`` of the same
 seed draws.  Random string and dir-file values draw from the ``[a-z0-9]``
 alphabet; binary values render as lowercase hex.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import random
 import secrets
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .database import Database, Template, VariableSpec, VersionTest
@@ -62,62 +63,32 @@ class RandomnessSource:
         return bytes(self.randint(0, 255) for _ in range(length))
 
 
-def draw(spec: VariableSpec, rng: RandomnessSource, family: VersionSet | None = None):
-    """Draw one value for a variable according to its spec."""
+def draw(spec: VariableSpec, rng: RandomnessSource, family: VersionSet | None = None) -> bytes:
+    """Draw one value for a variable according to its spec, as the bytes
+    its placeholders take."""
     if spec.format == "integer":
-        return rng.randint(spec.min, spec.max)
+        return b"%d" % rng.randint(spec.min, spec.max)
     if spec.format == "string":
-        return rng.token(spec.length)
+        return rng.token(spec.length).encode()
     if spec.format == "binary":
-        return rng.randbytes(spec.length)
+        return rng.randbytes(spec.length).hex().encode()
     if spec.format == "version":
         if family is None or not len(family):
             raise RenderError(f"variable {spec.name!r}: version format needs a family to draw from")
-        return rng.choice(family.versions)
+        return render_version(rng.choice(family.versions)).encode()
     if spec.format == "dir-file":
-        return f"{rng.token(8)}/{rng.token(8)}.txt"
+        return f"{rng.token(8)}/{rng.token(8)}.txt".encode()
     raise RenderError(f"variable {spec.name!r}: unknown format {spec.format!r}")
 
 
-def value_bytes(value) -> bytes:
-    """Canonical byte form substituted into templates."""
-    if type(value) is int:  # the common case, ahead of the bool test (a bool is an int)
-        return b"%d" % value
-    if isinstance(value, bool):
-        return b"true" if value else b"false"
-    if isinstance(value, int):
-        return str(value).encode("ascii")
-    if isinstance(value, bytes):
-        return value.hex().encode("ascii")
-    if isinstance(value, Version):
-        return render_version(value).encode("ascii")
-    if isinstance(value, str):
-        return value.encode("utf-8")
-    raise RenderError(f"cannot render value of type {type(value).__name__}")
+def draw_values(entry: VersionTest, rng: RandomnessSource, family: VersionSet) -> dict[str, bytes]:
+    """A fresh value for each of the entry's variables, in variable order."""
+    return {name: draw(spec, rng, family) for name, spec in entry.variables.items()}
 
 
-@dataclass(frozen=True)
-class Binding:
-    """Drawn values keyed by variable name."""
-
-    values: dict[str, object] = field(default_factory=dict)
-
-    def rendered(self) -> dict[str, bytes]:
-        return {name: value_bytes(v) for name, v in self.values.items()}
-
-    def canonical(self) -> dict[str, str]:
-        """JSON-safe form, used for logging and signatures."""
-        return {name: value_bytes(v).decode("utf-8") for name, v in sorted(self.values.items())}
-
-
-def draw_binding(entry: VersionTest, rng: RandomnessSource, family: VersionSet | None = None) -> Binding:
-    return Binding({name: draw(spec, rng, family) for name, spec in entry.variables.items()})
-
-
-def render(entry: VersionTest, binding: Binding) -> tuple[bytes, bytes]:
-    """A payload entry's challenge and expected response under ``binding``;
-    deterministic.  Each value becomes bytes once and fills both templates."""
-    values = binding.rendered()
+def render(entry: VersionTest, values: dict[str, bytes]) -> tuple[bytes, bytes]:
+    """A payload entry's challenge and expected response under ``values``;
+    deterministic."""
     return _fill(entry.challenge_compiled, values), _fill(entry.expect_compiled, values)
 
 
@@ -135,16 +106,11 @@ class RenderedTest(NamedTuple):
 
 
 def render_test(db: Database, version: Version, rng: RandomnessSource) -> RenderedTest:
-    """Draw fresh randomness and render one entry's challenge and expectation,
-    as ``render`` does for the binding ``draw_binding`` would draw."""
+    """Draw fresh randomness and render one entry's challenge and expectation."""
     entry = db.entries[version]
     if not entry.has_payload:
         raise RenderError(f"entry {render_version(version)} has no intrinsic test payload")
-    family = db.family
-    values = {name: b"%d" % rng.randint(spec.min, spec.max) if spec.format == "integer"
-              else value_bytes(draw(spec, rng, family)) for name, spec in entry.variables.items()}
-    return RenderedTest(_fill(entry.challenge_compiled, values), _fill(entry.expect_compiled, values),
-                        entry.wait_time)
+    return RenderedTest(*render(entry, draw_values(entry, rng, db.family)), entry.wait_time)
 
 
 class JudgeResult(NamedTuple):

@@ -146,9 +146,7 @@ def cmd_audit(args) -> int:
             print(f"audit failed: {exc}", file=sys.stderr)
             return 2
         budget_stopped = budget_stopped or log.stop_reason == "budget"
-        transport_error = transport_error or next(
-            (record.transport_error for outcome in log.plan_outcomes()
-             for record in outcome.exchanges if record.transport_error is not None), None)
+        transport_error = transport_error or log.transport_error()
         reports.append(build_report(log, db, target=target, claimed_version=claim))
 
     report = reports[0]

@@ -46,7 +46,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .challenge import Binding, RandomnessSource, draw_binding, judge, render
+from .challenge import RandomnessSource, draw_values, judge, render
 from .database import Database, VersionTest
 from .strategies import DecisionLog, drive_audit
 from .transport import ExchangeRecord
@@ -201,9 +201,9 @@ class UserParty:
     rng: RandomnessSource
     log: list[dict] = field(default_factory=list)
 
-    def draw_randomness(self, db: Database, version: Version) -> Binding:
+    def draw_randomness(self, db: Database, version: Version) -> dict[str, bytes]:
         """Private draw; the auditor has no way to supply this value."""
-        return draw_binding(db.entries[version], self.rng, db.family)
+        return draw_values(db.entries[version], self.rng, db.family)
 
 
 @dataclass
@@ -275,11 +275,12 @@ def run_round(
 
     # User: verify the auditor's signature, draw randomness, render, forward.
     _check(identities, "S1", fields)
-    binding = user.draw_randomness(db, version)
+    values = user.draw_randomness(db, version)
     sent = time.time()
-    fields.update(phi=_phi_bytes(binding.canonical()), t2=_stamp(sent))
+    fields.update(phi=_phi_bytes({name: v.decode() for name, v in values.items()}),
+                  t2=_stamp(sent))
     fields["S2"] = user.identity.sign(signed_bytes("S2", fields))
-    c_prime, expected = render(entry, binding)
+    c_prime, expected = render(entry, values)
 
     fields["ePrime"], fields["t3"], fields["S3"], latency = provider.process(
         round_no, c_prime, fields["S2"])
@@ -474,11 +475,11 @@ def verify_liability(
             else:
                 verdicts["auditor"].blame(f"{label}: challenge matches no database entry")
             continue
-        binding = Binding(json.loads(reference["phi"]))
-        if binding.values.keys() != entry.variables.keys():
+        values = {name: v.encode() for name, v in json.loads(reference["phi"]).items()}
+        if values.keys() != entry.variables.keys():
             verdicts["user"].blame(f"{label}: signed randomness does not bind the entry's variables")
             continue
-        c_prime, expected = render(entry, binding)
+        c_prime, expected = render(entry, values)
         provider_copy = copies.get("provider")
         if provider_copy is not None:
             if provider_copy["cPrime"] != c_prime:

@@ -96,11 +96,6 @@ def _message(status: int, body: bytes, fields: tuple[tuple[str, str], ...], clos
     return (head + "\r\n").encode("latin-1") + body
 
 
-# The replies without fields or body, whole, with and without Connection: close.
-_BARE = {(status, close): _message(status, b"", (), close)
-         for status in (204, 404, 411, 501) for close in (False, True)}
-
-
 class _Handler(socketserver.StreamRequestHandler):
     """Serves the requests of one kept-alive connection in turn, each
     dispatched to ``do_<METHOD>``."""
@@ -154,8 +149,7 @@ class _Handler(socketserver.StreamRequestHandler):
         """Send the reply, head and body, in one write.  A request body left
         unread ends the connection: it would be parsed as the next request."""
         close = self.close_connection = self.close_connection or self.unread
-        bare = None if body or fields else _BARE.get((status, close))
-        self.connection.sendall(bare or _message(status, body, fields, close))
+        self.connection.sendall(_message(status, body, fields, close))
 
     def _authorized(self) -> bool:
         expected = self.server.authorization

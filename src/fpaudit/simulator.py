@@ -44,7 +44,10 @@ PARSE_ERROR = b"parse error\n"
 UNKNOWN_FUNCTION = b"warn:unknown-function\n"
 CACHE_MISS = b"err:cache-miss\n"
 
-_CALL_RE = re.compile(rb"^(?:var_dump\()?@?([A-Za-z_][A-Za-z0-9_]*)\((.*?)\)\)?;?$")
+# The tags, the call and its argument, unquoted when one kind of quote
+# encloses it, in one pass; the argument never spans a line.
+_CALL_RE = re.compile(rb"\s*(?:<\?php)?\s*(?:var_dump\()?@?([A-Za-z_][A-Za-z0-9_]*)"
+                      rb"\([^\S\n]*(?:(['\"])(.*?)\2|(.*?))[^\S\n]*\)\)?;?\s*(?:\?>)?\s*\Z")
 
 BEHAVIOR_KINDS = {"echo-ok", "strict-bool", "claim", "upper"}
 PROVIDER_BEHAVIORS = ("honest", "claim-faker", "cacher", "proxy", "function-faker")
@@ -99,22 +102,6 @@ class SimProviderConfig:
     seed: int | None = None
 
 
-def _strip_tags(payload: bytes) -> bytes:
-    body = payload.strip()
-    if body.startswith(b"<?php"):
-        body = body[len(b"<?php"):]
-    if body.endswith(b"?>"):
-        body = body[: -len(b"?>")]
-    return body.strip()
-
-
-def _unquote(arg: bytes) -> bytes:
-    arg = arg.strip()
-    if len(arg) >= 2 and arg[:1] in (b"'", b'"') and arg[-1:] == arg[:1]:
-        return arg[1:-1]
-    return arg
-
-
 class HonestResponder:
     """Evaluates payloads with the function set of one family version,
     except that each function named in ``faked`` answers ``faked:<name>``;
@@ -145,13 +132,13 @@ class HonestResponder:
         return self.evaluate(payload), self.latency.sample(self._rng)
 
     def evaluate(self, payload: bytes) -> bytes:
-        m = _CALL_RE.match(_strip_tags(payload))
+        m = _CALL_RE.match(payload)
         if not m:
             return PARSE_ERROR
         name = m.group(1).decode("ascii")
         if name in self.faked:
             return b"faked:" + m.group(1) + b"\n"
-        arg = _unquote(m.group(2))
+        arg = m.group(4) if m.group(2) is None else m.group(3)
         fn = self.sim.functions.get(name)
         if fn is None:
             return UNKNOWN_FUNCTION

@@ -104,6 +104,12 @@ class DecisionLog:
     def exchange_count(self) -> int:
         return sum(len(o.exchanges) for o in self.plan_outcomes())
 
+    def transport_error(self) -> str | None:
+        """The first exchange's transport failure, or None if every exchange
+        reached the provider."""
+        return next((record.transport_error for outcome in self.plan_outcomes()
+                     for record in outcome.exchanges if record.transport_error is not None), None)
+
 
 def _mid(values: list):
     """Optimistic middle: even-sized lists round up."""

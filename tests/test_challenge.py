@@ -6,11 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpaudit.challenge import (
-    Binding,
     RandomnessSource,
     RenderError,
     draw,
-    draw_binding,
     judge,
     render,
     render_test,
@@ -20,11 +18,11 @@ from fpaudit.database import (Tags, VariableSpec, VersionTest, add_entry, load_d
 from fpaudit.versions import parse_version as pv
 
 
-def render_one(template: bytes, binding: Binding, tags: Tags = Tags()) -> bytes:
+def render_one(template: bytes, values: dict[str, bytes], tags: Tags = Tags()) -> bytes:
     """``template`` rendered through an entry that uses it on both sides."""
     entry = VersionTest(pv("1.0.0"), challenge_template=template, expect_template=template,
                         challenge_tags=tags, expect_tags=tags)
-    challenge, expected = render(entry, binding)
+    challenge, expected = render(entry, values)
     assert challenge == expected
     return challenge
 
@@ -32,12 +30,13 @@ def render_one(template: bytes, binding: Binding, tags: Tags = Tags()) -> bytes:
 def test_draw_integer_within_range(rng):
     spec = VariableSpec("ax", "integer", min=1, max=999999999)
     for _ in range(200):
-        assert 1 <= draw(spec, rng) <= 999999999
+        value = draw(spec, rng)
+        assert value == b"%d" % int(value) and 1 <= int(value) <= 999999999
 
 
 def test_draw_degenerate_range(rng):
     spec = VariableSpec("ax", "integer", min=5, max=5)
-    assert draw(spec, rng) == 5
+    assert draw(spec, rng) == b"5"
 
 
 def test_draw_collision_rate_matches_range():
@@ -74,8 +73,24 @@ def test_an_empty_randint_range_is_an_error(lo, hi):
         RandomnessSource(1).randint(lo, hi)
 
 
-def test_render_test_renders_the_binding_draw_binding_draws(db):
-    every_format = add_entry(
+# What render_test gives the entry of every variable format for seeds 0-4.
+_EVERY_FORMAT_RENDERS = [
+    (b"<?php f(1,0cq65z,9bf4b76f,1.0.0,sigq8jtg/ev49gw1u.txt);",
+     b"sigq8jtg/ev49gw1u.txt|1.0.0|9bf4b76f|0cq65z|1\n"),
+    (b"<?php f(-3,eqh524,c26b30f9,1.0.0,y1a2rogu/bbb8ayn1.txt);",
+     b"y1a2rogu/bbb8ayn1.txt|1.0.0|c26b30f9|eqh524|-3\n"),
+    (b"<?php f(-5,ffxktq,6c1251dc,1.0.0,6x826rcb/x3uy17k9.txt);",
+     b"6x826rcb/x3uy17k9.txt|1.0.0|6c1251dc|ffxktq|-5\n"),
+    (b"<?php f(-2,8ix4ea,f0847762,1.0.0,894zjoj7/yaekctbr.txt);",
+     b"894zjoj7/yaekctbr.txt|1.0.0|f0847762|8ix4ea|-2\n"),
+    (b"<?php f(-2,tgz4jf,220acd94,1.0.0,o78xrlgq/nbqrmkts.txt);",
+     b"o78xrlgq/nbqrmkts.txt|1.0.0|220acd94|tgz4jf|-2\n"),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_render_test_of_every_format_renders_pinned_bytes(seed):
+    db = add_entry(
         new_database("svc"), "1.0.0", challenge="f(#ix#,#sx#,#bx#,#vx#,#dx#);",
         expect="#dx#|#vx#|#bx#|#sx#|#ix#\n",
         variables={"ix": VariableSpec("ix", "integer", min=-5, max=5),
@@ -83,68 +98,61 @@ def test_render_test_renders_the_binding_draw_binding_draws(db):
                    "bx": VariableSpec("bx", "binary", length=4),
                    "vx": VariableSpec("vx", "version"),
                    "dx": VariableSpec("dx", "dir-file")})
-    for each in (db, every_format):
-        for v in each.entry_versions:
-            entry = each.entries[v]
-            if entry.has_payload:
-                for seed in range(5):
-                    rendered = render_test(each, v, RandomnessSource(seed))
-                    binding = draw_binding(entry, RandomnessSource(seed), each.family)
-                    assert rendered[:2] == render(entry, binding)
-                    assert rendered.deadline == entry.wait_time
+    challenge, expected = _EVERY_FORMAT_RENDERS[seed]
+    assert render_test(db, pv("1.0.0"), RandomnessSource(seed)) == (challenge, expected, 0.2)
 
 
 def test_draw_string_and_binary_lengths(rng):
     s = draw(VariableSpec("sx", "string", length=12), rng)
-    assert len(s) == 12 and all(c in "abcdefghijklmnopqrstuvwxyz0123456789" for c in s)
+    assert len(s) == 12 and all(c in b"abcdefghijklmnopqrstuvwxyz0123456789" for c in s)
     b = draw(VariableSpec("bx", "binary", length=8), rng)
-    assert isinstance(b, bytes) and len(b) == 8
+    assert len(b) == 16 and bytes.fromhex(b.decode()).hex().encode() == b
 
 
 def test_draw_version_from_family(db, rng):
     spec = VariableSpec("vx", "version")
-    assert draw(spec, rng, db.family) in db.family
+    assert pv(draw(spec, rng, db.family).decode()) in db.family
 
 
 def test_draw_dir_file_relative_path(rng):
     path = draw(VariableSpec("dx", "dir-file"), rng)
-    assert "/" in path and not path.startswith("/")
+    assert b"/" in path and not path.startswith(b"/")
 
 
 def test_render_listing_style_substitution():
     # Oracle: plain string replacement.
-    out = render_one(b"d:#ax#e++2;", Binding({"ax": 314159}))
+    out = render_one(b"d:#ax#e++2;", {"ax": b"314159"})
     assert out == b"d:314159e++2;"
 
 
 def test_render_without_placeholders_unchanged():
-    assert render_one(b"no placeholders here", Binding({})) == b"no placeholders here"
+    assert render_one(b"no placeholders here", {}) == b"no placeholders here"
 
 
 def test_render_adjacent_placeholders():
     # Oracle: sequential scan-replace.
-    assert render_one(b"#a##b#", Binding({"a": "x", "b": "y"})) == b"xy"
+    assert render_one(b"#a##b#", {"a": b"x", "b": b"y"}) == b"xy"
 
 
 def test_render_unbound_placeholder_named():
     with pytest.raises(RenderError, match="#ax#"):
-        render_one(b"d:#ax#;", Binding({}))
+        render_one(b"d:#ax#;", {})
 
 
 def test_render_literal_hash_passes_through():
-    assert render_one(b"a # b #NOT-AN-IDENT# c", Binding({})) == b"a # b #NOT-AN-IDENT# c"
+    assert render_one(b"a # b #NOT-AN-IDENT# c", {}) == b"a # b #NOT-AN-IDENT# c"
 
 
 def test_render_applies_tags():
     tags = Tags(b"<?php ", b" ?>")
-    assert render_one(b"f(#ax#);", Binding({"ax": 1}), tags) == b"<?php f(1); ?>"
+    assert render_one(b"f(#ax#);", {"ax": b"1"}, tags) == b"<?php f(1); ?>"
 
 
 @given(st.integers(1, 10**9), st.integers(1, 10**9))
 def test_render_deterministic(a, b):
-    binding = Binding({"ax": a, "bx": b})
+    values = {"ax": b"%d" % a, "bx": b"%d" % b}
     t = b"x=#ax#,y=#bx#,x=#ax#"
-    assert render_one(t, binding) == render_one(t, binding)
+    assert render_one(t, values) == render_one(t, values)
 
 
 # Reference for the compiled render: regex substitution over the raw
@@ -152,9 +160,7 @@ def test_render_deterministic(a, b):
 _REFERENCE_RE = re.compile(rb"#([a-z0-9_]+)#")
 
 
-def reference_render(template: bytes, binding: Binding, tags: Tags) -> bytes:
-    values = binding.rendered()
-
+def reference_render(template: bytes, values: dict[str, bytes], tags: Tags) -> bytes:
     def sub(match: re.Match) -> bytes:
         name = match.group(1).decode("ascii")
         if name not in values:
@@ -169,21 +175,21 @@ _CHUNKS = st.sampled_from([b"#", b"##", b"a", b"ax", b"A", b"AX", b"_", b" ", b"
                            b"#a#", b"#b#", b"#ax#", b"#x_1#", b"#A#", b"#AX#", b"#zz#",
                            b"#a##b#", b"#a#b#", b"#ax#a#"]) | st.binary(max_size=3)
 _TAGS = st.builds(Tags, st.binary(max_size=4) | st.just(b"#a#"), st.binary(max_size=4))
-_VALUES = st.integers() | st.booleans() | st.text(max_size=4) | st.binary(max_size=3) | st.just("#b#")
+_VALUES = (st.integers().map(b"%d".__mod__) | st.text(max_size=4).map(str.encode)
+           | st.binary(max_size=3) | st.just(b"#b#") | st.just(b"%s"))
 
 
 @given(st.lists(_CHUNKS, max_size=8).map(b"".join), _TAGS,
        st.dictionaries(st.sampled_from(_NAMES), _VALUES))
 def test_compiled_render_matches_regex_substitution(template, tags, values):
-    binding = Binding(values)
     try:
-        expected = reference_render(template, binding, tags)
+        expected = reference_render(template, values, tags)
     except RenderError as exc:
-        # A name the binding lacks is named, as the reference names it.
+        # A name the values lack is named, as the reference names it.
         with pytest.raises(RenderError, match=re.escape(str(exc))):
-            render_one(template, binding, tags)
+            render_one(template, values, tags)
     else:
-        assert render_one(template, binding, tags) == expected
+        assert render_one(template, values, tags) == expected
 
 
 def test_authored_and_reloaded_entries_render_identically():

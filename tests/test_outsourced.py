@@ -1,5 +1,6 @@
 import base64
 import copy
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -109,9 +110,9 @@ def test_user_randomness_is_fresh_and_seedable(db):
     user = UserParty(identity=PartyIdentity.generate("user"), rng=RandomnessSource(seed=3))
     a = user.draw_randomness(db, pv("7.2.0"))
     b = user.draw_randomness(db, pv("7.2.0"))
-    assert a.values != b.values
+    assert a != b
     again = UserParty(identity=PartyIdentity.generate("user"), rng=RandomnessSource(seed=3))
-    assert again.draw_randomness(db, pv("7.2.0")).values == a.values
+    assert again.draw_randomness(db, pv("7.2.0")) == a
 
 
 def rows_of(log):
@@ -288,6 +289,19 @@ def session_logs(db, sim_family):
     OutsourcedSession(db=db, strategy_name="CBS", user=user, provider=provider,
                       auditor=auditor).run()
     return {"user": user.log, "auditor": auditor.log, "provider": provider.log}, keys_of(identities)
+
+
+def test_the_seed_8_cbs_session_draws_and_renders_pinned_bytes(session_logs):
+    # Every round's signed randomness and the challenge rendered from it,
+    # in round order; signatures and timestamps vary per run and are left out.
+    logs, _ = session_logs
+    digest = hashlib.sha256()
+    for user, provider in zip(logs["user"], logs["provider"], strict=True):
+        assert user["round"] == provider["round"]
+        digest.update(json.dumps(user["phi"], sort_keys=True).encode() + b"\n"
+                      + provider["cPrime"].encode() + b"\n")
+    assert len(logs["user"]) == 6
+    assert digest.hexdigest() == "692aee2a9c224e734d40ae6cab23bf6c06c8680a92f56d0df98aa7f083152035"
 
 
 JSON_VALUES = st.recursive(

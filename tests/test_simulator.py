@@ -5,11 +5,10 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpaudit.simulator import (
-    _CALL_RE,
     CACHE_MISS,
     PARSE_ERROR,
     UNKNOWN_FUNCTION,
@@ -21,8 +20,6 @@ from fpaudit.simulator import (
     SimProviderConfig,
     load_sim_config,
     produce,
-    _strip_tags,
-    _unquote,
     sim_family_from_doc,
 )
 from fpaudit.challenge import RandomnessSource, render_test
@@ -227,6 +224,24 @@ def test_every_function_mask_bit_follows_the_windows_rule():
 
 # -- HonestResponder.evaluate as it was before it read a mask bit, kept as the reference --
 
+_CALL_RE = re.compile(rb"^(?:var_dump\()?@?([A-Za-z_][A-Za-z0-9_]*)\((.*?)\)\)?;?$")
+
+
+def _strip_tags(payload: bytes) -> bytes:
+    body = payload.strip()
+    if body.startswith(b"<?php"):
+        body = body[len(b"<?php"):]
+    if body.endswith(b"?>"):
+        body = body[: -len(b"?>")]
+    return body.strip()
+
+
+def _unquote(arg: bytes) -> bytes:
+    arg = arg.strip()
+    if len(arg) >= 2 and arg[:1] in (b"'", b'"') and arg[-1:] == arg[:1]:
+        return arg[1:-1]
+    return arg
+
 
 def reference_evaluate(sim, src_version, claim_label, faked, payload: bytes) -> bytes:
     m = _CALL_RE.match(_strip_tags(payload))
@@ -287,3 +302,36 @@ def test_evaluate_matches_the_reference_on_every_function_and_version(db, sim_fa
                 assert responder.evaluate(payload) == want, (str(src), faked, payload)
                 compared += 1
     assert compared > 5_000
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_PIECES = _SPACE | st.sampled_from([b"<?php", b"?>", b"'", b'"', b"(", b")", b"@", b"var_dump(",
+                                    b";", b"x", b"aB", b"d:12e", b"strtoupper", b"?", b">"])
+
+
+def _optional(token: bytes):
+    return st.sampled_from([token, b""])
+
+
+def _run(pieces, max_size: int):
+    return st.lists(pieces, max_size=max_size).map(b"".join)
+
+
+# Payloads shaped like a call, with an argument that may be quoted, and free-form ones.
+_ARGUMENT = _run(_SPACE | st.sampled_from([b"'", b'"', b"x", b"aB", b")", b";"]), 3)
+_CALL_LIKE = st.tuples(
+    _run(_SPACE, 2), _optional(b"<?php"), _run(_SPACE, 2), _optional(b"var_dump("), _optional(b"@"),
+    st.sampled_from([b"strtoupper", b"api_7_1_1", b"phpversion", b"unserialize", b"nosuchfn"]),
+    _optional(b"("), _run(_SPACE, 2), st.sampled_from([b"'", b'"', b""]), _ARGUMENT,
+    st.sampled_from([b"'", b'"', b""]), _run(_SPACE, 2), _optional(b")"), _optional(b")"),
+    _optional(b";"), _run(_SPACE, 2), _optional(b"?>"), _run(_SPACE, 2)).map(b"".join)
+
+
+@settings(max_examples=300)
+@given(payload=_CALL_LIKE | _run(_PIECES, 12))
+def test_evaluate_parses_each_payload_as_the_reference_does(sim_family, payload):
+    for faked in ((), ("strtoupper",)):
+        responder = HonestResponder(sim_family, pv("7.2.14"), faked=faked)
+        want = reference_evaluate(sim_family, responder.src_version, responder.claim_label,
+                                  frozenset(faked), payload)
+        assert responder.evaluate(payload) == want, payload

@@ -10,7 +10,7 @@ from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder, SimProviderConfig,
                                produce, sim_family_from_doc)
 from fpaudit.strategies import STRATEGIES, DecisionLog, run_audit
-from fpaudit.transport import make_loopback
+from fpaudit.transport import ExchangeRecord, make_loopback
 from fpaudit.verdict import (
     Bounds,
     CandidateSet,
@@ -189,6 +189,23 @@ def test_report_inconsistency_path(db):
     assert report.inconsistency is not None
     assert report.candidate_set is None
     assert report.compliant is None
+
+
+def test_an_exchange_failed_in_transport_leaves_compliance_undecided(db):
+    failed = pv("7.3.0rc4")
+    sub = SubOutcome(failed, True, False, "transport-error", "exchanged")
+    record = ExchangeRecord(b"challenge", None, 0.0, 0.0, 0.0, "connection refused")
+    log = synthetic_log([("7.2.0", True)])
+    log.append_outcome(PlanOutcome(failed, False, (sub,), (record,)))
+    assert log.transport_error() == "connection refused"
+    report = build_report(log, db, target=pv("7.2.14"))
+    assert pv("7.2.14") in report.candidate_set
+    assert report.compliant is None
+    # The same observations reached over a working transport decide it.
+    decided = build_report(synthetic_log([("7.2.0", True), ("7.3.0rc4", False)]), db,
+                           target=pv("7.2.14"))
+    assert decided.candidate_set.members == report.candidate_set.members
+    assert decided.compliant is True
 
 
 def test_budget_stopped_audit_leaves_compliance_undecided(db, honest_endpoints, rng):
