@@ -31,10 +31,12 @@ node reached before gives its pick and plan, or the stop reason
 ``"converged"``, without the stop test, the pick or the plan lookup.  The
 budget is not part of the tree: the loop stops with ``"budget"`` at a pick
 node once it has run that many tests, so audits with any budget share one
-tree.  The probe still runs and every outcome is still applied to the
-audit's context and log.  An auditor of many providers at the same few
-versions thus pays for the decisions only on the first audit down each
-path.
+tree.  The probe still runs and every outcome is still appended to the
+audit's log; the context folds the log into its candidates and tested
+masks only when something reads them, so a step the tree already holds
+costs the exchange and the append.  An auditor of many providers at the
+same few versions thus pays for the decisions and the folds only on the
+first audit down each path.
 """
 
 from __future__ import annotations
@@ -118,15 +120,23 @@ def _mid(values: list):
 
 class AuditContext:
     """Shared audit state the strategies read; ``candidates`` is a mask over
-    the family index, as are the truth sets."""
+    the family index, as are the truth sets, and ``tested`` is the mask of
+    the logged versions.
+
+    ``apply`` only appends an outcome to the log.  Both masks are folded
+    from the rows logged since the last fold when either is read, so a step
+    that reads neither costs only the append, and every read sees the masks
+    the whole log gives.  An assigned mask replaces the folded one.
+    """
 
     def __init__(self, db: Database):
         self.db = db
         self.entry_versions = db.entry_versions
         self.truth = db.truth
-        self.candidates: int = db.family.full
-        self.tested = 0  # mask of the logged versions
         self.log = DecisionLog()
+        self._candidates: int = db.family.full
+        self._tested = 0
+        self._folded = 0  # log rows already in both masks
         # The db.entry_truths rows outside _splitting[_lo:_hi] no longer split
         # the candidates.  Candidates only shrink, so an entry that stopped
         # splitting them never splits them again, and a tested entry stays
@@ -135,22 +145,49 @@ class AuditContext:
         self._lo, self._hi = 0, len(self._splitting)
 
     def apply(self, outcome: TestOutcome) -> None:
-        rows = self.log.rows
-        logged = len(rows)
         self.log.append_outcome(outcome)
-        index, tested = self.db.family.index, self.tested
-        for row in rows[logged:]:
+
+    def _fold(self) -> None:
+        """Fold the rows logged since the last fold into both masks."""
+        rows = self.log.rows
+        if self._folded == len(rows):
+            return
+        pending = rows[self._folded:]
+        self._folded = len(rows)
+        index, tested = self.db.family.index, self._tested
+        for row in pending:
             tested |= 1 << index[row.version]
-        self.tested = tested
-        self.candidates = fold_constraints(
-            self.db, [(sub.version, sub.observed) for sub in outcome.sub_outcomes],
-            self.candidates)
+        self._tested = tested
+        self._candidates = fold_constraints(
+            self.db, [(sub.version, sub.observed) for row in pending if row.outcome is not None
+                      for sub in row.outcome.sub_outcomes],
+            self._candidates)
+
+    @property
+    def candidates(self) -> int:
+        self._fold()
+        return self._candidates
+
+    @candidates.setter
+    def candidates(self, mask: int) -> None:
+        self._fold()
+        self._candidates = mask
+
+    @property
+    def tested(self) -> int:
+        self._fold()
+        return self._tested
+
+    @tested.setter
+    def tested(self, mask: int) -> None:
+        self._fold()
+        self._tested = mask
 
     def status(self, v: Version) -> bool | None:
         """Result of testing ``v`` if all candidates agree on it (True/False), else None.
 
-        A tested entry's sub-outcomes are already folded into the candidates,
-        so while any candidate is left this is that test's logged result.
+        Reading the candidates folds every tested entry's sub-outcomes into
+        them, so while any candidate is left this is that test's logged result.
         """
         c = self.candidates
         hits = c & self.truth[v]
@@ -327,7 +364,9 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     result with ``setdefault``, so audits of one database may run in threads
     at once.  A pick node reached after ``budget`` tests stops the audit
     with ``"budget"``.  Every outcome is applied to the live context as
-    without the memo: the same rows, stop reason and errors.
+    without the memo: the same rows, stop reason and errors.  At a node the
+    tree holds, nothing reads the context, so that step only appends to the
+    log; ``_decide`` and any read after the audit fold what was logged.
     """
     short = STRATEGY_SHORT.get(strategy_name, strategy_name)
     if short not in STRATEGIES:

@@ -20,7 +20,10 @@ every hierarchy case:
 ``synth_docs(seed)`` builds a random family of up to 50 versions for
 property trials; it may leave some versions without entries to exercise
 equivalence classes.  ``chain_db_doc(length)`` builds a database whose
-referrals form one chain ``length`` entries deep.
+referrals form one chain ``length`` entries deep.  ``authored_grid(shape)``
+loads the seed-0 grid family of the benchmark's generator
+(``perfbench/grid.py``, imported read-only) with its new version authored
+as the grid workload authors it.
 
 To rewrite ``fixtures/*.json`` from the blueprint::
 
@@ -31,9 +34,15 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
-from fpaudit.database import DEFAULT_VALUES, STRATEGY_ALIASES
+from fpaudit.database import (DEFAULT_VALUES, STRATEGY_ALIASES, Database, VariableSpec, add_entry,
+                              load_database)
+from fpaudit.simulator import SimFamily, sim_family_from_doc
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import grid  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 TIMESTAMP = "2025-06-02T10:00:00+00:00"
@@ -305,6 +314,18 @@ def chain_db_doc(length: int) -> dict:
 
 def _label_key(label: str):
     return tuple(int(p) for p in label.split("."))
+
+
+def authored_grid(shape: grid.GridShape = grid.GridShape()) -> tuple[Database, SimFamily]:
+    """The seed-0 grid database of the benchmark's generator with its new
+    version authored by ``add_entry`` (257 versions at the default shape),
+    and the simulated family, which holds that version too."""
+    family = grid.grid_docs(0, shape)
+    test = grid.echo_test(family.new_label)
+    db = add_entry(load_database(family.db_bytes()), family.new_label,
+                   challenge=test["challenge"]["payload"], expect=test["expect"]["payload"],
+                   variables={"ax": VariableSpec("ax", **grid.AX)})
+    return db, sim_family_from_doc(family.sim_doc)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ from fpaudit.challenge import RandomnessSource
 from fpaudit.database import (
     DanglingReferralError,
     ReferralCycleError,
-    VariableSpec,
-    add_entry,
     load_database,
     resolve_plan,
     serialize_database,
@@ -40,6 +38,7 @@ from fpaudit.outsourced import (
 from fpaudit.protocol import run_test, transport_probe
 from fpaudit.simulator import (
     CacherResponder,
+    HonestResponder,
     LatencyModel,
     RecordingResponder,
     SimProviderConfig,
@@ -47,7 +46,7 @@ from fpaudit.simulator import (
     sim_family_from_doc,
 )
 from fpaudit.strategies import STRATEGIES, run_audit
-from families import synth_docs
+from families import authored_grid, synth_docs
 from fpaudit.transport import make_loopback, probe_version_claim
 from fpaudit.verdict import build_report, oracle_candidates
 from fpaudit.versions import Version, parse_version as pv
@@ -164,13 +163,8 @@ def test_criteria_4_and_5_on_large_grids(shape, sources):
     """Criteria 4 and 5 on a seed-0 grid, its new version authored as the
     benchmark does: honest and claim-faker providers at sources spread over
     the family, every strategy given a budget it cannot run out of."""
-    family = grid.grid_docs(0, shape)
-    test, ax = grid.echo_test(family.new_label), grid.AX
-    db = add_entry(load_database(family.db_bytes()), family.new_label,
-                   challenge=test["challenge"]["payload"], expect=test["expect"]["payload"],
-                   variables={"ax": VariableSpec("ax", ax["format"], ax["min"], ax["max"])})
+    db, sim = authored_grid(shape)
     db = load_database(serialize_database(db))
-    sim = sim_family_from_doc(family.sim_doc)
     versions = db.family.versions
     assert versions == sim.family.versions
     started = time.monotonic()
@@ -192,6 +186,60 @@ def test_criteria_4_and_5_on_large_grids(shape, sources):
     print(f"\nPASS criteria 4 and 5 at N={len(versions)}: {sources} sources x 2 behaviours, "
           f"all five strategies agree with each other and the oracle "
           f"({time.monotonic() - started:.1f}s)")
+
+
+def _exchanged(log):
+    return [sub for outcome in log.plan_outcomes() for sub in outcome.sub_outcomes
+            if sub.provenance == "exchanged"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("behavior", ["function-faker", "proxy", "cacher"])
+def test_adversarial_providers_on_the_257_version_grid(behavior):
+    """The function-faker, proxy and cacher providers at 20 sources spread
+    over the 257-version grid, every strategy, in two passes over one
+    database, the second warm: the function-faker meets criteria 4 and 5,
+    every sub-test the proxy is asked times out, and the cacher, replaying
+    an honest audit's transcript, fails some exchanged sub-test in every
+    audit.  Both passes audit alike."""
+    db, sim = authored_grid()
+    versions = db.family.versions
+    fakeable = tuple(sorted(n for n, fn in sim.functions.items() if not fn.hard))
+    # Recorded with randomness no audit below draws, as criterion 6 records.
+    recorder = RecordingResponder(HonestResponder(sim, versions[-1], seed=4))
+    run_audit(authored_grid()[0], "CBS", make_loopback(recorder), RandomnessSource(seed=1000))
+    assert fakeable and recorder.store
+    passes = []
+    for _ in range(2):
+        rows = []
+        for i in range(20):
+            src = versions[i * (len(versions) - 1) // 19]
+            cfg = SimProviderConfig(src_version=src, behavior=behavior,
+                                    latency=LatencyModel(0.001, 0.0), fake_functions=fakeable,
+                                    cache_store=recorder.store, seed=i)
+            endpoints = make_loopback(produce(sim, cfg))
+            sets = set()
+            for name in STRATEGIES:
+                log = run_audit(db, name, endpoints, RandomnessSource(seed=i),
+                                budget=len(versions) + 8)
+                assert log.stop_reason == "converged", (name, src)
+                exchanged = _exchanged(log)
+                if behavior == "function-faker":
+                    members = build_report(log, db).candidate_set.members
+                    assert members == oracle_candidates(log, db, sim).members, (name, src)
+                    sets.add(members)
+                elif behavior == "proxy":
+                    assert exchanged and all(sub.reason == "timeout" for sub in exchanged), \
+                        (name, src)
+                else:
+                    assert any(not sub.observed for sub in exchanged), (name, src)
+                rows.append([(row.version, row.delta, row.origin) for row in log.rows])
+            if behavior == "function-faker":
+                assert len(sets) == 1 and src in sets.pop(), src
+        passes.append(rows)
+    assert passes[0] == passes[1]
+    print(f"\nPASS {behavior} at N={len(versions)}: 20 sources x {len(STRATEGIES)} strategies, "
+          f"cold and warm")
 
 
 def test_criterion_6_caching_soundness(db, sim_family):

@@ -129,6 +129,17 @@ def test_db_validate_reports_a_malformed_label_on_one_line(tmp_path, capsys, db_
     assert err.splitlines() == ["invalid: 'service.family': malformed version label: '5.two'"]
 
 
+def test_db_validate_reports_a_family_that_is_not_a_list_on_one_line(tmp_path, capsys, db_doc):
+    db_doc["service"]["family"] = 24
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(db_doc))
+    assert run(["db", "validate", "--database", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid: 'service.family' must be a list of version labels, got 24"]
+
+
 def test_db_validate_reports_a_wait_amount_beyond_float_range_on_one_line(tmp_path, capsys, db_doc):
     db_doc["service"]["versions"]["7.2.0"]["test"]["waittime"] = {"amount": 10**400}
     bad = tmp_path / "bad.json"

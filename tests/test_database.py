@@ -305,6 +305,46 @@ def test_malformed_field_type_is_a_schema_error_naming_entry_and_key(db_doc, whe
         load_database(json.dumps(db_doc))
 
 
+def _fixture_test(doc, label):
+    return doc["service"]["versions"][label]["test"]
+
+
+def _rename_entry(doc, label, new_label):
+    versions = doc["service"]["versions"]
+    versions[new_label] = versions.pop(label)
+
+
+# Hand-made mutations of the fixture that once escaped the loader as
+# VersionParseError, TypeError or AttributeError.
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["service"]["family"].__setitem__(1, "4.x"),
+     "'service.family': malformed version label: '4.x'"),
+    (lambda doc: _rename_entry(doc, "4.4.9", "4.x"),
+     "'service.versions': malformed version label: '4.x'"),
+    (lambda doc: _fixture_test(doc, "7.2.9")["branching"].update({"7.x": "1"}),
+     "entry '7.2.9' 'branching': malformed version label: '7.x'"),
+    (lambda doc: doc["service"].update(family=24),
+     "'service.family' must be a list of version labels, got 24"),
+    (lambda doc: _fixture_test(doc, "4.4.9").update(variables=["ax"]),
+     "entry '4.4.9' 'variables' must be an object, got ['ax']"),
+    (lambda doc: _fixture_test(doc, "5.2.0")["challenge"].update(payload=5),
+     "entry '5.2.0' 'challenge.payload' must be a string, got 5"),
+    (lambda doc: _fixture_test(doc, "5.6.31").update(waittime="200ms"),
+     "entry '5.6.31' 'waittime' must be an object, got '200ms'"),
+    (lambda doc: _fixture_test(doc, "7.0.22").update(deprecated=710),
+     "entry '7.0.22' 'deprecated': version label 710 is not a string"),
+    (lambda doc: _fixture_test(doc, "7.1.1").update(challenge=["x"]),
+     "entry '7.1.1' 'challenge' must be an object, got ['x']"),
+], ids=["family-label", "version-key", "branching-label", "family-int", "variables-list",
+        "payload-int", "waittime-string", "deprecated-int", "challenge-list"])
+def test_a_hand_made_fixture_mutation_is_a_schema_error_naming_entry_and_key(db_doc, mutate,
+                                                                             message):
+    mutate(db_doc)
+    with pytest.raises(SchemaError) as error:
+        load_database(json.dumps(db_doc))
+    assert str(error.value) == message
+
+
 @pytest.mark.parametrize("named, mutate", [
     ("in settings 'strategies'", lambda doc: doc["settings"].update(strategies=[["CBS"]])),
     ("'version.test.variables.format'",

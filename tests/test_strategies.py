@@ -21,7 +21,7 @@ from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder
                                produce, sim_family_from_doc)
 from fpaudit.strategies import (STRATEGIES, AuditContext, AuditError, DecisionLog, _mid,
                                 default_budget, drive_audit, run_audit)
-from families import synth_docs
+from families import authored_grid, synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
 from fpaudit.versions import parse_version as pv
@@ -549,6 +549,66 @@ def test_a_warm_48_version_grid_decides_nothing(monkeypatch):
              for kind, arg in [("truth", str(v)) for v in load_database(GRID_48).family.versions]
              + [("liar", liar) for liar in range(12)]]
     assert_warm_database_decides_nothing(GRID_48, cases, probe_audit, monkeypatch)
+
+
+@pytest.mark.parametrize("family", ["fixture", "grid-48"])
+def test_a_warm_database_folds_nothing_per_step(family, sim_family, monkeypatch):
+    """A step the memo already holds only appends to the log: on a warm
+    second pass nothing folds the context, and the audits are the same."""
+    if family == "fixture":
+        document, (cases, audit) = FIXTURE_DB, fixture_provider_cases(sim_family)
+    else:
+        document, audit = GRID_48, probe_audit
+        cases = [(name, kind, arg, None) for name in STRATEGIES
+                 for kind, arg in [("truth", str(v)) for v in load_database(GRID_48).family.versions]
+                 + [("liar", liar) for liar in range(12)]]
+    folds = []
+    real = strategies.fold_constraints
+    monkeypatch.setattr(strategies, "fold_constraints",
+                        lambda db, observations, members: folds.append(members)
+                        or real(db, observations, members))
+    db = load_database(document)
+    first = [audit_digest(audit(db, case)) for case in cases]
+    assert folds
+    folds.clear()
+    assert [audit_digest(audit(db, case)) for case in cases] == first
+    assert folds == []
+
+
+def test_a_context_read_after_the_audit_is_exact(db, monkeypatch):
+    """The context ``drive_audit`` built, read once the audit returns, holds
+    the masks and informative entries of a context folded at every step,
+    cold or warm, converged or stopped by its budget."""
+    contexts = []
+    real_init = AuditContext.__init__
+
+    def keep_context(ctx, each):
+        real_init(ctx, each)
+        contexts.append(ctx)
+
+    monkeypatch.setattr(AuditContext, "__init__", keep_context)
+    grid_db, _ = authored_grid()
+    grid_sources = [grid_db.family.versions[i * len(grid_db.family.versions) // 20]
+                    for i in range(20)]
+    cases = [(db, name, truth_probe(db, src)) for name in STRATEGIES for src in db.family.versions]
+    cases += [(db, name, liar_probe(db, seed)) for name in STRATEGIES for seed in range(12)]
+    cases += [(grid_db, "LTH", truth_probe(grid_db, src)) for src in grid_sources]
+    budget_stops = 0
+    for each, name, probe in cases + cases:  # cold, then on a warm database
+        log = drive_audit(each, name, probe)
+        ctx, replay = contexts[-1], AuditContext(each)
+        steps = [replay.candidates]
+        for outcome in log.plan_outcomes():
+            replay.apply(outcome)
+            steps.append(replay.candidates)  # folded at every step
+        assert all(later & ~earlier == 0 for earlier, later in zip(steps, steps[1:]))
+        assert replay.log.rows == log.rows
+        assert (ctx.candidates, ctx.tested) == (replay.candidates, replay.tested), name
+        informative = ctx.informative()
+        assert informative == replay.informative() == reference_informative(replay), name
+        if log.stop_reason == "budget" and informative:
+            budget_stops += 1
+    assert budget_stops >= 2
 
 
 @pytest.mark.parametrize("seed", range(20))
