@@ -384,12 +384,16 @@ class Database:
         strategy's decision tree, filled by ``strategies.drive_audit`` as
         audits reach new steps.
 
-        A node is the step the loop decided there: ``(pick, plan, children)``,
-        or the stop reason ``"converged"``.  ``children`` maps the tuple of
-        the step's sub-test observations to the next node.  A step depends
-        only on the observations along its path, so no provider can change
-        what a later audit of another one does.  The budget is the loop's
-        own stop at a pick node, so audits with any budget share the tree.
+        A node is the step the loop decided there: ``(pick, plan, children,
+        ends)``, or the stop reason ``"converged"``.  ``children`` maps the
+        tuple of the step's sub-test observations to the next node, and
+        ``ends`` maps the same key to the verdict fold of an audit that
+        stopped right after that outcome: ``verdict.build_report``'s bounds
+        and candidate set, or the message naming its inconsistency.  A step
+        depends only on the observations along its path, so no provider can
+        change what a later audit of another one does.  The budget is the
+        loop's own stop at a pick node, so audits with any budget share the
+        tree and its folds.
 
         Size: each outcome is the plan cut at its first unmet sub-test, so a
         step's children partition its candidates, and a path whose candidates
@@ -402,7 +406,12 @@ class Database:
         at most the largest budget on a path).  After truth-probe audits
         from every source and 2,000 coin-flip audits per strategy, no tree
         exceeded 2N+1 nodes: 49 on the N=24 fixture, 501 on the N=256 grid
-        and 2,036 on the N=1,024 grid, at about 230-290 bytes a node.
+        and 2,036 on the N=1,024 grid, at about 230-290 bytes a node, and a
+        pick node's empty ``ends`` table takes 64 more.  An ``ends`` entry
+        holds the candidates as a tuple (and a set once a membership test
+        asks), so it grows with them: on the N=256 grid the 70 entries three
+        passes of the grid-loopback benchmark left, at some 58 candidates
+        each, took about 1.1 KB apiece.
         """
         return {}
 

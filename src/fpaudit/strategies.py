@@ -34,9 +34,11 @@ node once it has run that many tests, so audits with any budget share one
 tree.  The probe still runs and every outcome is still appended to the
 audit's log; the context folds the log into its candidates and tested
 masks only when something reads them, so a step the tree already holds
-costs the exchange and the append.  An auditor of many providers at the
-same few versions thus pays for the decisions and the folds only on the
-first audit down each path.
+costs the exchange and the append.  The tree also keeps the verdict fold
+of each place an audit stopped, which ``verdict.build_report`` fills on
+the first report of a log that stopped there.  An auditor of many
+providers at the same few versions thus pays for the decisions and the
+folds, the report's included, only on the first audit down each path.
 """
 
 from __future__ import annotations
@@ -78,27 +80,41 @@ class DecisionLog:
     deltas: dict[Version, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
     observations: dict[Version, bool] = field(default_factory=dict, init=False, repr=False,
                                               compare=False)
+    # Set by ``drive_audit`` when it stops after a test: (the database, the
+    # ``ends`` of its last pick node, the last outcome's key), where
+    # ``verdict.build_report`` keeps this log's verdict fold.  Any append
+    # clears it, so a log extended after its audit is folded afresh.
+    _end: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def append_outcome(self, outcome: TestOutcome) -> None:
-        version = outcome.version
-        if version in self.deltas:
+        """Log a plan's outcome: one row per newly exchanged sub-test, then
+        the plan's row.  Raises ``AuditError``, changing nothing, when a
+        version is decided twice or observed both true and false."""
+        version, deltas, observations = outcome.version, self.deltas, self.observations
+        if version in deltas:
             raise AuditError(f"version {render_version(version)} already decided")
-        observations = self.observations
+        new: dict[Version, bool] = {}  # first observations, checked before any is logged
+        exchanged = []
         for sub in outcome.sub_outcomes:
-            if observations.setdefault(sub.version, sub.observed) != sub.observed:
-                raise AuditError(f"version {render_version(sub.version)} observed both true and false")
+            v, observed = sub.version, sub.observed
+            first = observations.get(v)
+            if first is None:
+                first = new.setdefault(v, observed)
+            if first != observed:
+                raise AuditError(f"version {render_version(v)} observed both true and false")
             # The plan's own sub-test is usually the very same object.
-            if sub.provenance == "exchanged" and sub.version is not version \
-                    and sub.version != version:
-                self._append_row(sub.version, sub.observed, "exchange")
-        self._append_row(version, outcome.delta, "plan", outcome)
-
-    def _append_row(self, version: Version, delta: bool, origin: str,
-                    outcome: TestOutcome | None = None) -> None:
-        if version in self.deltas:
-            raise AuditError(f"version {render_version(version)} already decided")
-        self.deltas[version] = delta
-        self.rows.append(LogRow(version, delta, len(self.rows) + 1, origin, outcome))
+            if sub.provenance == "exchanged" and v is not version and v != version:
+                if v in deltas or v in exchanged:
+                    raise AuditError(f"version {render_version(v)} already decided")
+                exchanged.append(v)
+        observations.update(new)
+        rows = self.rows
+        for v in exchanged:
+            deltas[v] = observations[v]
+            rows.append(LogRow(v, observations[v], len(rows) + 1, "exchange"))
+        deltas[version] = outcome.delta
+        rows.append(LogRow(version, outcome.delta, len(rows) + 1, "plan", outcome))
+        self._end = None
 
     def plan_outcomes(self) -> list[TestOutcome]:
         return [row.outcome for row in self.rows if row.outcome is not None]
@@ -366,7 +382,9 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     with ``"budget"``.  Every outcome is applied to the live context as
     without the memo: the same rows, stop reason and errors.  At a node the
     tree holds, nothing reads the context, so that step only appends to the
-    log; ``_decide`` and any read after the audit fold what was logged.
+    log; ``_decide`` and any read after the audit fold what was logged.  An
+    audit that stops after a test leaves on its log the last pick node's
+    table of verdict folds and the last outcome's key, for ``build_report``.
     """
     short = STRATEGY_SHORT.get(strategy_name, strategy_name)
     if short not in STRATEGIES:
@@ -381,7 +399,7 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     log.strategy = short
     budget = budget if budget is not None else default_budget(db)
 
-    children, key = db.decisions, type(strategy)
+    children, ends, key = db.decisions, None, type(strategy)
     tests_run = 0
     while True:
         node = children.get(key)
@@ -389,25 +407,28 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
             node = children.setdefault(key, _decide(strategy, ctx))
         if type(node) is str:
             log.stop_reason = node
-            return log
+            break
         if tests_run >= budget:
             log.stop_reason = "budget"
-            return log
-        pick, plan, children = node
+            break
+        pick, plan, children, ends = node
         if pick in log.deltas:
             raise AuditError(f"strategy repeated version {render_version(pick)}")
         outcome = run_test(plan, pick, probe, prior=log.observations)
         ctx.apply(outcome)
         tests_run += 1
         key = tuple(map(_observed, outcome.sub_outcomes))
+    if ends is not None:
+        log._end = db, ends, key
+    return log
 
 
 def _decide(strategy, ctx: AuditContext):
     """The loop's step on the live context: ``"converged"``, or the pick,
-    its plan and an empty table of next steps."""
+    its plan and empty tables of next steps and of verdict folds."""
     if ctx.newest_informative() is None:
         return "converged"
     pick = strategy.pick(ctx)
     if pick is None:
         pick = _mid(ctx.informative())
-    return pick, resolve_plan(ctx.db, pick), {}
+    return pick, resolve_plan(ctx.db, pick), {}, {}

@@ -220,15 +220,38 @@ class VerdictReport:
 
 def build_report(log: DecisionLog, db: Database, target: Version | None = None,
                  claimed_version: str | None = None) -> VerdictReport:
-    try:
-        b = compute_bounds(log, db)
-    except InconsistentLogError as exc:
+    """The log's verdict: its bounds and candidates, or its inconsistency,
+    and compliance with ``target``.
+
+    The bounds and candidates are ``compute_bounds`` of the log (its
+    *verdict fold*).  For a log that ``strategies.drive_audit`` left where it
+    stopped in the decision memo of this very ``db``, the fold is kept in the
+    ``ends`` table of the audit's last pick node, keyed by the last outcome's
+    observations: the first such report computes it, with ``setdefault`` as
+    the loop records a step, and every later audit down the same path reads
+    it.  This is sound because a node is reached by exactly one sequence of
+    picks and observation keys, and that sequence fixes each plan's
+    sub-tests, which of them were exchanged and which implied, the rows'
+    versions and deltas, and the observations; ``compute_bounds`` reads
+    nothing else.  Any other log, one appended to after its audit or one
+    reported against another database, is folded afresh.  Compliance and
+    the transport-error and budget rules read the log on every call.
+    """
+    end = log._end
+    if end is not None and end[0] is db:
+        _, ends, key = end
+        fold = ends.get(key)
+        if fold is None:
+            fold = ends.setdefault(key, _verdict_fold(log, db))
+    else:
+        fold = _verdict_fold(log, db)
+    if type(fold) is str:
         return VerdictReport(
             strategy=log.strategy, bounds=None, candidate_set=None, target=target,
-            compliant=None, claimed_version=claimed_version, inconsistency=str(exc),
+            compliant=None, claimed_version=claimed_version, inconsistency=fold,
             rows=tuple(log.rows),
         )
-    c = CandidateSet(b.members)
+    b, c = fold
     # An audit cut short by its budget, or one whose exchange failed in
     # transport (which observed nothing of the provider), has not earned a
     # compliance verdict.
@@ -240,3 +263,13 @@ def build_report(log: DecisionLog, db: Database, target: Version | None = None,
         compliant=compliant, claimed_version=claimed_version, inconsistency=None,
         rows=tuple(log.rows),
     )
+
+
+def _verdict_fold(log: DecisionLog, db: Database) -> tuple[Bounds, CandidateSet] | str:
+    """``compute_bounds`` of the log with its candidate set, or the message
+    of the ``InconsistentLogError`` it raises."""
+    try:
+        b = compute_bounds(log, db)
+    except InconsistentLogError as exc:
+        return str(exc)
+    return b, CandidateSet(b.members)

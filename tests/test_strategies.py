@@ -21,6 +21,7 @@ from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder
                                produce, sim_family_from_doc)
 from fpaudit.strategies import (STRATEGIES, AuditContext, AuditError, DecisionLog, _mid,
                                 default_budget, drive_audit, run_audit)
+from adversary import REACHED, adversary_leaves
 from families import authored_grid, synth_docs
 from fpaudit.transport import make_loopback
 from fpaudit.verdict import build_report
@@ -224,14 +225,19 @@ def test_log_rejects_a_contradicting_observation():
     assert log.observations == {pv("7.2.0"): True}
 
 
-def test_report_folds_a_consistent_log_once(db, honest_endpoints, rng, monkeypatch):
-    log = run_audit(db, "CBS", honest_endpoints("7.2.14"), rng)
+def test_report_folds_a_consistent_log_once(db_doc, honest_endpoints, rng, monkeypatch):
+    fresh = load_database(json.dumps(db_doc))  # no earlier audit has reached its memo
     calls = []
     real = verdict.fold_constraints
     monkeypatch.setattr(verdict, "fold_constraints", lambda *a: calls.append(a) or real(*a))
-    report = build_report(log, db)
-    assert report.candidate_set.labels() == ["7.2.14"]
-    assert len(calls) == 1
+    per_report = []
+    for _ in range(2):  # the second audit goes down the first one's path
+        log = run_audit(fresh, "CBS", honest_endpoints("7.2.14"), rng)
+        report = build_report(log, fresh)
+        assert report.candidate_set.labels() == ["7.2.14"]
+        per_report.append(len(calls))
+        calls.clear()
+    assert per_report == [1, 0]
 
 
 def _status_checks(db, sim, src, behavior: str) -> int:
@@ -727,3 +733,212 @@ def test_warm_audits_match_cold_ones_on_the_1024_version_grid():
     sources = [versions[i * len(versions) // 20] for i in range(20)]
     cases = [(name, "truth", str(src), None) for name in STRATEGIES for src in sources]
     assert_warm_matches_cold(document, cases, probe_audit)
+
+
+# -- The decision memo's verdict folds: a warm report equals a fresh one ------
+
+
+def assert_warm_reports_match_fresh(document: bytes, cases, audit, target=lambda case: None) -> int:
+    """Audit and report every case twice on one database, the second pass on
+    its warm memo: each report equals the report of the same log against a
+    fresh load of the document, which no audit reaches, and the passes
+    agree.  Returns the number of inconsistent logs in a pass."""
+    warm, fresh = load_database(document), load_database(document)
+    passes = []
+    for _ in range(2):
+        docs = []
+        for case in cases:
+            log = audit(warm, case)
+            doc = build_report(log, warm, target(case)).to_doc()
+            assert doc == build_report(log, fresh, target(case)).to_doc(), case
+            docs.append(doc)
+        passes.append(docs)
+    assert passes[0] == passes[1]
+    assert fresh.decisions == {}
+    return sum(doc["inconsistency"] is not None for doc in passes[0])
+
+
+def source_target(case):
+    """The source a truth-probe case audits, as the report's target."""
+    return pv(case[2]) if case[1] == "truth" else None
+
+
+def recorded_audit(db, case):
+    """``probe_audit`` whose probe also returns an exchange record that
+    reached the provider, so that its report can judge compliance."""
+    name, kind, arg, budget = case
+    probe = truth_probe(db, pv(arg)) if kind == "truth" else liar_probe(db, arg)
+    return drive_audit(db, name, lambda v: probe(v)[:2] + (REACHED,), budget)
+
+
+def test_warm_reports_match_fresh_ones_for_every_fixture_provider(sim_family):
+    cases, audit = fixture_provider_cases(sim_family)
+    inconsistent = assert_warm_reports_match_fresh(FIXTURE_DB, cases, audit,
+                                                   target=lambda case: case[1])
+    assert inconsistent > 20  # proxy and cacher logs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_warm_coin_flip_reports_match_fresh_ones_on_synthetic_families(seed):
+    document = json.dumps(synth_docs(seed)[0]).encode()
+    cases = [(name, "liar", liar, None) for name in STRATEGIES for liar in range(12)]
+    assert_warm_reports_match_fresh(document, cases, probe_audit)
+
+
+def test_warm_reports_match_fresh_ones_on_the_48_version_grid():
+    cases = [(name, kind, arg, None) for name in STRATEGIES
+             for kind, arg in [("truth", str(v)) for v in load_database(GRID_48).family.versions]
+             + [("liar", liar) for liar in range(40)]]
+    assert assert_warm_reports_match_fresh(GRID_48, cases, recorded_audit, source_target) > 0
+
+
+def test_two_budgets_on_one_database_share_correct_verdict_folds():
+    sources = [str(v) for v in load_database(GRID_48).family.versions[::5]]
+    cases = [(name, kind, arg, budget) for name in STRATEGIES for budget in (3, None)
+             for kind, arg in [("truth", src) for src in sources] + [("liar", liar) for liar in range(8)]]
+    assert_warm_reports_match_fresh(GRID_48, cases, recorded_audit, source_target)
+
+
+def fold_entries(node) -> int:
+    """Verdict folds held in one decision tree's ``ends`` tables."""
+    if type(node) is str:
+        return 0
+    return len(node[3]) + sum(fold_entries(child) for child in node[2].values())
+
+
+def test_threads_reporting_on_one_database_match_fresh_reports():
+    cases = [(name, kind, arg, None) for name in STRATEGIES
+             for kind, arg in [("truth", str(v)) for v in load_database(FIXTURE_DB).family.versions]
+             + [("liar", liar) for liar in range(24)]]
+    fresh = load_database(FIXTURE_DB)
+    serial = load_database(FIXTURE_DB)
+    want = []
+    for case in cases:
+        log = recorded_audit(serial, case)
+        want.append(build_report(log, fresh, source_target(case)).to_doc())
+    assert [build_report(recorded_audit(serial, case), serial, source_target(case)).to_doc()
+            for case in cases] == want
+    folds = {key: fold_entries(root) for key, root in serial.decisions.items()}
+    workers = 4  # more than this machine's cores, each taking every fourth case
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the audits and reports finely
+    try:
+        for _ in range(5):
+            shared, start = load_database(FIXTURE_DB), threading.Barrier(workers)
+
+            def run(order):
+                start.wait(timeout=60)
+                return [(i, build_report(recorded_audit(shared, cases[i]), shared,
+                                         source_target(cases[i])).to_doc()) for i in order]
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                runs = [pool.submit(run, range(k, len(cases), workers)) for k in range(workers)]
+                docs = dict(pair for each in runs for pair in each.result(timeout=120))
+            assert [docs[i] for i in range(len(cases))] == want
+            assert {key: fold_entries(root) for key, root in shared.decisions.items()} == folds
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_warm_fixture_database_folds_no_report(sim_family, monkeypatch):
+    """On a warm second pass over every fixture provider, every report reads
+    its verdict fold from the memo."""
+    cases, audit = fixture_provider_cases(sim_family)
+    folds = []
+    real = verdict.fold_constraints
+    monkeypatch.setattr(verdict, "fold_constraints", lambda *a: folds.append(a) or real(*a))
+    db = load_database(FIXTURE_DB)
+    first = [build_report(audit(db, case), db, case[1]).to_doc() for case in cases]
+    assert folds
+    folds.clear()
+    assert [build_report(audit(db, case), db, case[1]).to_doc() for case in cases] == first
+    assert folds == []
+
+
+def test_a_log_appended_to_or_reported_against_another_database_folds_afresh(monkeypatch):
+    db, other = load_database(FIXTURE_DB), load_database(FIXTURE_DB)
+    src, case = pv("7.1.1"), ("CBS", "truth", "7.1.1", None)
+    log = recorded_audit(db, case)
+    memo = build_report(log, db, src)
+    assert memo.compliant is True
+    folds = []
+    real = verdict.fold_constraints
+    monkeypatch.setattr(verdict, "fold_constraints", lambda *a: folds.append(a) or real(*a))
+
+    # The same log against another load of the document: folded there, and
+    # that database's memo is left alone.
+    assert build_report(log, other, src).to_doc() == memo.to_doc()
+    assert len(folds) == 1 and other.decisions == {}
+    folds.clear()
+    assert build_report(log, db, src).to_doc() == memo.to_doc()
+    assert build_report(log, db, pv("7.1.2")).compliant is False  # the target is read per report
+    assert folds == []
+
+    # A fail the source could not give, appended after the audit, leaves no
+    # candidate: the report says so, and the audit's own fold stays in the memo.
+    bit = db.family.index[src]
+    lie = next(v for v, avail in db.avail_masks.items()
+               if avail >> bit & 1 and v not in log.observations and v not in log.deltas)
+    log.append_outcome(PlanOutcome(lie, False, (SubOutcome(lie, True, False, "mismatch", "exchanged"),),
+                                   ()))
+    appended = build_report(log, db, src)
+    assert folds and appended.inconsistency is not None
+    assert appended.to_doc() == build_report(log, other, src).to_doc()
+    folds.clear()
+    again = build_report(recorded_audit(db, case), db, src)
+    assert again.to_doc() == memo.to_doc() and folds == []
+
+
+@pytest.mark.parametrize("case", ["contradicts the log", "contradicts itself",
+                                  "repeats an exchange", "exchanges a decided version"])
+def test_a_rejected_outcome_leaves_the_log_as_it_was(case):
+    v0, v1, v2 = pv("7.2.0"), pv("7.2.1"), pv("7.2.2")
+    log = DecisionLog()
+    log.append_outcome(PlanOutcome(v0, True, (SubOutcome(v0, True, True, None, "exchanged"),), ()))
+    subs = {
+        "contradicts the log": [(v1, True, "exchanged"), (v0, False, "implied")],
+        "contradicts itself": [(v1, True, "exchanged"), (v1, False, "exchanged")],
+        "repeats an exchange": [(v1, True, "exchanged"), (v1, True, "exchanged")],
+        "exchanges a decided version": [(v1, True, "exchanged"), (v0, True, "exchanged")],
+    }[case]
+    outcome = PlanOutcome(v2, False, tuple(SubOutcome(v, True, observed, None, provenance)
+                                           for v, observed, provenance in subs), ())
+    before = (list(log.rows), dict(log.deltas), dict(log.observations))
+    with pytest.raises(AuditError):
+        log.append_outcome(outcome)
+    assert (log.rows, log.deltas, log.observations) == before
+    assert [row.version for row in log.rows] == [v0]
+
+
+# -- Every adversary leaf: the warm report is the fresh database's fold -------
+
+GRID_32 = grid.grid_docs(0, grid.GridShape(2, 4, 4, 2, 1, 2)).db_bytes()
+
+# Leaves per strategy over every source.  The fixture's 1,391 repeat the
+# count the exhaustive search was first sized at.
+ADVERSARY_LEAVES = {
+    "fixture": {"BS": 305, "CBS": 284, "HTL": 281, "LTH": 261, "HMSU": 260},
+    "grid-32": {"BS": 479, "CBS": 504, "HTL": 404, "LTH": 435, "HMSU": 460},
+    "grid-48": {"BS": 1016, "CBS": 1076, "HTL": 987, "LTH": 901, "HMSU": 1027},
+}
+
+
+@pytest.mark.parametrize("family", list(ADVERSARY_LEAVES))
+def test_every_adversary_leaf_reports_what_a_fresh_database_folds(family):
+    document = {"fixture": FIXTURE_DB, "grid-32": GRID_32, "grid-48": GRID_48}[family]
+    warm, fresh = load_database(document), load_database(document)
+    for _ in range(2):  # the second pass reads the folds the first left in the memo
+        leaves = dict.fromkeys(STRATEGIES, 0)
+        for name in STRATEGIES:
+            for src in warm.family.versions:
+                for _, log in adversary_leaves(warm, name, src):
+                    leaves[name] += 1
+                    report = build_report(log, warm)
+                    try:
+                        want = verdict.compute_bounds(log, fresh)
+                    except verdict.InconsistentLogError as exc:
+                        assert report.inconsistency == str(exc)
+                    else:
+                        assert report.bounds.to_doc() == want.to_doc()
+                        assert report.candidate_set.members == want.members
+        assert leaves == ADVERSARY_LEAVES[family]
