@@ -12,6 +12,11 @@ search lists each audit once.
 A leaf *fools* the audit when it converged, its log is consistent, and its
 candidates hold a version T newer than S that some entry tells apart from
 S: a target-blind report would then call S compliant with T.
+
+To print the leaves and fooled (S, T) pairs of every strategy on the
+fixture and the N=32 and N=48 grids::
+
+    PYTHONPATH=src python tests/adversary.py
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ from fpaudit.versions import Version
 REACHED = ExchangeRecord(b"", b"", 0.0, 0.0, 0.0)
 
 
-def adversary_leaves(db: Database, strategy: str, src: Version,
-                     budget: int | None = None) -> Iterator[tuple[tuple[bool, ...], DecisionLog]]:
-    """Each adversary audit from ``src``: its choices at the branch points, in
-    order, and its log."""
+def adversary_leaves(db: Database, strategy: str, src: Version) -> Iterator[DecisionLog]:
+    """The log of each adversary audit from ``src``."""
     can_pass = 1 << db.family.index[src]
     prefixes: list[tuple[bool, ...]] = [()]
     while prefixes:
@@ -45,8 +48,8 @@ def adversary_leaves(db: Database, strategy: str, src: Version,
             choices.append(observed)
             return observed, None if observed else "mismatch", REACHED
 
-        log = drive_audit(db, strategy, probe, budget)
-        yield tuple(choices), log
+        log = drive_audit(db, strategy, probe)
+        yield log
         prefixes.extend(tuple(choices[:k]) + (True,) for k in range(len(prefix), len(choices)))
 
 
@@ -63,3 +66,26 @@ def fooled_targets(db: Database, src: Version, log: DecisionLog) -> list[Version
     index, truths = db.family.index, db.truth.values()
     return [t for t in members if t > src
             and any((truth >> index[t] & 1) != bool(truth & bit) for truth in truths)]
+
+
+if __name__ == "__main__":
+    from families import FIXTURES, grid
+    from fpaudit.database import load_database
+    from fpaudit.strategies import STRATEGIES
+    from fpaudit.versions import render_version
+
+    documents = {
+        "fixture": (FIXTURES / "php_like_db.json").read_bytes(),
+        "grid-32": grid.grid_docs(0, grid.GridShape(2, 4, 4, 2, 1, 2)).db_bytes(),
+        "grid-48": grid.grid_docs(0, grid.GridShape(3, 4, 4, 3, 2, 4)).db_bytes(),
+    }
+    for family, document in documents.items():
+        db = load_database(document)
+        for name in STRATEGIES:
+            leaves, fooled = 0, []
+            for src in db.family.versions:
+                for log in adversary_leaves(db, name, src):
+                    leaves += 1
+                    fooled += [(src, t) for t in fooled_targets(db, src, log) if (src, t) not in fooled]
+            pairs = ", ".join(f"({render_version(s)}, {render_version(t)})" for s, t in fooled)
+            print(f"{family} {name}: {leaves} leaves, {len(fooled)} fooled pairs {pairs}")

@@ -931,7 +931,7 @@ def test_every_adversary_leaf_reports_what_a_fresh_database_folds(family):
         leaves = dict.fromkeys(STRATEGIES, 0)
         for name in STRATEGIES:
             for src in warm.family.versions:
-                for _, log in adversary_leaves(warm, name, src):
+                for log in adversary_leaves(warm, name, src):
                     leaves[name] += 1
                     report = build_report(log, warm)
                     try:
