@@ -26,7 +26,6 @@ from .database import (
     serialize_database,
     validate_strategy_independence,
 )
-from .outsourced import read_keys, read_log, verify_liability
 from .simulator import SimConfigError, load_sim_config, produce
 from .strategies import AuditError, run_audit
 from .transport import (InterfaceEndpoint, TransportError, close_connections, env_credentials,
@@ -263,6 +262,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_logs(args) -> int:
+    from .outsourced import read_keys, read_log, verify_liability  # loads cryptography
+
     db = _load_db(args.database)
     paths = {role: path for role, path in (("user", args.user_log), ("auditor", args.auditor_log),
                                            ("provider", args.provider_log)) if path}

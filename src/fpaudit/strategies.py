@@ -142,7 +142,7 @@ class AuditContext:
     ``apply`` only appends an outcome to the log.  Both masks are folded
     from the rows logged since the last fold when either is read, so a step
     that reads neither costs only the append, and every read sees the masks
-    the whole log gives.  An assigned mask replaces the folded one.
+    the whole log gives.
     """
 
     def __init__(self, db: Database):
@@ -184,20 +184,10 @@ class AuditContext:
         self._fold()
         return self._candidates
 
-    @candidates.setter
-    def candidates(self, mask: int) -> None:
-        self._fold()
-        self._candidates = mask
-
     @property
     def tested(self) -> int:
         self._fold()
         return self._tested
-
-    @tested.setter
-    def tested(self, mask: int) -> None:
-        self._fold()
-        self._tested = mask
 
     def status(self, v: Version) -> bool | None:
         """Result of testing ``v`` if all candidates agree on it (True/False), else None.

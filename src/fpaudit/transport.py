@@ -1,16 +1,15 @@
-"""Pluggable delivery channels for challenges and responses.
+"""Delivery of challenges and collection of responses.
 
-A challenge may travel over one channel and its response over another; the
-two endpoints of an exchange are therefore passed separately.  All timing
-is measured on the verifier side, up to the last response byte received.
-Over HTTP and file drop the clock starts before the challenge is
-delivered, so holding the PUT or the write acknowledgement counts against
-the provider; both run one deliver-then-poll loop.  Credentials come from
-configuration or the environment, never from command lines.  HTTP
-requests from one thread to one scheme and host:port share one kept-alive
-connection, so an exchange pays no handshake in its timed window; what
-every request to an endpoint shares (connection key, request target,
-header lines) is worked out once.
+An exchange runs in process (``loopback-sim``, both endpoints bound to one
+responder) or over HTTP (``http-fetch``: PUT the challenge to one URL, then
+GET the response from another until it is ready).  All timing is measured
+on the verifier side, up to the last response byte received.  Over HTTP
+the clock starts before the PUT, so holding its acknowledgement counts
+against the provider.  Credentials come from configuration or the
+environment, never from command lines.  HTTP requests from one thread to
+one scheme and host:port share one kept-alive connection, so an exchange
+pays no handshake in its timed window; what every request to an endpoint
+shares (connection key, request target, header lines) is worked out once.
 ``http.client`` only opens that connection (proxy tunnel and TLS
 included); each request then goes out in one write and its answer is
 framed by ``http1``.  Bytes left over after an answer close the
@@ -29,13 +28,11 @@ import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .http1 import Wire, read_answer
 
 DEFAULT_TIMEOUT_CAP = 5.0  # seconds on top of the per-test deadline
-_POLLED = ("http-fetch", "file-drop")  # channels whose answer the verifier waits for
 
 
 class TransportError(RuntimeError):
@@ -53,11 +50,10 @@ class Responder(Protocol):
 @dataclass(frozen=True)
 class InterfaceEndpoint:
     id: str
-    kind: str  # http-fetch | file-drop | loopback-sim
+    kind: str  # http-fetch | loopback-sim
     address: str = ""
     credentials: tuple[str, str] | None = None
     timeout_cap: float = DEFAULT_TIMEOUT_CAP
-    filename: str = "challenge.txt"
     responder: object | None = field(default=None, compare=False)
 
 
@@ -70,10 +66,10 @@ class ExchangeRecord(NamedTuple):
     transport_error: str | None = None
 
 
-def make_loopback(responder: Responder, timeout_cap: float = DEFAULT_TIMEOUT_CAP):
+def make_loopback(responder: Responder):
     """Challenge/response endpoint pair bound to one in-process responder."""
-    chl = InterfaceEndpoint(id="sim-chl", kind="loopback-sim", responder=responder, timeout_cap=timeout_cap)
-    rsp = InterfaceEndpoint(id="sim-rsp", kind="loopback-sim", responder=responder, timeout_cap=timeout_cap)
+    chl = InterfaceEndpoint(id="sim-chl", kind="loopback-sim", responder=responder)
+    rsp = InterfaceEndpoint(id="sim-rsp", kind="loopback-sim", responder=responder)
     return chl, rsp
 
 
@@ -87,8 +83,8 @@ def exchange(challenge_ep: InterfaceEndpoint, response_ep: InterfaceEndpoint,
     try:
         if challenge_ep.kind == "loopback-sim":
             return _exchange_loopback(challenge_ep, response_ep, payload, deadline)
-        if challenge_ep.kind in _POLLED:
-            return _exchange_polled(challenge_ep, response_ep, payload, deadline)
+        if challenge_ep.kind == "http-fetch":
+            return _exchange_http(challenge_ep, response_ep, payload, deadline)
     except TransportError as exc:
         now = time.monotonic()
         return ExchangeRecord(payload, None, now, now, 0.0, transport_error=str(exc))
@@ -264,60 +260,26 @@ def close_connections() -> None:
         _close(key)
 
 
-def _exchange_polled(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
-                     payload: bytes, deadline: float) -> ExchangeRecord:
-    """Deliver the challenge by PUT or file write, then check the response
-    channel every 10 ms until it answers or ``deadline`` + the cap has
-    passed.  The clock starts before delivery: a provider that holds the
-    PUT or write acknowledgement while it forwards the challenge pays for
-    the hold."""
-    if rsp.kind not in _POLLED:
+def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
+                   payload: bytes, deadline: float) -> ExchangeRecord:
+    """PUT the challenge, then GET the response every 10 ms until it is not
+    a 404 (not ready yet) or ``deadline`` + the cap has passed.  The clock
+    starts before the PUT: a provider that holds its acknowledgement while
+    it forwards the challenge pays for the hold."""
+    if rsp.kind != "http-fetch":
         raise TransportError(f"unsupported response channel {rsp.kind!r} for {chl.kind}")
-    answer = target = None
-    if rsp.kind == "file-drop":
-        answer = Path(rsp.address) / rsp.filename
-        # An answer already there predates this challenge, so it cannot
-        # answer it (e.g. a late answer to a round that timed out).
-        _file_op("file drop", answer.unlink, missing_ok=True)
-    if chl.kind == "file-drop":
-        target = Path(chl.address) / chl.filename
-        _file_op("file drop", target.parent.mkdir, parents=True, exist_ok=True)
     budget = deadline + chl.timeout_cap
     sent = time.monotonic()
-    if chl.kind == "http-fetch":
-        _request("PUT", chl, payload, budget)
-    else:
-        _file_op("file drop", target.write_bytes, payload)
+    _request("PUT", chl, payload, budget)
     body = None
     while (remaining := budget - (time.monotonic() - sent)) > 0:
-        body = _collect(rsp, answer, remaining)
-        if body is not None:
+        status, data = _request("GET", rsp, None, max(remaining, 0.05))
+        if status != 404:
+            body = data
             break
         time.sleep(min(0.01, remaining))
     now = time.monotonic()
     return ExchangeRecord(payload, body, sent, now, now - sent)
-
-
-def _collect(rsp: InterfaceEndpoint, answer: Path | None, remaining: float) -> bytes | None:
-    """The response if ``rsp`` has one ready, else None: a GET that returns
-    404 is not ready yet, and a file-drop answer is read and then deleted so
-    a later exchange cannot read it again."""
-    if rsp.kind == "http-fetch":
-        status, body = _request("GET", rsp, None, max(remaining, 0.05))
-        return None if status == 404 else body
-    if not answer.exists():
-        return None
-    body = _file_op("response read", answer.read_bytes)
-    _file_op("response read", answer.unlink)
-    return body
-
-
-def _file_op(what: str, op, *args, **kwargs):
-    """``op(*args, **kwargs)``, with an OSError raised as a TransportError naming ``what``."""
-    try:
-        return op(*args, **kwargs)
-    except OSError as exc:
-        raise TransportError(f"{what} failed: {exc}") from exc
 
 
 CLAIM_PAYLOAD = b"<?php phpversion();"

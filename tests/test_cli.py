@@ -310,6 +310,18 @@ def test_verify_logs_names_a_log_line_that_is_not_utf8(tmp_path, capsys):
     assert f"{tmp_path / 'user.ndjson'}:2: " in err[0] and "utf-8" in err[0]
 
 
+def test_loading_the_cli_loads_no_cryptography():
+    # Only verify-logs signs or checks anything; every other command
+    # should not pay for importing the library.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, fpaudit.cli; print('cryptography' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("args, named", [
     pytest.param(["audit", "--database", DB, "--sim-config", SIM_HONEST, "--target", "7.x"],
                  "'7.x'", id="malformed-target"),
