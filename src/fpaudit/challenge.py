@@ -1,14 +1,14 @@
 """Randomized challenge rendering and response judging.
 
 Placeholders in templates are ``#name#`` with names over ``[a-z0-9_]+``;
-every other ``#`` is literal.  The loader compiles each entry's templates
-once, tags included, into a bytes format with one ``%s`` per placeholder
-(see ``database.Template``) and rejects a placeholder that no variable of
-the entry binds.  Each variable is drawn straight into the bytes its
-placeholders take, and rendering fills each template with one ``%`` over
-those values; a name the values lack raises :class:`RenderError`.  Direct
-and outsourced audits draw and render the same way: the outsourced user
-signs the drawn values as ``phi``.
+every other ``#`` is literal.  Each entry's templates are compiled once,
+the first time an audit renders them, tags included, into a bytes format
+with one ``%s`` per placeholder (see ``database.Template``); the loader
+rejects a placeholder that no variable of the entry binds.  Each variable
+is drawn straight into the bytes its placeholders take, and rendering
+fills each template with one ``%`` over those values; a name the values
+lack raises :class:`RenderError`.  Direct and outsourced audits draw and
+render the same way: the outsourced user signs the drawn values as ``phi``.
 A seeded :class:`RandomnessSource` draws what ``random.Random`` of the same
 seed draws.  Random string and dir-file values draw from the ``[a-z0-9]``
 alphabet; binary values render as lowercase hex.
@@ -89,7 +89,8 @@ def draw_values(entry: VersionTest, rng: RandomnessSource, family: VersionSet) -
 def render(entry: VersionTest, values: dict[str, bytes]) -> tuple[bytes, bytes]:
     """A payload entry's challenge and expected response under ``values``;
     deterministic."""
-    return _fill(entry.challenge_compiled, values), _fill(entry.expect_compiled, values)
+    challenge, expect = entry.compiled or entry.compile()
+    return _fill(challenge, values), _fill(expect, values)
 
 
 def _fill(template: Template, values: dict[str, bytes]) -> bytes:

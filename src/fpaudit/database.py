@@ -62,9 +62,11 @@ and a window list must cover something.  Each error names its key.  A
 
 Each distinct label string is parsed once per document: one dict, made by
 each load call and passed to every label reader, so every reference to an
-entry spelled as its key is the entry key's own ``Version``.  No parse
+entry spelled as its key is the entry key's own ``Version``.  Each distinct
+variable spec is built once per document the same way.  No parse or spec
 outlives the document.  The default variable format, expect type and wait
-are resolved once per document too, on :class:`DatabaseMeta`.
+are resolved once per document too, on :class:`DatabaseMeta`.  A payload
+template is compiled the first time an audit renders it, not at load.
 """
 
 from __future__ import annotations
@@ -240,12 +242,12 @@ class Tags:
 
 
 class Template(NamedTuple):
-    """A payload template compiled at load, with the side's tags around it:
-    a bytes format with one ``%s`` per ``#name#`` placeholder (every literal
-    ``%`` doubled) and the placeholders' names in order.  ``pick`` takes
-    their values from a dict keyed by name in the form ``%`` takes them, so
-    filling is ``format % pick(values)``; a name the dict lacks is a
-    ``KeyError``."""
+    """A payload template compiled when it is first rendered, with the side's
+    tags around it: a bytes format with one ``%s`` per ``#name#`` placeholder
+    (every literal ``%`` doubled) and the placeholders' names in order.
+    ``pick`` takes their values from a dict keyed by name in the form ``%``
+    takes them, so filling is ``format % pick(values)``; a name the dict
+    lacks is a ``KeyError``."""
 
     format: bytes
     names: tuple[str, ...]
@@ -285,18 +287,24 @@ class VersionTest:
     # ``tag_overrides`` applied, resolved when the entry is loaded.
     challenge_tags: Tags = Tags()
     expect_tags: Tags = Tags()
-    # Each side's template compiled with its tags, derived at construction
-    # so every entry is compiled once.
-    challenge_compiled: Template | None = field(default=None, init=False, repr=False, compare=False)
-    expect_compiled: Template | None = field(default=None, init=False, repr=False, compare=False)
+    # Both sides' templates compiled with their tags, set by ``compile`` when
+    # the entry is first rendered, so an entry no audit renders is never
+    # compiled.  Deferring this defers no error: the loader checked every
+    # placeholder against the variables, a name ``_PLACEHOLDER_RE`` matches
+    # is ASCII, and the tags are bytes resolved at load, so ``_compile``
+    # cannot fail on a loaded entry.  One field holds both sides, so no
+    # thread sees one side compiled without the other.
+    compiled: tuple[Template, Template] | None = field(default=None, init=False, repr=False,
+                                                       compare=False)
 
-    def __post_init__(self) -> None:
-        if self.challenge_template is not None:
-            object.__setattr__(self, "challenge_compiled",
-                               _compile(self.challenge_template, self.challenge_tags))
-        if self.expect_template is not None:
-            object.__setattr__(self, "expect_compiled",
-                               _compile(self.expect_template, self.expect_tags))
+    def compile(self) -> tuple[Template, Template]:
+        """A payload entry's challenge and expect templates, compiled on the
+        first call."""
+        if self.compiled is None:
+            pair = (_compile(self.challenge_template, self.challenge_tags),
+                    _compile(self.expect_template, self.expect_tags))
+            object.__setattr__(self, "compiled", pair)
+        return self.compiled
 
     @property
     def has_payload(self) -> bool:
@@ -440,8 +448,11 @@ def load_database(document: bytes | str) -> Database:
 
     meta = _load_meta(doc)
     # Each distinct label string of the document is parsed once, so every
-    # reference to an entry in its key's spelling is the entry key's object.
+    # reference to an entry in its key's spelling is the entry key's object;
+    # each distinct variable spec, keyed by its fields, is built and checked
+    # once.  Both dicts live as long as this call.
     parsed: dict[str, Version] = {}
+    specs: dict[tuple, VariableSpec] = {}
     service = doc.get("service")
     if not isinstance(service, dict):
         raise SchemaError("missing 'service' object")
@@ -450,7 +461,7 @@ def load_database(document: bytes | str) -> Database:
         raise SchemaError("'service.versions' must be an object")
 
     versions = _parse_labels(versions_doc, "'service.versions'", parsed)
-    entries = {v: _load_entry(label, v, body, meta, parsed)
+    entries = {v: _load_entry(label, v, body, meta, parsed, specs)
                for v, (label, body) in zip(versions, versions_doc.items())}
 
     family_labels = service.get("family")
@@ -587,7 +598,7 @@ def _load_meta(doc: dict) -> DatabaseMeta:
 
 
 def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta,
-                parsed: dict[str, Version]) -> VersionTest:
+                parsed: dict[str, Version], specs: dict[tuple, VariableSpec]) -> VersionTest:
     if not isinstance(body, dict) or not isinstance(body.get("test"), dict):
         raise SchemaError(f"entry {label!r}: missing 'test' object")
     test = body["test"]
@@ -598,13 +609,15 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta,
     for name, spec in _field(test, "variables", dict, "an object", f"{where} 'variables'", {}).items():
         at = f"{where} variable {name!r}"
         _checked(spec, dict, "an object", at)
-        variables[name] = VariableSpec(
-            name=name,
-            format=_field(spec, "format", str, "a string", f"{at} 'format'", default_format),
-            min=_field(spec, "min", int, "an integer", f"{at} 'min'"),
-            max=_field(spec, "max", int, "an integer", f"{at} 'max'"),
-            length=_field(spec, "length", int, "an integer", f"{at} 'length'"),
-        )
+        key = (name,
+               _field(spec, "format", str, "a string", f"{at} 'format'", default_format),
+               _field(spec, "min", int, "an integer", f"{at} 'min'"),
+               _field(spec, "max", int, "an integer", f"{at} 'max'"),
+               _field(spec, "length", int, "an integer", f"{at} 'length'"))
+        built = specs.get(key)
+        if built is None:
+            built = specs[key] = VariableSpec(*key)
+        variables[name] = built
 
     challenge = _field(test, "challenge", dict, "an object", f"{where} 'challenge'", {})
     expect = _field(test, "expect", dict, "an object", f"{where} 'expect'", {})
@@ -649,11 +662,22 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta,
          _side_tags(tag_overrides, "expect", meta.default_values))
         if tag_overrides else meta.default_tags)
 
-    entry = VersionTest(
+    challenge_template = expect_template = None
+    if challenge_payload is not None:
+        challenge_template = challenge_payload.encode("utf-8")
+        expect_template = expect_payload.encode("utf-8")
+        # The names _compile will split out when the entry is first rendered.
+        for raw in chain(_PLACEHOLDER_RE.findall(challenge_template),
+                         _PLACEHOLDER_RE.findall(expect_template)):
+            name = raw.decode("ascii")
+            if name not in variables:
+                raise SchemaError(f"entry {label!r}: no variable binds placeholder #{name}#")
+
+    return VersionTest(
         version=v,
         variables=variables,
-        challenge_template=challenge_payload.encode("utf-8") if challenge_payload is not None else None,
-        expect_template=expect_payload.encode("utf-8") if expect_payload is not None else None,
+        challenge_template=challenge_template,
+        expect_template=expect_template,
         wait_time=wait_s,
         branching_refs=refs,
         branching_flags=flags,
@@ -663,11 +687,6 @@ def _load_entry(label: str, v: Version, body: object, meta: DatabaseMeta,
         challenge_tags=challenge_tags,
         expect_tags=expect_tags,
     )
-    if entry.has_payload:
-        for name in chain(entry.challenge_compiled.names, entry.expect_compiled.names):
-            if name not in variables:
-                raise SchemaError(f"entry {label!r}: no variable binds placeholder #{name}#")
-    return entry
 
 
 def _side_tags(overrides: dict[str, object], side: str, defaults: dict[str, object]) -> Tags:
@@ -729,12 +748,25 @@ def _resolve_plans(entries: dict[Version, VersionTest]) -> dict[Version, TestPla
     with the referrals it has yet to walk; it is an explicit stack (a dict,
     so a cycle is one lookup), so any depth resolves.  An entry is finished once all it refers to is: ``reached``
     keeps its pass steps, in order and each once, for its referrers to reuse.
+    A root without referrals (most entries) is finished without a walk.
     """
     passes = {v: PlanStep(v, True) for v, entry in entries.items() if entry.has_payload}
     reached: dict[Version, TestPlan] = {}
     plans: dict[Version, TestPlan] = {}
-    for root in entries:
-        path = {} if root in reached else {root: _referrals(entries, root)}
+    for root, entry in entries.items():
+        if root in reached:
+            continue
+        if not entry.branching_refs:
+            # Nothing to walk: the entry's own pass step, then its boundary's.
+            _check_referrals(entries, root)
+            boundary = entry.deprecated_ref
+            own = reached[root] = (passes[root],) if root in passes else ()
+            plans[root] = (own + (PlanStep(boundary, False),)
+                           if boundary in passes and boundary != root else own)
+            if not plans[root]:
+                raise _tests_nothing(root)
+            continue
+        path = {root: _referrals(entries, root)}
         while path:
             v, refs = next(reversed(path.items()))
             ref = next(refs, None)
@@ -751,8 +783,7 @@ def _resolve_plans(entries: dict[Version, VersionTest]) -> dict[Version, TestPla
                 if boundary is not None and id(boundary) not in steps:
                     plans[v] += (PlanStep(entry.deprecated_ref, False),)
                 if not plans[v]:
-                    raise SchemaError(f"entry {render_version(v)!r} tests nothing: "
-                                      "no challenge payload is reached through its referrals")
+                    raise _tests_nothing(v)
             elif ref in path:
                 links = [*path]
                 cycle = " -> ".join(render_version(x) for x in links[links.index(ref):] + [ref])
@@ -762,9 +793,20 @@ def _resolve_plans(entries: dict[Version, VersionTest]) -> dict[Version, TestPla
     return plans
 
 
+def _tests_nothing(v: Version) -> SchemaError:
+    return SchemaError(f"entry {render_version(v)!r} tests nothing: "
+                       "no challenge payload is reached through its referrals")
+
+
 def _referrals(entries: dict[Version, VersionTest], v: Version) -> Iterator[Version]:
-    """``v``'s referrals other than itself; a :class:`DanglingReferralError` if
-    one of them or its boundary names no entry."""
+    """``v``'s referrals other than itself, checked by :func:`_check_referrals`."""
+    _check_referrals(entries, v)
+    return (ref for ref in entries[v].branching_refs if ref != v)
+
+
+def _check_referrals(entries: dict[Version, VersionTest], v: Version) -> None:
+    """A :class:`DanglingReferralError` if one of ``v``'s referrals other than
+    itself or its boundary names no entry."""
     entry = entries[v]
     for ref in entry.branching_refs:
         if ref != v and ref not in entries:
@@ -776,7 +818,6 @@ def _referrals(entries: dict[Version, VersionTest], v: Version) -> Iterator[Vers
             f"entry {render_version(v)} names deprecated boundary "
             f"{render_version(entry.deprecated_ref)} which has no database entry"
         )
-    return (ref for ref in entry.branching_refs if ref != v)
 
 
 def resolve_plan(db: Database, v: Version) -> TestPlan:
@@ -951,9 +992,19 @@ def add_entry(
             test[side] = {"payload": payload}
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
     meta = replace(db.meta, last_update_timestamp=now)
-    entries = {**db.entries, v: _load_entry(label, v, {"test": test}, meta, parsed)}
-    versions = db.family.versions
-    at = db.family.index.get(v)  # the new key replaces its equal in the family
+    new = _load_entry(label, v, {"test": test}, meta, parsed, {})
+    versions, index = db.family.versions, db.family.index
+
+    def keyed(ref: Version) -> Version:
+        # As after a load: a label naming a family version is the family's
+        # own object, which is the entry key's, and one naming the new entry
+        # is its key.
+        return v if ref == v else versions[index[ref]] if ref in index else ref
+
+    new = replace(new, branching_refs=tuple(map(keyed, new.branching_refs)),
+                  deprecated_ref=None if deprecated is None else keyed(new.deprecated_ref))
+    entries = {**db.entries, v: new}
+    at = index.get(v)  # the new key replaces its equal in the family
     versions = versions + (v,) if at is None else versions[:at] + (v,) + versions[at + 1:]
     family = VersionSet(db.family.family_name, versions)
     return Database(meta=meta, entries=entries, family=family)

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpaudit import database
+from fpaudit.challenge import render
 from fpaudit.database import (
     MAX_VARIABLE_LENGTH,
     DanglingReferralError,
+    Database,
     DatabaseError,
     PlanStep,
     ReferralCycleError,
     SchemaError,
     Tags,
     VariableSpec,
+    VersionTest,
     add_entry,
     fold_constraints,
     load_database,
@@ -26,9 +30,12 @@ from fpaudit.database import (
     validate_strategy_independence,
 )
 from fpaudit.simulator import SimConfigError, load_sim_config
+from fpaudit.versions import VersionSet
 from fpaudit.versions import parse_version as pv
 
-from families import chain_db_doc, synth_docs
+from families import authored_grid, chain_db_doc, synth_docs
+
+import grid  # noqa: E402  (read-only: the benchmark's family generator)
 
 
 def minimal_doc(versions=None, family=None):
@@ -769,3 +776,163 @@ def test_family_versions_are_the_entry_keys_own_objects(db):
     assert len(toy.family) == 2
     assert _family_holds_the_entry_keys(toy)
     assert _family_holds_the_entry_keys(load_database(serialize_database(toy)))
+
+
+# ---------------------------------------------------------------------------
+# A load builds only what it must: templates compile on first render, each
+# distinct variable spec is built once, and an entry without referrals is
+# resolved without a walk.  Nothing is shared between two loads.
+
+
+def _spy_compile(monkeypatch) -> list:
+    calls = []
+    compile_ = database._compile
+
+    def spy(template, tags):
+        calls.append((template, tags))
+        return compile_(template, tags)
+
+    monkeypatch.setattr(database, "_compile", spy)
+    return calls
+
+
+def test_a_load_compiles_no_template(monkeypatch):
+    calls = _spy_compile(monkeypatch)
+    fixture = load_database(FIXTURE_TEXT)
+    grid_db, _ = authored_grid()
+    load_database(serialize_database(grid_db))
+    assert fixture.entries and grid_db.entries and calls == []
+
+
+def test_rendering_an_entry_twice_compiles_each_side_once(monkeypatch):
+    db = load_database(FIXTURE_TEXT)
+    calls = _spy_compile(monkeypatch)
+    entry = db.entries[pv("7.2.0")]
+    first = render(entry, {"ax": b"5"})
+    assert render(entry, {"ax": b"5"}) == first
+    assert calls == [(entry.challenge_template, entry.challenge_tags),
+                     (entry.expect_template, entry.expect_tags)]
+
+
+def _same_template(lazy, eager) -> bool:
+    values = {name: name.encode() + b"%" for name in eager.names}
+    return (lazy.format, lazy.names, lazy.pick(values)) == \
+        (eager.format, eager.names, eager.pick(values))
+
+
+def test_lazily_compiled_templates_equal_the_eager_compile():
+    synthetic = [load_database(json.dumps(synth_docs(seed)[0])) for seed in range(100)]
+    checked = 0
+    for each in [load_database(FIXTURE_TEXT), *synthetic]:
+        for entry in each.entries.values():
+            assert entry.compiled is None
+            if not entry.has_payload:
+                continue
+            challenge, expect = entry.compile()
+            assert entry.compiled == (challenge, expect)
+            assert _same_template(challenge,
+                                  database._compile(entry.challenge_template, entry.challenge_tags))
+            assert _same_template(expect, database._compile(entry.expect_template, entry.expect_tags))
+            checked += 1
+    assert checked > 100
+
+
+def _variable_specs(db) -> list:
+    return [spec for entry in db.entries.values() for spec in entry.variables.values()]
+
+
+def test_identical_variable_specs_are_one_object_within_a_load(db):
+    grid_db, _ = authored_grid()
+    for each in (db, load_database(serialize_database(grid_db))):
+        specs = _variable_specs(each)
+        by_fields: dict = {}
+        for spec in specs:
+            by_fields.setdefault(spec, set()).add(id(spec))
+        assert len(specs) > len(by_fields) == 1  # every entry's "ax" is alike
+        assert all(len(ids) == 1 for ids in by_fields.values())
+
+
+def test_two_loads_of_one_document_share_no_entry_spec_or_template():
+    document = FIXTURE_TEXT
+
+    def objects(db) -> set[int]:
+        payload = [e for e in db.entries.values() if e.has_payload]
+        for entry in payload:
+            render(entry, {name: b"1" for name in entry.variables})
+        return {id(x) for x in (*db.entries.values(), *_variable_specs(db),
+                                *(template for e in payload for template in e.compiled))}
+
+    first, second = load_database(document), load_database(document)
+    assert first == second
+    assert objects(first).isdisjoint(objects(second))
+
+
+@pytest.mark.parametrize("order", [("1.0.0", "1.1.0", "1.2.0"), ("1.2.0", "1.1.0", "1.0.0")],
+                         ids=["resolved-as-root", "reached-by-its-referrer"])
+def test_a_dangling_boundary_of_an_entry_without_referrals_is_named(order):
+    tests = {"1.0.0": entry(), "1.1.0": entry(deprecated="1.9.0"),
+             "1.2.0": entry(branching={"1.1.0": "1"})}
+    assert "branching" not in tests["1.1.0"]["test"]
+    doc = minimal_doc({label: tests[label] for label in order})
+    with pytest.raises(DanglingReferralError) as dangling:
+        load_database(json.dumps(doc))
+    assert str(dangling.value) == ("entry 1.1.0 names deprecated boundary 1.9.0 "
+                                   "which has no database entry")
+
+
+def test_hand_built_entries_without_referrals_resolve_as_the_recursive_expansion():
+    meta = new_database("svc").meta
+    a, b, c = pv("1.0.0"), pv("1.1.0"), pv("1.2.0")
+    payload = {"challenge_template": b"f()", "expect_template": b"ok"}
+    entries = {a: VersionTest(a, deprecated_ref=c),  # no payload: only its boundary
+               b: VersionTest(b, deprecated_ref=b, **payload),  # a boundary at itself
+               c: VersionTest(c, **payload)}
+    db = Database(meta=meta, entries=entries, family=VersionSet("svc", (a, b, c)))
+    assert db.plans == {v: reference_plan(db, v) for v in entries}
+    assert db.plans[a] == (PlanStep(c, False),) and db.plans[b] == (PlanStep(b, True),)
+    with pytest.raises(SchemaError, match=re.escape("entry '1.0.0' tests nothing")):
+        Database(meta=meta, entries={a: VersionTest(a)}, family=VersionSet("svc", (a,)))
+
+
+def _grown(db, label: str, **referrals):
+    return add_entry(db, label, challenge="var_dump(f(#ax#));", expect="f:ok:#ax#\n",
+                     variables={"ax": VariableSpec("ax", "integer", min=1, max=9)}, **referrals)
+
+
+@pytest.mark.parametrize("which", ["fixture", "grid"])
+def test_add_entry_keeps_every_label_naming_an_entry_the_entry_keys_object(db, which):
+    if which == "fixture":
+        label, refs = "7.2.15", {"branching": ["7.2.0", "7.2.14"], "deprecated": "7.3.0rc4"}
+    else:
+        db, _ = authored_grid()
+        label, refs = "1.2.5", {"branching": ["1.2.0", "1.2.4"], "deprecated": "1.2.6"}
+    grown = _grown(db, label, **refs)
+    new = grown.entries[pv(label)]
+    assert len(new.branching_refs) == 2 and new.deprecated_ref is not None
+    assert all(ref is key for ref, key in _named_entries(grown))
+    assert _family_holds_the_entry_keys(grown)
+    assert grown.plans == load_database(serialize_database(grown)).plans
+
+
+def test_add_entry_makes_a_self_referral_the_new_entry_key():
+    # 1.1.0 is a family version without an entry: the new key replaces it.
+    toy = load_database(json.dumps(minimal_doc({"1.0.0": entry()}, family=["1.0.0", "1.1.0"])))
+    grown = _grown(toy, "1.1.0", branching=["1.0.0", "1.1.0"])
+    v = grown.family.versions[1]
+    assert grown.entries[v].branching_refs[1] is v
+    assert all(ref is key for ref, key in _named_entries(grown))
+
+
+@pytest.mark.slow
+def test_the_1024_version_grid_resolves_and_reloads_alike():
+    """The referral-free shortcut at scale: every plan of the N=1,024 grid
+    equals the recursive expansion, and a second load of the same bytes
+    gives equal plans, masks and document."""
+    authored, _ = authored_grid(grid.GridShape(4, 16, 16))
+    document = serialize_database(authored)
+    first, second = load_database(document), load_database(document)
+    assert len(first.family) > 1000
+    for v in first.family.versions:
+        assert resolve_plan(first, v) == reference_plan(first, v), str(v)
+    assert (first.plans, first.avail_masks) == (second.plans, second.avail_masks)
+    assert serialize_database(first) == serialize_database(second) == document
