@@ -130,9 +130,24 @@ def signed_bytes(name: str, fields: dict) -> bytes:
     return name.encode("ascii") + b"".join(len(v).to_bytes(4, "big") + v for v in covered)
 
 
-def _signature_ok(key: Ed25519PublicKey, signature: bytes, data: bytes) -> bool:
+# Signature checks a process remembers, the least recently used dropped
+# first.  They must hold one session plus its liability check, four
+# triples a round: 256 hold 64 rounds, and ``default_budget`` allows 20 on
+# the fixture and 36 on the 257-version benchmark grid.
+_VERIFIED_TRIPLES = 256
+
+
+@functools.lru_cache(maxsize=_VERIFIED_TRIPLES)
+def _accepts(public: bytes, signature: bytes, data: bytes) -> bool:
+    """Whether ``signature`` is the Ed25519 signature of ``data`` under the
+    raw public key ``public``.
+
+    The answer is a function of these three byte strings alone, so a
+    result from the table is what OpenSSL returned for the same bytes.  The
+    key enters as its bytes: key objects are unhashable, and ``read_keys``
+    makes new ones for the same key."""
     try:
-        key.verify(signature, data)
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, data)
         return True
     except InvalidSignature:
         return False
@@ -143,7 +158,12 @@ def _stamp(ts: float) -> bytes:
 
 
 def _epoch(stamp: bytes) -> float:
-    return datetime.fromisoformat(stamp.decode()).timestamp()
+    """Seconds since the epoch; a stamp without a UTC offset, which would
+    be read in the judge's local time, is a ValueError."""
+    parsed = datetime.fromisoformat(stamp.decode())
+    if parsed.tzinfo is None:
+        raise ValueError("no UTC offset")
+    return parsed.timestamp()
 
 
 def _timestamp_faults(fields: dict) -> list[tuple[str, str]]:
@@ -181,14 +201,10 @@ class PartyIdentity:
         return self.signing_key.sign(data)
 
     def verify(self, signature: bytes, data: bytes) -> bool:
-        return _signature_ok(self.verify_key, signature, data)
+        return _accepts(self.verify_key.public_bytes_raw(), signature, data)
 
     def public_hex(self) -> str:
-        from cryptography.hazmat.primitives import serialization
-
-        return self.verify_key.public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        ).hex()
+        return self.verify_key.public_bytes_raw().hex()
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +424,23 @@ def verify_liability(
     copy shows a fault the auditor rejects live.  The expected response is
     recomputed from the signed challenge template and randomness, and
     compared against the auditor's recorded decision.  A ``keys`` mapping
-    that lacks a role is a ValueError naming it.
+    that lacks a role, or ``logs`` holding a role outside ``ROLES``, is a
+    ValueError naming that role.
 
-    Every copy is checked against its own signed bytes, and each distinct
-    signature over each distinct byte string is verified once per call: the
-    S1..S4 the user's and the auditor's logs share, and the provider's S3,
-    cost one check each.
+    Every copy is checked against its own signed bytes, through the
+    process's bounded table of verification results keyed on the public
+    key's bytes, the signature and the signed bytes.  The S1..S4 the
+    user's and the auditor's logs share, and the provider's S3, cost one
+    OpenSSL check each, and none at all when a live session in the same
+    process has just checked them.
     """
     for role in ROLES:
         if role not in keys:
             raise ValueError(f"no public key for the {role}")
-
-    @functools.cache
-    def verified(name: str, signature: bytes, data: bytes) -> bool:
-        return _signature_ok(keys[SIGNATURES[name][0]], signature, data)
+    for role in logs:
+        if role not in ROLES:
+            raise ValueError(f"no such role as {role!r} to hold a log")
+    public = {role: keys[role].public_bytes_raw() for role in ROLES}
 
     verdicts = {role: PartyVerdict() for role in ROLES}
     rounds: dict[bytes, dict[str, dict]] = {}  # S2 -> holder -> its copy
@@ -437,7 +456,7 @@ def verify_liability(
             label = f"round {fields['round']}"
             failed = next((name for name, (_, covered) in SIGNATURES.items()
                            if name in fields and all(f in fields for f in covered)
-                           and not verified(name, fields[name],
+                           and not _accepts(public[SIGNATURES[name][0]], fields[name],
                                             signed_bytes(name, fields))), None)
             if failed:
                 verdicts[role].blame(f"{label}: {failed} fails verification")

@@ -2,6 +2,8 @@ import base64
 import copy
 import hashlib
 import json
+import os
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -419,16 +421,119 @@ def test_keys_lacking_a_role_are_malformed_input(session_logs, db):
         verify_liability(logs, {role: keys[role] for role in ("user", "auditor")}, db)
 
 
-def test_each_distinct_signature_is_verified_once_per_call(session_logs, db, monkeypatch):
+def test_each_distinct_signature_is_verified_once_per_call(session_logs, db):
     # The user's and the auditor's logs share S1..S4 and the provider's log
     # repeats S3, all over the same bytes: four checks a round, not nine.
     logs, keys = session_logs
-    calls, real = [], outsourced._signature_ok
-    monkeypatch.setattr(outsourced, "_signature_ok",
-                        lambda *args: calls.append(args) or real(*args))
+    outsourced._accepts.cache_clear()
     verdicts = verify_liability(logs, keys, db)
     assert all(v.status == "compliant" for v in verdicts.values())
-    assert len(calls) == 4 * len(logs["user"])
+    assert outsourced._accepts.cache_info().misses == 4 * len(logs["user"])
+
+
+def test_a_session_and_its_liability_check_verify_each_signature_once(trio):
+    # Live, the user checks S1 and S3 and the auditor S2, S3 and S4: four
+    # distinct triples a round.  The liability check then finds all of them.
+    identities, user, auditor, provider = trio
+    outsourced._accepts.cache_clear()
+    OutsourcedSession(db=auditor.db, strategy_name="CBS", user=user, provider=provider,
+                      auditor=auditor).run()
+    rounds = len(user.log)
+    assert rounds > 1
+    assert outsourced._accepts.cache_info().misses == 4 * rounds
+    logs = {"user": user.log, "auditor": auditor.log, "provider": provider.log}
+    warm = verify_liability(logs, keys_of(identities), auditor.db)
+    assert outsourced._accepts.cache_info().misses == 4 * rounds
+    outsourced._accepts.cache_clear()
+    assert verify_liability(logs, keys_of(identities), auditor.db) == warm
+    assert all(v.status == "compliant" for v in warm.values())
+
+
+def test_a_random_signature_over_bytes_just_accepted_is_rejected(trio):
+    identities, user, auditor, provider = trio
+    outsourced._accepts.cache_clear()
+    run_round(auditor, user, provider, pv("7.2.0"), 1)
+    fields = {**decode_entry("provider", provider.log[0]), **decode_entry("user", user.log[0])}
+    forged = dict(fields, S3=os.urandom(64))
+    assert identities["provider"].verify(fields["S3"], signed_bytes("S3", fields))
+    with pytest.raises(RoundError) as err:
+        outsourced._check(identities, "S3", forged)
+    assert err.value.blamed == "provider"
+    logs = {"user": user.log, "auditor": auditor.log,
+            "provider": [encode_entry("provider", forged)]}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert {role for role, v in verdicts.items() if v.status == "blamed"} == {"provider"}
+    assert verdicts["provider"].reason == "round 1: S3 fails verification"
+
+
+def test_keys_read_back_from_a_file_are_answered_from_the_table(trio, tmp_path):
+    # Other key objects with the same bytes: the table is keyed on the bytes.
+    identities, user, auditor, provider = trio
+    outsourced._accepts.cache_clear()
+    run_round(auditor, user, provider, pv("7.2.0"), 1)
+    assert outsourced._accepts.cache_info().misses == 4
+    write_keys(tmp_path / "keys.json", identities)
+    keys = read_keys(tmp_path / "keys.json")
+    assert all(keys[role] is not identities[role].verify_key for role in ROLES)
+    logs = {"user": user.log, "auditor": auditor.log, "provider": provider.log}
+    verdicts = verify_liability(logs, keys, auditor.db)
+    assert all(v.status == "compliant" for v in verdicts.values())
+    assert outsourced._accepts.cache_info().misses == 4
+
+
+def test_logs_of_a_role_outside_the_roles_are_malformed_input(session_logs, db):
+    logs, keys = session_logs
+    with pytest.raises(ValueError, match="'judge'"):
+        verify_liability({**logs, "judge": logs["auditor"]}, keys, db)
+
+
+@pytest.fixture
+def zone(monkeypatch):
+    """Sets the process's local time zone; the old one is back after the test."""
+    def set_zone(name):
+        monkeypatch.setenv("TZ", name)
+        time.tzset()
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+NAIVE_T3_STAMPS = (b"2026-10-21T00:00:00.000000+00:00", b"2026-10-21T00:00:01.000000+00:00",
+                   b"2026-10-21T00:00:02", b"2026-10-21T00:00:03.000000+00:00")
+
+
+@pytest.mark.parametrize("tz", ["UTC", "Asia/Tokyo", "America/New_York"])
+def test_a_timestamp_without_an_offset_blames_its_signer_in_every_zone(trio, monkeypatch,
+                                                                        zone, tz):
+    # Read in local time, the provider's t3 would precede t2 in Tokyo and
+    # follow t4 in New York, and pass in UTC.
+    identities, user, auditor, provider = trio
+    zone(tz)
+    stamps = iter(NAIVE_T3_STAMPS)  # t1, t2, t3, t4 in the order the round stamps them
+    monkeypatch.setattr(outsourced, "_stamp", lambda ts: next(stamps))
+    with pytest.raises(RoundError) as err:
+        run_round(auditor, user, provider, pv("7.2.0"), 1)
+    assert (err.value.blamed, err.value.reason) == ("provider", "t3 is not a timestamp")
+    logs = {"user": user.log, "auditor": auditor.log, "provider": provider.log}
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert {role for role, v in verdicts.items() if v.status == "blamed"} == {"provider"}
+    assert verdicts["provider"].reason == "round 1: t3 is not a timestamp"
+
+
+def test_a_date_without_a_time_is_not_a_timestamp():
+    with pytest.raises(ValueError):
+        outsourced._epoch(b"2026-10-21")
+
+
+def test_verdicts_on_a_clean_session_do_not_depend_on_the_zone(session_logs, db, zone):
+    logs, keys = session_logs
+    verdicts = {}
+    for tz in ("UTC", "Asia/Tokyo"):
+        zone(tz)
+        outsourced._accepts.cache_clear()
+        verdicts[tz] = verify_liability(logs, keys, db)
+    assert verdicts["UTC"] == verdicts["Asia/Tokyo"]
+    assert all(v.status == "compliant" for v in verdicts["UTC"].values())
 
 
 @pytest.mark.parametrize("altered_first", [True, False], ids=["altered-first", "altered-last"])
