@@ -131,9 +131,9 @@ def signed_bytes(name: str, fields: dict) -> bytes:
 
 
 # Signature checks a process remembers, the least recently used dropped
-# first.  They must hold one session plus its liability check, four
-# triples a round: 256 hold 64 rounds, and ``default_budget`` allows 20 on
-# the fixture and 36 on the 257-version benchmark grid.
+# first.  A session's rounds check four triples each, so a liability check
+# that follows a session of up to 64 rounds finds them all; past that it
+# checks each triple again, once per call (``verify_liability``'s memo).
 _VERIFIED_TRIPLES = 256
 
 
@@ -429,10 +429,12 @@ def verify_liability(
 
     Every copy is checked against its own signed bytes, through the
     process's bounded table of verification results keyed on the public
-    key's bytes, the signature and the signed bytes.  The S1..S4 the
-    user's and the auditor's logs share, and the provider's S3, cost one
-    OpenSSL check each, and none at all when a live session in the same
-    process has just checked them.
+    key's bytes, the signature and the signed bytes, with a memo per call
+    in front of it.  Whatever the length of the logs, the S1..S4 the
+    user's and the auditor's logs share, and the provider's S3, cost at
+    most one OpenSSL check each per call, four a round; none at all when
+    a live session of up to 64 rounds in the same process has just
+    checked them.
     """
     for role in ROLES:
         if role not in keys:
@@ -441,6 +443,9 @@ def verify_liability(
         if role not in ROLES:
             raise ValueError(f"no such role as {role!r} to hold a log")
     public = {role: keys[role].public_bytes_raw() for role in ROLES}
+    # The logs are read one after the other, so logs of more rounds than
+    # the table holds would evict each triple before its copies return.
+    verified = functools.cache(_accepts)
 
     verdicts = {role: PartyVerdict() for role in ROLES}
     rounds: dict[bytes, dict[str, dict]] = {}  # S2 -> holder -> its copy
@@ -456,7 +461,7 @@ def verify_liability(
             label = f"round {fields['round']}"
             failed = next((name for name, (_, covered) in SIGNATURES.items()
                            if name in fields and all(f in fields for f in covered)
-                           and not _accepts(public[SIGNATURES[name][0]], fields[name],
+                           and not verified(public[SIGNATURES[name][0]], fields[name],
                                             signed_bytes(name, fields))), None)
             if failed:
                 verdicts[role].blame(f"{label}: {failed} fails verification")

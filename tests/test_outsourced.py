@@ -449,6 +449,20 @@ def test_a_session_and_its_liability_check_verify_each_signature_once(trio):
     assert all(v.status == "compliant" for v in warm.values())
 
 
+def test_logs_longer_than_the_table_still_cost_four_checks_a_round(trio):
+    # The table holds 64 rounds of triples; read one log after another,
+    # a longer replay would evict every triple before its other copies.
+    identities, user, auditor, provider = trio
+    rounds = outsourced._VERIFIED_TRIPLES // 4 + 6
+    for number in range(1, rounds + 1):
+        run_round(auditor, user, provider, pv("7.2.0"), number)
+    logs = {"user": user.log, "auditor": auditor.log, "provider": provider.log}
+    outsourced._accepts.cache_clear()
+    verdicts = verify_liability(logs, keys_of(identities), auditor.db)
+    assert all(v.status == "compliant" for v in verdicts.values())
+    assert outsourced._accepts.cache_info().misses == 4 * rounds
+
+
 def test_a_random_signature_over_bytes_just_accepted_is_rejected(trio):
     identities, user, auditor, provider = trio
     outsourced._accepts.cache_clear()
