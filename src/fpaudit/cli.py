@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -206,7 +208,7 @@ def cmd_db(args) -> int:
 
     if args.db_command == "new":
         db = new_database(args.service)
-        Path(args.out).write_bytes(serialize_database(db))
+        _replace_file(args.out, serialize_database(db))
         print(f"created {args.out}")
         return 0
 
@@ -227,10 +229,33 @@ def cmd_db(args) -> int:
         except DatabaseError as exc:
             print(f"rejected: {exc}", file=sys.stderr)
             return 1
-        Path(args.database).write_bytes(serialize_database(db))
+        _replace_file(args.database, serialize_database(db))
         print(f"added {args.version}")
         return 0
     return 2
+
+
+def _replace_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` in one step: a new file in the same
+    directory, flushed to disk, then renamed over ``path``, so a kill or a
+    full disk mid-write leaves the old file whole.  A symlink is replaced at
+    its target, and an existing file keeps its permission bits."""
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        except FileNotFoundError:  # a new file keeps the umask's bits
+            pass
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _VAR_PARAMS = {"integer": ("min", "max"), "string": ("length",), "binary": ("length",)}

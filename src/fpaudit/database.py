@@ -890,7 +890,8 @@ def validate_strategy_independence(db: Database) -> IndependenceReport:
 
 
 def serialize_database(db: Database) -> bytes:
-    """Canonical JSON form; load(serialize(db)) == db."""
+    """Canonical JSON form, in the layout of ``json.dumps(doc, indent=2,
+    ensure_ascii=True)``; load(serialize(db)) == db."""
     versions_doc: dict[str, object] = {}
     for v in db.entry_versions:
         entry = db.entries[v]
@@ -920,7 +921,7 @@ def serialize_database(db: Database) -> bytes:
                 for lo, hi in entry.explicit_windows
             ]
         if entry.wait_time != db.meta.wait_time():
-            test["waittime"] = {"amount": entry.wait_time * 1000.0, "type": "milliseconds"}
+            test["waittime"] = {"amount": _wait_ms(entry.wait_time), "type": "milliseconds"}
         versions_doc[render_version(v)] = {"test": test}
 
     doc = {
@@ -938,7 +939,55 @@ def serialize_database(db: Database) -> bytes:
             "versions": versions_doc,
         },
     }
-    return json.dumps(doc, indent=2, ensure_ascii=True).encode("utf-8")
+    return _emit(doc, "\n").encode("ascii")
+
+
+_string = json.encoder.encode_basestring_ascii  # the C encoder json.dumps calls
+
+
+def _emit(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, ensure_ascii=True)`` writes
+    it, with ``newline`` (a line break and the current indent) opening each
+    of its lines after the first.  The standard library runs its pure-Python
+    encoder whenever an indent is set; this one encodes each string in C.
+    Keys are strings, as in every loaded document; the value is not circular."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_string(k) + ": " + _emit(v, inner) for k, v in value.items()]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_emit(v, inner) for v in value]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _wait_ms(seconds: float) -> float:
+    """The shortest millisecond amount that loads back as ``seconds``: an
+    authored ``1001`` ms is written as ``1001.0``, not as the product
+    ``1000.9999999999999``."""
+    ms = seconds * 1000.0
+    short = round(ms, 6)
+    return short if short / 1000.0 == seconds else ms
 
 
 def _variable_doc(spec: VariableSpec) -> dict[str, object]:

@@ -83,20 +83,16 @@ def parse_version(label: str) -> Version:
     """Parse a version label; missing minor/patch default to 0."""
     if not label:
         raise VersionParseError("empty version label")
-    m = _LABEL_RE.match(label.strip())
+    raw = label.strip()
+    m = _LABEL_RE.match(raw)
     if not m:
         raise VersionParseError(f"malformed version label: {label!r}")
+    major, minor, patch, tag, _ = m.groups()
     pre = None
-    if m.group("pre"):
-        stage = "rc" if m.group("pre").startswith("rc") else "b"
-        pre = PreRelease(stage, int(m.group("pre")[len(stage):]))
-    return Version(
-        major=int(m.group("major")),
-        minor=int(m.group("minor") or 0),
-        patch=int(m.group("patch") or 0),
-        pre=pre,
-        raw=label.strip(),
-    )
+    if tag:
+        stage = "rc" if tag[0] == "r" else "b"
+        pre = PreRelease(stage, int(tag[len(stage):]))
+    return Version(int(major), int(minor or 0), int(patch or 0), pre, raw)
 
 
 def render_version(v: Version) -> str:

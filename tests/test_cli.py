@@ -181,6 +181,48 @@ def test_db_add_entry_and_validate(tmp_path, capsys):
     assert run(["db", "validate", "--database", str(out)]) == 0
 
 
+_ADD_1_0_0 = ["--version", "1.0.0", "--challenge", "f(#ax#)", "--expect", "#ax#",
+              "--var", "ax:integer:1:9"]
+
+
+@pytest.mark.parametrize("command", [["db", "new", "--service", "toy", "--out"],
+                                     ["db", "add-entry", *_ADD_1_0_0, "--database"]])
+def test_a_failed_replace_leaves_the_old_database_and_no_temporary_file(command, tmp_path,
+                                                                         capsys, monkeypatch):
+    out = tmp_path / "toy.json"
+    run(["db", "new", "--service", "toy", "--out", str(out)])
+    before = out.read_bytes()
+    capsys.readouterr()
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert run([*command, str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["toy.json"]
+
+
+def test_db_add_entry_replaces_a_symlinked_database_at_its_target_with_its_mode(tmp_path, capsys):
+    target, link = tmp_path / "real.json", tmp_path / "link.json"
+    run(["db", "new", "--service", "toy", "--out", str(target)])
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    assert run(["db", "add-entry", *_ADD_1_0_0, "--database", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert "1.0.0" in json.loads(target.read_text())["service"]["versions"]
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_db_new_gives_a_new_file_the_bits_a_plain_write_gives(tmp_path, capsys):
+    plain, out = tmp_path / "plain", tmp_path / "new.json"
+    plain.write_bytes(b"")
+    assert run(["db", "new", "--service", "toy", "--out", str(out)]) == 0
+    assert out.stat().st_mode == plain.stat().st_mode
+
+
 def test_db_add_entry_rejects_dangling(tmp_path, capsys):
     out = tmp_path / "toy.json"
     run(["db", "new", "--service", "toy", "--out", str(out)])

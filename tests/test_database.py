@@ -590,11 +590,17 @@ def test_strategy_independence_single_entry():
     assert validate_strategy_independence(db).ok
 
 
+def _indented(blob: bytes) -> bytes:
+    """``blob``'s document as the standard library writes it at indent 2."""
+    return json.dumps(json.loads(blob), indent=2, ensure_ascii=True).encode()
+
+
 def test_round_trip_fixture(db):
     blob = serialize_database(db)
     again = load_database(blob)
     assert again == db
     assert serialize_database(again) == blob
+    assert blob + b"\n" == FIXTURE_TEXT.encode()
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -604,6 +610,50 @@ def test_round_trip_synthetic_family(seed):
     again = load_database(blob)
     assert again == db
     assert serialize_database(again) == blob
+    assert blob == _indented(blob)
+
+
+def test_the_grid_document_has_the_standard_indented_layout():
+    grid_db, _ = authored_grid()
+    blob = serialize_database(grid_db)
+    assert len(grid_db.family) == 257 and blob == _indented(blob)
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _JSON_TEXT | st.integers()
+    | st.integers(-(10**60), 10**60) | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner)),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+def test_the_emitter_writes_what_json_dumps_writes(value):
+    """Nested and empty containers, tuples, every kind of string, big ints,
+    non-finite floats, bools and null come out byte for byte as the
+    standard library's encoder writes them at indent 2."""
+    assert database._emit(value, "\n") == json.dumps(value, indent=2, ensure_ascii=True)
+
+
+def test_a_whole_millisecond_wait_is_written_as_authored():
+    """An amount of ms loads as ``ms / 1000`` s; writing it back as
+    ``seconds * 1000`` gave ``1000.9999999999999`` for ``1001``."""
+    assert all(database._wait_ms(ms / 1000.0) == ms for ms in range(1, 200_001))
+    versions = {
+        "1.0.0": entry(waittime={"amount": 1001, "type": "milliseconds"}),
+        "1.1.0": entry(waittime={"amount": 0.3, "type": "seconds"}),
+        "1.2.0": entry(waittime={"amount": 0.123456789, "type": "milliseconds"}),
+        "1.3.0": entry(waittime={"amount": 1 / 3, "type": "seconds"}),
+    }
+    db = load_database(json.dumps(minimal_doc(versions)))
+    blob = serialize_database(db)
+    written = json.loads(blob)["service"]["versions"]
+    assert [written[v]["test"]["waittime"]["amount"] for v in versions] == \
+        [1001.0, 300.0, 0.123456789, (1 / 3) * 1000.0]
+    assert b'"amount": 1001.0,' in blob
+    assert load_database(blob) == db
 
 
 def test_defaults_fold_into_entries(db):

@@ -1,12 +1,14 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fpaudit.versions import (
+    PreRelease,
     Version,
     VersionParseError,
     VersionSet,
@@ -55,6 +57,77 @@ def test_parse_malformed_label_names_it():
         parse_version("garbage")
     with pytest.raises(VersionParseError):
         parse_version("")
+
+
+_REFERENCE_LABEL_RE = re.compile(
+    r"""^
+    (?P<major>\d+)
+    (?:\.(?P<minor>\d+))?
+    (?:\.(?P<patch>\d+))?
+    (?P<pre>(?:b|rc)\d+)?
+    (?P<suffix>-[0-9A-Za-z.\-]+)?
+    $""",
+    re.VERBOSE,
+)
+
+
+def reference_parse_version(label: str) -> Version:
+    """The parser as it read each field with its own ``m.group`` call."""
+    if not label:
+        raise VersionParseError("empty version label")
+    m = _REFERENCE_LABEL_RE.match(label.strip())
+    if not m:
+        raise VersionParseError(f"malformed version label: {label!r}")
+    pre = None
+    if m.group("pre"):
+        stage = "rc" if m.group("pre").startswith("rc") else "b"
+        pre = PreRelease(stage, int(m.group("pre")[len(stage):]))
+    return Version(
+        major=int(m.group("major")),
+        minor=int(m.group("minor") or 0),
+        patch=int(m.group("patch") or 0),
+        pre=pre,
+        raw=label.strip(),
+    )
+
+
+_NUMBER = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["007", "00", "\u0663"]))
+_WELL_FORMED = st.tuples(
+    _NUMBER,
+    st.just("") | _NUMBER.map(".{}".format),
+    st.just("") | _NUMBER.map(".{}".format),
+    st.just("") | st.tuples(st.sampled_from(["b", "rc"]), _NUMBER).map("".join),
+    st.just("") | st.from_regex(r"-[0-9A-Za-z.\-]{1,6}", fullmatch=True),
+).map("".join)
+_SPACE = st.sampled_from(["", " ", "\t", "\n", " \r\n "])
+
+
+def _with_stray(label_at_char: tuple[str, int, str]) -> str:
+    label, at, char = label_at_char
+    return label[:at] + char + label[at:]
+
+
+_LABELS = st.one_of(
+    st.tuples(_SPACE, _WELL_FORMED, _SPACE).map("".join),
+    # one stray character, anywhere: mostly malformed labels
+    st.tuples(_WELL_FORMED, st.integers(0, 30),
+              st.sampled_from("x.-_+ rcb0\n\x00é")).map(_with_stray),
+    st.text(max_size=12),
+)
+
+
+@given(_LABELS)
+def test_parse_version_agrees_with_the_reference_parser(label):
+    try:
+        want = reference_parse_version(label)
+    except VersionParseError as exc:
+        with pytest.raises(VersionParseError) as got:
+            parse_version(label)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_version(label)
+    assert (got.major, got.minor, got.patch, got.pre, got.raw, got.key) == \
+        (want.major, want.minor, want.patch, want.pre, want.raw, want.key)
 
 
 def test_render_round_trip_canonical():
