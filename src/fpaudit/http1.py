@@ -5,8 +5,11 @@ The auditor's client (``transport``) and the simulator's server
 connection and a parser that works on bytes.  It keeps ``http.client``'s
 limits (65,536 bytes a line, 100 header lines) and raises its exception
 types, so a failure reads as it always has.  Answer bodies are framed as
-RFC 9112 section 6.3 says.  Each end writes a message, head and body, in
-one ``sendall``, so no message waits on a delayed ACK between two segments.
+RFC 9112 section 6.3 says; of an answer's head the client keeps its
+status, whether the connection stays open and its ``Content-Location``,
+by which a PUT's answer says it is the response itself.  Each end writes
+a message, head and body, in one ``sendall``, so no message waits on a
+delayed ACK between two segments.
 """
 
 from __future__ import annotations
@@ -138,10 +141,12 @@ class Wire:
                 raise HTTPException("chunk data not followed by CRLF")
 
 
-def read_answer(wire: Wire) -> tuple[int, bytes, bool]:
+def read_answer(wire: Wire) -> tuple[int, bytes, tuple[bool, bytes | None]]:
     """The next final answer on ``wire`` to a GET or PUT: its status, its
-    body and whether the server keeps the connection open.  Interim (1xx)
-    answers are skipped."""
+    body, and what the client needs of the rest: whether the server keeps
+    the connection open, and the answer's ``Content-Location`` (None
+    without one), which says whose representation the body is.  Interim
+    (1xx) answers are skipped."""
     while True:
         line = wire.line("status line")
         if not line:
@@ -180,4 +185,4 @@ def read_answer(wire: Wire) -> tuple[int, bytes, bool]:
         body = wire.take(int(length))
     else:
         body, keep = wire.rest(), False
-    return status, body, keep
+    return status, body, (keep, fields.get(b"content-location"))

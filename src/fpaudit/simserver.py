@@ -1,11 +1,16 @@
 """Minimal HTTP/1.1 front for a simulated provider.
 
-PUT /challenge stores the payload; GET /response evaluates it, sleeps the
-simulated latency for real, and returns the body (404 until a challenge is
-stored).  Connections are kept alive, with Nagle's algorithm off, so one
-connection serves a whole audit.  Optional basic auth is enabled by passing
-credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS environment
-variables when run via the CLI).
+PUT /challenge stores the payload and answers 204; GET /response evaluates
+it, sleeps the simulated latency for real, and returns the body (404 until
+a challenge is stored).  A PUT that carries ``Prefer:
+return=representation`` (RFC 7240) is evaluated at once instead, and
+answered 200 with the body, ``Content-Location: /response`` and
+``Preference-Applied: return=representation``, after the same sleep; its
+challenge is stored too, so a client that does not take that answer can
+still GET it.  Connections are kept alive, with Nagle's algorithm off, so
+one connection serves a whole audit.  Optional basic auth is enabled by
+passing credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS
+environment variables when run via the CLI).
 
 It is a ``socketserver`` handler, not ``http.server``: requests are parsed
 by ``http1.Wire``, as the auditor parses answers, and each reply, head and
@@ -18,6 +23,7 @@ the answer to an HTTP/1.0 request.
 
 from __future__ import annotations
 
+import re
 import socket
 import socketserver
 import sys
@@ -96,6 +102,12 @@ def _message(status: int, body: bytes, fields: tuple[tuple[str, str], ...], clos
     return (head + "\r\n").encode("latin-1") + body
 
 
+# A Prefer value (RFC 7240) that names return=representation among its preferences.
+_WANTS_ANSWER = re.compile(rb'(?:^|,)\s*return\s*=\s*"?representation"?\s*(?:[;,]|$)', re.I).search
+# What a PUT answered with its response says of its body.
+_ANSWERED = (("Content-Location", "/response"), ("Preference-Applied", "return=representation"))
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """Serves the requests of one kept-alive connection in turn, each
     dispatched to ``do_<METHOD>``."""
@@ -171,7 +183,9 @@ class _Handler(socketserver.StreamRequestHandler):
             return self._reply(411)
         with self.server.lock:
             self.server.pending = body
-        self._reply(204)
+        if not _WANTS_ANSWER(self.headers.get(b"prefer", b"")):
+            return self._reply(204)
+        self._reply(200, self._evaluate(body), *_ANSWERED)
 
     def do_GET(self) -> None:
         if not self._authorized():
@@ -182,10 +196,15 @@ class _Handler(socketserver.StreamRequestHandler):
             pending, self.server.pending = self.server.pending, None
         if pending is None:
             return self._reply(404)
-        body, latency = self.server.responder.respond(pending)
+        self._reply(200, self._evaluate(pending))
+
+    def _evaluate(self, challenge: bytes) -> bytes:
+        """The provider's answer to ``challenge``, once its simulated latency
+        has been slept for real."""
+        body, latency = self.server.responder.respond(challenge)
         if latency > 0:  # even a zero sleep waits out the timer slack, 50 us on Linux
             time.sleep(latency)
-        self._reply(200, body)
+        return body
 
 
 def start_server(responder, port: int = 0,

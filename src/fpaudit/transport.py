@@ -2,10 +2,14 @@
 
 An exchange runs in process (``loopback-sim``, both endpoints bound to one
 responder) or over HTTP (``http-fetch``: PUT the challenge to one URL, then
-GET the response from another until it is ready).  All timing is measured
-on the verifier side, up to the last response byte received.  Over HTTP
-the clock starts before the PUT, so holding its acknowledgement counts
-against the provider.  Credentials come from configuration or the
+GET the response from another until it is ready).  Every PUT asks for the
+answer on its own reply (``Prefer: return=representation``, RFC 7240); a
+provider may give it there, as a 200 whose ``Content-Location`` names the
+response URL on the challenge's own origin, and the exchange then makes
+no GET.  Any other reply to the PUT is only an acknowledgement.  All
+timing is measured on the verifier side, up to the last response byte
+received.  Over HTTP the clock starts before the PUT, so holding its reply
+counts against the provider.  Credentials come from configuration or the
 environment, never from command lines.  HTTP requests from one thread to
 one scheme and host:port share one kept-alive connection, so an exchange
 pays no handshake in its timed window; what every request to an endpoint
@@ -117,16 +121,24 @@ def _basic_auth(user: str, password: str) -> str:
 
 
 def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
-             timeout: float) -> tuple[int, bytes]:
-    """One HTTP(S) request with preemptive Basic auth.  A 404 on GET (not
-    ready yet) is returned.  Every other status from 300 up is a
-    TransportError, since no redirect is followed and credentials never
-    leave the named host; so is every failure.  Either closes the
-    connection, so a late answer is never read as a later request's."""
+             timeout: float) -> tuple[int, bytes, bytes | None]:
+    """One HTTP(S) request with preemptive Basic auth: its answer's status,
+    body and ``Content-Location``.  A PUT asks for the answer on its reply
+    (``Prefer: return=representation``).  A 404 on GET (not ready yet) is
+    returned.  Every other status from 300 up is a TransportError, since no
+    redirect is followed and credentials never leave the named host; so is
+    every failure.  Either closes the connection, so a late answer is never
+    read as a later request's.  Since a PUT's reply may be the answer, a
+    time-out awaiting it is a failed fetch; every other PUT failure is a
+    failed delivery."""
     what = "challenge delivery" if method == "PUT" else "response fetch"
     try:
         key, target, fields = _prepare(ep.address, ep.credentials)
-        status, data = _send(key, method, target, body, fields, timeout)
+        if method == "PUT":
+            fields += "Prefer: return=representation\r\n"
+        status, data, location = _send(key, method, target, body, fields, timeout)
+    except _AnswerTimeout as exc:
+        raise TransportError(f"response fetch failed: {exc}") from exc
     # Timeouts and refusals are OSErrors; a malformed address is a ValueError
     # or, for its port, an http.client.InvalidURL; a malformed answer is an
     # http.client.HTTPException.
@@ -135,7 +147,11 @@ def _request(method: str, ep: InterfaceEndpoint, body: bytes | None,
     if status >= 300 and not (method == "GET" and status == 404):
         _close(key)
         raise TransportError("auth" if status in (401, 403) else f"{what} rejected: HTTP {status}")
-    return status, data
+    return status, data, location
+
+
+class _AnswerTimeout(TimeoutError):
+    """A request went out whole, but its answer did not arrive in time."""
 
 
 @functools.lru_cache(maxsize=128)
@@ -146,15 +162,32 @@ def _prepare(address: str, credentials: tuple[str, str] | None) -> tuple[tuple[s
     raises each time it is asked for."""
     if not address.startswith(("http://", "https://")):
         raise ValueError(f"{address!r} is not an http(s) URL")
-    url = urllib.parse.urlsplit(address)
-    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-    if _UNSAFE(target) or _UNSAFE(url.netloc):
+    key, target = _split(address)
+    if _UNSAFE(target) or _UNSAFE(key[1]):
         raise http.client.InvalidURL(f"{address!r} has a character a request line "
                                      "cannot carry")
     fields = "Content-Type: application/octet-stream\r\nAccept-Encoding: identity\r\n"
     if credentials:
         fields += f"Authorization: {_basic_auth(*credentials)}\r\n"
-    return (url.scheme, url.netloc), target, fields
+    return key, target, fields
+
+
+def _split(url: str) -> tuple[tuple[str, str], str]:
+    """An absolute URL's connection key (scheme and host:port) and request target."""
+    parts = urllib.parse.urlsplit(url)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return (parts.scheme, parts.netloc), target
+
+
+@functools.lru_cache(maxsize=128)
+def _resolve(base: str, reference: bytes) -> tuple[tuple[str, str], str] | None:
+    """The connection key and request target that a URI reference sent in
+    an answer (say its ``Content-Location``) names, resolved against the
+    URL asked; None if it names none."""
+    try:
+        return _split(urllib.parse.urljoin(base, reference.decode("latin-1")))
+    except ValueError:  # say, an unclosed IPv6 bracket
+        return None
 
 
 # Anything but visible ASCII in a request target or host would break the request line.
@@ -181,7 +214,7 @@ _POOL = _Pool()
 
 
 def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
-          fields: str, timeout: float) -> tuple[int, bytes]:
+          fields: str, timeout: float) -> tuple[int, bytes, bytes | None]:
     """Send one request, head and body in one write, on this thread's
     connection for ``key`` and read the whole answer.  A failure closes the
     connection; so does an answer after which the server closes it, or
@@ -189,7 +222,8 @@ def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
     unasked for), so they are never read as a later request's answer.  A
     reused connection that fails before any answer byte arrives (the server
     closed it while idle) is reopened once; a new connection is not
-    retried."""
+    retried.  A time-out after the request went out whole is an
+    ``_AnswerTimeout``."""
     while True:
         link = _POOL.links.get(key)
         reused = link is not None
@@ -201,18 +235,21 @@ def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
         head = f"{method} {link.prefix}{target} HTTP/1.1\r\nHost: {key[1]}\r\n{fields}{link.route}"
         if body is not None:
             head += f"Content-Length: {len(body)}\r\n"
-        received = wire.nread
+        received, sent = wire.nread, False
         try:
             wire.sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
-            status, data, keep = read_answer(wire)
+            sent = True
+            status, data, (keep, location) = read_answer(wire)
         except BaseException as exc:
             _close(key)
+            if sent and isinstance(exc, TimeoutError):
+                raise _AnswerTimeout(*exc.args) from exc
             if not (reused and wire.nread == received and isinstance(exc, ConnectionError)):
                 raise
             continue
         if not keep or wire.pending():
             _close(key)
-        return status, data
+        return status, data, location
 
 
 def _open(scheme: str, hostport: str, timeout: float) -> _Link:
@@ -262,24 +299,42 @@ def close_connections() -> None:
 
 def _exchange_http(chl: InterfaceEndpoint, rsp: InterfaceEndpoint,
                    payload: bytes, deadline: float) -> ExchangeRecord:
-    """PUT the challenge, then GET the response every 10 ms until it is not
-    a 404 (not ready yet) or ``deadline`` + the cap has passed.  The clock
-    starts before the PUT: a provider that holds its acknowledgement while
-    it forwards the challenge pays for the hold."""
+    """PUT the challenge, asking for the answer on the reply.  If the reply
+    is the answer (``_is_the_response``), the exchange ends with it; else
+    GET the response every 10 ms until it is not a 404 (not ready yet) or
+    ``deadline`` + the cap has passed.  The clock starts before the PUT: a
+    provider that holds its reply while it forwards the challenge pays for
+    the hold."""
     if rsp.kind != "http-fetch":
         raise TransportError(f"unsupported response channel {rsp.kind!r} for {chl.kind}")
     budget = deadline + chl.timeout_cap
     sent = time.monotonic()
-    _request("PUT", chl, payload, budget)
-    body = None
-    while (remaining := budget - (time.monotonic() - sent)) > 0:
-        status, data = _request("GET", rsp, None, max(remaining, 0.05))
-        if status != 404:
-            body = data
-            break
-        time.sleep(min(0.01, remaining))
+    status, body, location = _request("PUT", chl, payload, budget)
+    if status != 200 or location is None or not _is_the_response(chl, rsp, location):
+        body = None
+        while (remaining := budget - (time.monotonic() - sent)) > 0:
+            status, data, _ = _request("GET", rsp, None, max(remaining, 0.05))
+            if status != 404:
+                body = data
+                break
+            time.sleep(min(0.01, remaining))
     now = time.monotonic()
     return ExchangeRecord(payload, body, sent, now, now - sent)
+
+
+def _is_the_response(chl: InterfaceEndpoint, rsp: InterfaceEndpoint, location: bytes) -> bool:
+    """Whether a challenge PUT's answer is the response, as its
+    ``Content-Location``, resolved against the challenge URL, names the
+    response URL (scheme, host:port and request target) and the response
+    URL shares the challenge's connection key: one origin does not answer
+    for another.  A malformed response address names nothing here; its
+    GET then fails as it always has."""
+    try:
+        key, target, _ = _prepare(rsp.address, rsp.credentials)
+    except (ValueError, http.client.HTTPException):
+        return False
+    return (key == _prepare(chl.address, chl.credentials)[0]
+            and _resolve(chl.address, location) == (key, target))
 
 
 CLAIM_PAYLOAD = b"<?php phpversion();"

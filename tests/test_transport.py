@@ -9,6 +9,7 @@ import statistics
 import threading
 import time
 import urllib.parse
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,10 +21,10 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
-from fpaudit.challenge import judge, render_test
+from fpaudit.challenge import RandomnessSource, judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
-from fpaudit.simserver import SimHTTPServer, _message, start_server
-from fpaudit.strategies import run_audit
+from fpaudit.simserver import SimHTTPServer, _Handler, _message, start_server
+from fpaudit.strategies import STRATEGIES, run_audit
 from fpaudit.transport import (
     CLAIM_PAYLOAD,
     InterfaceEndpoint,
@@ -745,3 +746,319 @@ def test_https_exchange_with_an_untrusted_certificate_fails_delivery(https_serve
     assert record.response_bytes is None
     assert record.transport_error.startswith("challenge delivery failed: ")
     assert "CERTIFICATE_VERIFY_FAILED" in record.transport_error
+
+
+# A provider may answer the challenge on the PUT's own reply (RFC 7240
+# return=representation, with a Content-Location naming the response URL).
+
+PREFER = b"Prefer: return=representation\r\n"
+
+
+@pytest.mark.parametrize("prefer, answered", [
+    (PREFER, True),
+    (b"Prefer: respond-async, RETURN = \"representation\"; x=1\r\n", True),
+    (b"", False),
+    (b"Prefer: return=minimal\r\n", False),
+    (b"Prefer: return=representations\r\n", False),
+], ids=["asked", "among-others", "not-asked", "minimal", "other-token"])
+def test_simserver_answers_a_put_that_asks_for_the_representation(http_server, prefer, answered):
+    with _raw_connection(http_server) as sock:
+        sock.sendall(b"PUT /challenge HTTP/1.1\r\nHost: sim\r\n" + AUTH + prefer
+                     + b"Content-Length: %d\r\n\r\n" % len(CLAIM_PAYLOAD) + CLAIM_PAYLOAD)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        reply = (response.status, response.getheader("Content-Location"),
+                 response.getheader("Preference-Applied"), response.read())
+        # The challenge is stored either way, so a client that did not take
+        # the answer on the PUT can still GET it.
+        sock.sendall(b"GET /response HTTP/1.1\r\nHost: sim\r\n" + AUTH + b"\r\n")
+        assert _read_reply(sock) == (200, None, b"7.2.14")
+    if answered:
+        assert reply == (200, "/response", "return=representation", b"7.2.14")
+    else:
+        assert reply == (204, None, None, b"")
+
+
+def _count_requests(monkeypatch) -> Counter:
+    """Count, by method, every request a simserver serves from now on."""
+    seen = Counter()
+    for method in ("PUT", "GET"):
+        serve = getattr(_Handler, f"do_{method}")
+
+        def counted(self, serve=serve, method=method):
+            seen[method] += 1
+            serve(self)
+
+        monkeypatch.setattr(_Handler, f"do_{method}", counted)
+    return seen
+
+
+def _exchanges(log) -> int:
+    return sum(len(outcome.exchanges) for outcome in log.plan_outcomes())
+
+
+def test_a_provider_that_answers_on_the_put_serves_each_exchange_in_one_request(
+        http_server, db, rng, monkeypatch):
+    seen = _count_requests(monkeypatch)
+    endpoints = _endpoints(http_server.url(""), CREDS)
+    records = [exchange(*endpoints, CLAIM_PAYLOAD, 1.0) for _ in range(5)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"7.2.14")] * 5
+    log = run_audit(db, "CBS", endpoints, rng)
+    assert build_report(log, db).candidate_set.labels() == ["7.2.14"]
+    assert seen == {"PUT": 5 + _exchanges(log)}
+
+
+class _Recorded(socketserver.StreamRequestHandler):
+    """Like ``_CannedAnswers``, and records each request's method, target
+    and Prefer value (None without one)."""
+
+    def handle(self) -> None:
+        try:
+            while line := self.rfile.readline():
+                fields = {}
+                while (field := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = field.partition(b":")
+                    fields[name.strip().lower()] = value.strip()
+                self.rfile.read(int(fields.get(b"content-length", 0)))
+                method, target = line.split()[:2]
+                self.server.seen.append((method.decode(), target.decode(), fields.get(b"prefer")))
+                self.wfile.write(self.server.answers[method.decode()])
+        except OSError:
+            pass  # the client closed the connection while its answer was being sent
+
+
+def _answer(body: bytes, *fields: bytes, status: bytes = b"200 OK") -> bytes:
+    head = b"HTTP/1.1 " + status + b"\r\n" + b"".join(f + b"\r\n" for f in fields)
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+@contextmanager
+def _recording(put_answer: bytes, get_answer: bytes = FRESH):
+    """A ``_Recorded`` server answering PUT with ``put_answer``, in which
+    ``{origin}`` stands for the server's own scheme and host:port."""
+    with _serving(_Recorded, seen=[], answers={}) as server:
+        origin = f"http://127.0.0.1:{server.server_address[1]}"
+        server.answers.update(PUT=put_answer.replace(b"{origin}", origin.encode()),
+                              GET=get_answer)
+        yield server, origin
+
+
+@pytest.mark.parametrize("put_answer", [
+    NO_CONTENT,
+    _answer(b"stored"),
+    _answer(b"stale", b"Content-Location: /elsewhere"),
+    _answer(b"stale", b"Content-Location: /challenge"),
+    _answer(b"stale", b"Content-Location: /response?round=1"),
+    _answer(b"stale", b"Content-Location: http://127.0.0.1:1/response"),
+    _answer(b"stale", b"Content-Location: https://127.0.0.1:1/response"),
+    _answer(b"stale", b"Content-Location: http://[::1/response"),
+    _answer(b"stale", b"Content-Location: /response", status=b"201 Created"),
+    _answer(b"stale", b"Content-Location: /response",
+            status=b"203 Non-Authoritative Information"),
+], ids=["204", "200-without-location", "another-path", "the-challenge", "another-query",
+        "another-origin", "another-scheme", "malformed", "201", "203"])
+def test_a_put_reply_that_is_not_the_response_is_only_an_acknowledgement(put_answer):
+    with _recording(put_answer) as (server, origin):
+        chl, rsp = _endpoints(origin)
+        records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(2)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 2
+    asked = b"return=representation"
+    assert server.seen == [("PUT", "/challenge", asked), ("GET", "/response", None)] * 2
+
+
+@pytest.mark.parametrize("location", [b"/response", b"response", b"{origin}/response",
+                                      b"/response#answer"],
+                         ids=["absolute-path", "relative", "absolute-url", "fragment"])
+def test_a_200_put_reply_that_names_the_response_ends_the_exchange(location):
+    with _recording(_answer(b"fresh", b"Content-Location: " + location)) as (server, origin):
+        chl, rsp = _endpoints(origin)
+        records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(2)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 2
+    assert [method for method, _, _ in server.seen] == ["PUT", "PUT"]
+
+
+def test_an_answer_on_the_put_from_another_origin_than_the_response_is_not_taken():
+    # The response URL is on another origin, which the Content-Location
+    # names: the challenge's origin cannot answer for it.
+    with _recording(NO_CONTENT) as (other, other_origin):
+        answer = _answer(b"stale", f"Content-Location: {other_origin}/response".encode())
+        with _recording(answer) as (server, origin):
+            chl = InterfaceEndpoint(id="c", kind="http-fetch", address=f"{origin}/challenge")
+            rsp = InterfaceEndpoint(id="r", kind="http-fetch", address=f"{other_origin}/response")
+            record = exchange(chl, rsp, b"payload", 1.0)
+    assert (record.transport_error, record.response_bytes) == (None, b"fresh")
+    assert [method for method, _, _ in server.seen] == ["PUT"]
+    assert [method for method, _, _ in other.seen] == ["GET"]
+
+
+def test_a_malformed_response_address_fails_the_fetch_after_an_answer_on_the_put():
+    with _recording(_answer(b"fresh", b"Content-Location: /response")) as (server, origin):
+        chl = InterfaceEndpoint(id="c", kind="http-fetch", address=f"{origin}/challenge")
+        rsp = InterfaceEndpoint(id="r", kind="http-fetch", address="127.0.0.1:1/response")
+        errors = {exchange(chl, rsp, b"payload", 0.5).transport_error for _ in range(3)}
+    assert errors == {"response fetch failed: '127.0.0.1:1/response' is not an http(s) URL"}
+
+
+ANSWERED = _answer(b"fresh", b"Content-Location: /response")
+
+
+def test_an_answer_nobody_asked_for_after_the_puts_answer_closes_the_connection(monkeypatch):
+    unasked = _answer(b"stale", b"Content-Location: /response")
+    with _serving(_CannedAnswers, answers={"PUT": ANSWERED + unasked, "GET": FRESH}) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(3)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 3
+    assert len(accepted) == 3
+
+
+def test_an_answer_on_the_put_that_keeps_the_connection_reuses_it(monkeypatch):
+    with _serving(_CannedAnswers, answers={"PUT": ANSWERED, "GET": FRESH}) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(3)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 3
+    assert len(accepted) == 1
+
+
+def test_a_put_that_times_out_connecting_is_a_failed_delivery(monkeypatch):
+    # Only a time-out awaiting the PUT's reply is a failed fetch.
+    def slow_connect(*args, **kwargs):
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(socket, "create_connection", slow_connect)
+    chl, rsp = _endpoints("http://127.0.0.1:1")
+    record = exchange(chl, rsp, b"payload", 0.1)
+    assert record.transport_error == "challenge delivery failed: timed out"
+
+
+def test_a_put_that_times_out_being_sent_is_a_failed_delivery():
+    # A server that never reads: the challenge fills both ends' buffers
+    # (4 MB at most on Linux) and its last bytes never go out.
+    with socket.socket() as server:
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        server.bind(("127.0.0.1", 0))
+        server.listen()
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.getsockname()[1]}", timeout_cap=0.2)
+        record = exchange(chl, rsp, bytes(8 << 20), 0.1)
+    assert record.transport_error == "challenge delivery failed: timed out"
+
+
+class _HeldAnswerHandler(BaseHTTPRequestHandler):
+    """Answers each PUT that asks for it with the answer, after 300 ms."""
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_PUT(self) -> None:
+        self.server.seen.append("PUT")
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        time.sleep(0.3)
+        body = self.server.answer
+        self.send_response(200)
+        self.send_header("Content-Location", "/response")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self) -> None:
+        self.server.seen.append("GET")
+        self.send_response(404)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+def test_an_answer_held_on_the_put_counts_against_deadline(db, rng):
+    # As with a held acknowledgement: the clock starts before the PUT.
+    rt = render_test(db, pv("7.2.0"), rng)
+    assert rt.deadline == pytest.approx(0.2)
+    with _serving(_HeldAnswerHandler, answer=rt.expected_payload, seen=[]) as server:
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        record = exchange(chl, rsp, rt.challenge_payload, rt.deadline)
+    assert server.seen == ["PUT"]
+    assert record.response_bytes == rt.expected_payload
+    assert record.elapsed >= 0.3
+    result = judge(record.response_bytes, rt.expected_payload, record.elapsed,
+                   rt.deadline, record.transport_error)
+    assert result.reason == "timeout"
+
+
+class _StaleGetAnswerOnPutHandler(_StaleAnswerHandler):
+    """``_StaleAnswerHandler``, which also answers each PUT that asks for it
+    with its own round's answer once that is ready, 200 ms on."""
+
+    def do_PUT(self) -> None:
+        server = self.server
+        payload = self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        server.previous, server.latest = server.latest, b"answer to " + payload
+        server.put_at = time.monotonic()
+        time.sleep(0.2)
+        self.send_response(200)
+        self.send_header("Content-Location", "/response")
+        self.send_header("Content-Length", str(len(server.latest)))
+        self.end_headers()
+        self.wfile.write(server.latest)
+
+
+def test_an_answer_on_the_put_is_its_own_rounds_where_the_get_would_be_stale():
+    # The GET path's open defect (ROADMAP direction 6) does not reach an
+    # answer sent on the PUT: it belongs to its round by construction.
+    with _serving(_StaleGetAnswerOnPutHandler, previous=None, latest=None, put_at=0.0) as server:
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        records = [exchange(chl, rsp, b"round %d" % n, 0.5) for n in (1, 2, 3)]
+    assert [r.response_bytes for r in records] == [b"answer to round %d" % n for n in (1, 2, 3)]
+
+
+class _IgnoresThePreference(_Handler):
+    """The simulator as a server that never heard of RFC 7240."""
+
+    def _read_request(self) -> bool:
+        if not super()._read_request():
+            return False
+        self.headers.pop(b"prefer", None)
+        return True
+
+
+@pytest.fixture
+def sim_servers(sim_family):
+    """Two simulators: one answers on the PUT, one ignores the preference."""
+    cfg = SimProviderConfig(src_version=pv("7.2.14"), latency=LatencyModel(0.0, 0.0), seed=3)
+    servers = [start_server(produce(sim_family, cfg)) for _ in range(2)]
+    servers[1].RequestHandlerClass = _IgnoresThePreference
+    yield servers
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+    close_connections()
+
+
+def _http_audit(server, db, sim_family, strategy: str, src, behavior: str, seed: int):
+    """One seeded audit over ``server``, claim probe included: its rows,
+    stop reason, candidates, report document and exchanged bytes."""
+    server.responder = produce(sim_family, SimProviderConfig(
+        src_version=src, behavior=behavior, claim_label="99.0.0-fake",
+        latency=LatencyModel(0.0, 0.0), seed=seed))
+    endpoints = _endpoints(server.url(""))
+    claimed = probe_version_claim(endpoints)
+    log = run_audit(db, strategy, endpoints, RandomnessSource(seed=seed))
+    report = build_report(log, db, claimed_version=claimed)
+    exchanged = [(r.challenge_bytes, r.response_bytes, r.transport_error)
+                 for outcome in log.plan_outcomes() for r in outcome.exchanges]
+    rows = [(r.testorder, r.version, r.delta, r.origin) for r in log.rows]
+    return rows, log.stop_reason, report.candidate_set.labels(), report.to_doc(), exchanged
+
+
+def test_seeded_audits_over_an_answer_on_the_put_are_those_over_a_get(
+        sim_servers, db, sim_family, monkeypatch):
+    seen = _count_requests(monkeypatch)
+    answering, ignoring = sim_servers
+    specs = [(strategy, src, behavior) for strategy in STRATEGIES
+             for src in sim_family.family.versions[::2] for behavior in ("honest", "claim-faker")]
+    exchanges = 0
+    for seed, spec in enumerate(specs):
+        on_put = _http_audit(answering, db, sim_family, *spec, seed)
+        on_get = _http_audit(ignoring, db, sim_family, *spec, seed)
+        assert on_put == on_get, spec
+        exchanges += 1 + len(on_put[4])  # the claim probe, then the audit's
+    # Each exchange is one PUT to each server, and one GET to the one that ignores it.
+    assert seen == {"PUT": 2 * exchanges, "GET": exchanges}
