@@ -141,12 +141,11 @@ class Wire:
                 raise HTTPException("chunk data not followed by CRLF")
 
 
-def read_answer(wire: Wire) -> tuple[int, bytes, tuple[bool, bytes | None]]:
+def read_answer(wire: Wire) -> tuple[int, bytes, bool, bytes | None]:
     """The next final answer on ``wire`` to a GET or PUT: its status, its
-    body, and what the client needs of the rest: whether the server keeps
-    the connection open, and the answer's ``Content-Location`` (None
-    without one), which says whose representation the body is.  Interim
-    (1xx) answers are skipped."""
+    body, whether the server keeps the connection open, and its
+    ``Content-Location`` (None without one), which says whose
+    representation the body is.  Interim (1xx) answers are skipped."""
     while True:
         line = wire.line("status line")
         if not line:
@@ -185,4 +184,4 @@ def read_answer(wire: Wire) -> tuple[int, bytes, tuple[bool, bytes | None]]:
         body = wire.take(int(length))
     else:
         body, keep = wire.rest(), False
-    return status, body, (keep, fields.get(b"content-location"))
+    return status, body, keep, fields.get(b"content-location")

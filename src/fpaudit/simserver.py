@@ -5,12 +5,13 @@ it, sleeps the simulated latency for real, and returns the body (404 until
 a challenge is stored).  A PUT that carries ``Prefer:
 return=representation`` (RFC 7240) is evaluated at once instead, and
 answered 200 with the body, ``Content-Location: /response`` and
-``Preference-Applied: return=representation``, after the same sleep; its
-challenge is stored too, so a client that does not take that answer can
-still GET it.  Connections are kept alive, with Nagle's algorithm off, so
-one connection serves a whole audit.  Optional basic auth is enabled by
-passing credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS
-environment variables when run via the CLI).
+``Preference-Applied: return=representation``, after the same sleep; the
+answer is stored too, so a client that does not take it there can still
+GET it, at once and without the challenge being evaluated again.
+Connections are kept alive, with Nagle's algorithm off, so one connection
+serves a whole audit.  Optional basic auth is enabled by passing
+credentials (or the FPAUDIT_HTTP_USER / FPAUDIT_HTTP_PASS environment
+variables when run via the CLI).
 
 It is a ``socketserver`` handler, not ``http.server``: requests are parsed
 by ``http1.Wire``, as the auditor parses answers, and each reply, head and
@@ -45,7 +46,9 @@ class SimHTTPServer(socketserver.ThreadingTCPServer):
         self.responder = responder
         # The Authorization value every request must carry, if any.
         self.authorization = _basic_auth(*credentials).encode("latin-1") if credentials else None
-        self.pending: bytes | None = None
+        # The last PUT's challenge, for the next GET to evaluate, or, if the
+        # PUT was answered with it, its answer (True), for the GET to repeat.
+        self.pending: tuple[bytes, bool] | None = None
         self.connections: set[socket.socket] = set()
         self.lock = threading.Lock()  # guards pending and connections
         super().__init__(("127.0.0.1", port), _Handler)
@@ -181,11 +184,14 @@ class _Handler(socketserver.StreamRequestHandler):
         body = self._body()
         if body is None:
             return self._reply(411)
-        with self.server.lock:
-            self.server.pending = body
         if not _WANTS_ANSWER(self.headers.get(b"prefer", b"")):
+            with self.server.lock:
+                self.server.pending = body, False
             return self._reply(204)
-        self._reply(200, self._evaluate(body), *_ANSWERED)
+        answer = self._evaluate(body)
+        with self.server.lock:
+            self.server.pending = answer, True
+        self._reply(200, answer, *_ANSWERED)
 
     def do_GET(self) -> None:
         if not self._authorized():
@@ -196,7 +202,8 @@ class _Handler(socketserver.StreamRequestHandler):
             pending, self.server.pending = self.server.pending, None
         if pending is None:
             return self._reply(404)
-        self._reply(200, self._evaluate(pending))
+        data, answered = pending
+        self._reply(200, data if answered else self._evaluate(data))
 
     def _evaluate(self, challenge: bytes) -> bytes:
         """The provider's answer to ``challenge``, once its simulated latency

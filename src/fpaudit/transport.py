@@ -179,6 +179,7 @@ def _split(url: str) -> tuple[tuple[str, str], str]:
     return (parts.scheme, parts.netloc), target
 
 
+# Cached: a urljoin costs about a third of an exchange with a local simulator.
 @functools.lru_cache(maxsize=128)
 def _resolve(base: str, reference: bytes) -> tuple[tuple[str, str], str] | None:
     """The connection key and request target that a URI reference sent in
@@ -239,7 +240,7 @@ def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
         try:
             wire.sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
             sent = True
-            status, data, (keep, location) = read_answer(wire)
+            status, data, keep, location = read_answer(wire)
         except BaseException as exc:
             _close(key)
             if sent and isinstance(exc, TimeoutError):

@@ -101,7 +101,7 @@ def test_the_framing_reads_what_http_client_reads(message, data):
         with reader:
             reader.settimeout(5)
             wire = Wire(reader)
-            status, body, _ = read_answer(wire)
+            status, body, _, _ = read_answer(wire)
             assert not wire.pending()
     finally:
         server.join(timeout=5)

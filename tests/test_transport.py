@@ -1062,3 +1062,48 @@ def test_seeded_audits_over_an_answer_on_the_put_are_those_over_a_get(
         exchanges += 1 + len(on_put[4])  # the claim probe, then the audit's
     # Each exchange is one PUT to each server, and one GET to the one that ignores it.
     assert seen == {"PUT": 2 * exchanges, "GET": exchanges}
+
+
+def test_a_timed_out_get_closes_its_connection(http_server, monkeypatch):
+    # test_a_timed_out_fetch_closes_its_connection, over a provider that
+    # ignores the preference: there the time-out is the GET's.
+    seen = _count_requests(monkeypatch)
+    http_server.RequestHandlerClass = _IgnoresThePreference
+    http_server.responder = _SlowFirstAnswer()
+    chl, rsp = _endpoints(http_server.url(""), CREDS, timeout_cap=0.1)
+    first = exchange(chl, rsp, b"round 1", 0.05)
+    assert first.transport_error.startswith("response fetch failed: ")
+    time.sleep(0.4)  # the late answer to round 1 has been sent by now
+    second = exchange(chl, rsp, b"round 2", 1.0)
+    assert second.transport_error is None
+    assert second.response_bytes == b"answer to round 2"
+    assert seen == {"PUT": 2, "GET": 2}
+
+
+class _CountedAnswers:
+    """Answers every challenge after ``latency`` seconds, counting the answers."""
+
+    def __init__(self, latency: float) -> None:
+        self.latency, self.answered = latency, 0
+
+    def respond(self, payload: bytes) -> tuple[bytes, float]:
+        self.answered += 1
+        return b"answer to " + payload, self.latency
+
+
+def test_a_get_after_an_answer_on_the_put_repeats_it_without_evaluating_again(
+        http_server, monkeypatch):
+    # The response URL spells the simulator's host another way, so the
+    # client does not take the PUT's answer and GETs the response.  The GET
+    # repeats that answer at once: the challenge is evaluated, and its
+    # latency slept, once a round.
+    seen = _count_requests(monkeypatch)
+    http_server.responder = responder = _CountedAnswers(0.2)
+    chl, _ = _endpoints(http_server.url(""), CREDS)
+    _, rsp = _endpoints(f"http://localhost:{http_server.port}", CREDS)
+    records = [exchange(chl, rsp, b"round %d" % n, 1.0) for n in (1, 2)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [
+        (None, b"answer to round 1"), (None, b"answer to round 2")]
+    assert seen == {"PUT": 2, "GET": 2}
+    assert responder.answered == 2
+    assert all(0.2 <= r.elapsed < 0.4 for r in records)
