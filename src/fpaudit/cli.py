@@ -2,11 +2,12 @@
 verify outsourced audit logs.
 
 Exit codes: 0 success/compliant, 1 non-compliant or validation failure,
-2 inconsistency, a target check left undecided by the test budget,
-transport failure or malformed input. A readable database that does not
-load is the verdict of "db validate" (one "invalid:" line, exit 1) and
-malformed input to every other command (one "error:" line, exit 2);
-a file that cannot be read is malformed input to every command.
+2 inconsistency, a target check left undecided, a sub-test the provider
+left unanswered (timed out on its retry too, or failed in transport) or
+malformed input. A readable database that does not load is the verdict
+of "db validate" (one "invalid:" line, exit 1) and malformed input to
+every other command (one "error:" line, exit 2); a file that cannot be
+read is malformed input to every command.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .strategies import AuditError, run_audit
 from .transport import (InterfaceEndpoint, TransportError, close_connections, env_credentials,
                         make_loopback, probe_version_claim)
 from .verdict import build_report
-from .versions import VersionParseError, parse_version
+from .versions import VersionParseError, parse_version, render_version
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -137,8 +138,7 @@ def cmd_audit(args) -> int:
         print(f"claim probe failed: {exc}", file=sys.stderr)
 
     reports = []
-    budget_stopped = False
-    transport_error = None
+    unanswered = None
     for i in range(args.repeat):
         rng = RandomnessSource(seed=args.seed + i if args.seed is not None else None)
         try:
@@ -146,8 +146,7 @@ def cmd_audit(args) -> int:
         except AuditError as exc:
             print(f"audit failed: {exc}", file=sys.stderr)
             return 2
-        budget_stopped = budget_stopped or log.stop_reason == "budget"
-        transport_error = transport_error or log.transport_error()
+        unanswered = unanswered or log.unanswered()
         reports.append(build_report(log, db, target=target, claimed_version=claim))
 
     report = reports[0]
@@ -161,12 +160,20 @@ def cmd_audit(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         _print_table(report)
-    if transport_error is not None:
-        print(f"transport failure: {transport_error}", file=sys.stderr)
+    # A sub-test left unanswered observed nothing of the provider, so it
+    # fails the audit with or without a target.  With one, every undecided
+    # verdict exits 2; once the audits agree, only a budget stop is left to
+    # leave it undecided.
+    if unanswered is not None:
+        if unanswered.reason == "transport-error":
+            print(f"transport failure: {unanswered.message}", file=sys.stderr)
+        else:
+            print(f"no answer in time: {render_version(unanswered.version)} timed out on "
+                  "every try; compliance is undecided", file=sys.stderr)
         return 2
     if report.inconsistency or not agreed:
         return 2
-    if target is not None and budget_stopped:
+    if target is not None and any(r.compliant is None for r in reports):
         print("audit stopped on its test budget before converging; compliance is undecided",
               file=sys.stderr)
         return 2

@@ -31,10 +31,14 @@ node reached before gives its pick and plan, or the stop reason
 ``"converged"``, without the stop test, the pick or the plan lookup.  The
 budget is not part of the tree: the loop stops with ``"budget"`` at a pick
 node once it has run that many tests, so audits with any budget share one
-tree.  The probe still runs and every outcome is still appended to the
-audit's log; the context folds the log into its candidates and tested
-masks only when something reads them, so a step the tree already holds
-costs the exchange and the append.  The tree also keeps the verdict fold
+tree.  Nor is the provider's silence: a test that leaves a sub-test
+unanswered (timed out on its retry too, or failed in transport, see
+``protocol``) stops the audit with ``"unanswered"``, read from that live
+outcome, so every observation of an audit that goes on is an answer.  The
+probe still runs and every outcome is still appended to the audit's log;
+the context folds the log into its candidates and tested masks only when
+something reads them, so a step the tree already holds costs the exchange
+and the append.  The tree also keeps the verdict fold
 of each place an audit stopped, which ``verdict.build_report`` fills on
 the first report of a log that stopped there.  An auditor of many
 providers at the same few versions thus pays for the decisions and the
@@ -51,7 +55,7 @@ from typing import NamedTuple
 
 from .challenge import RandomnessSource
 from .database import Database, STRATEGY_SHORT, fold_constraints, resolve_plan
-from .protocol import Probe, TestOutcome, run_test, transport_probe
+from .protocol import Probe, TestOutcome, Unanswered, run_test, transport_probe, unanswered
 from .transport import InterfaceEndpoint
 from .versions import Version, render_version
 
@@ -73,7 +77,9 @@ class DecisionLog:
     """Append-only record of every decided version; no version repeats."""
 
     strategy: str = ""
-    stop_reason: str = ""  # "converged", or "budget" if it ran out with informative entries left
+    # "converged"; "budget" if it ran out with informative entries left; or
+    # "unanswered" if a test left a sub-test unanswered (``unanswered()``).
+    stop_reason: str = ""
     rows: list[LogRow] = field(default_factory=list)
     # Kept up to date by ``append_outcome``: logged version -> its row's delta,
     # and intrinsic sub-test version -> its observation.
@@ -122,11 +128,11 @@ class DecisionLog:
     def exchange_count(self) -> int:
         return sum(len(o.exchanges) for o in self.plan_outcomes())
 
-    def transport_error(self) -> str | None:
-        """The first exchange's transport failure, or None if every exchange
-        reached the provider."""
-        return next((record.transport_error for outcome in self.plan_outcomes()
-                     for record in outcome.exchanges if record.transport_error is not None), None)
+    def unanswered(self) -> Unanswered | None:
+        """The first sub-test the provider left unanswered (timed out on
+        every try, or failed in transport), or None if it answered every
+        one."""
+        return next(filter(None, map(unanswered, self.plan_outcomes())), None)
 
 
 def _mid(values: list):
@@ -369,10 +375,11 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
     fallback) and ``resolve_plan`` on the live context, and record the
     result with ``setdefault``, so audits of one database may run in threads
     at once.  A pick node reached after ``budget`` tests stops the audit
-    with ``"budget"``.  Every outcome is applied to the live context as
-    without the memo: the same rows, stop reason and errors.  At a node the
-    tree holds, nothing reads the context, so that step only appends to the
-    log; ``_decide`` and any read after the audit fold what was logged.  An
+    with ``"budget"``.  A test that leaves a sub-test unanswered stops it
+    with ``"unanswered"``, decided from the outcome, never kept in the tree.
+    Every outcome is applied to the live context as without the memo: the
+    same rows, stop reason and errors.  At a node the tree holds, nothing
+    reads the context, so that step only appends to the log; ``_decide`` and any read after the audit fold what was logged.  An
     audit that stops after a test leaves on its log the last pick node's
     table of verdict folds and the last outcome's key, for ``build_report``.
     """
@@ -408,6 +415,9 @@ def drive_audit(db: Database, strategy_name: str, probe: Probe,
         ctx.apply(outcome)
         tests_run += 1
         key = tuple(map(_observed, outcome.sub_outcomes))
+        if unanswered(outcome) is not None:
+            log.stop_reason = "unanswered"
+            break
     if ends is not None:
         log._end = db, ends, key
     return log

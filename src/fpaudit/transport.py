@@ -17,7 +17,10 @@ shares (connection key, request target, header lines) is worked out once.
 ``http.client`` only opens that connection (proxy tunnel and TLS
 included); each request then goes out in one write and its answer is
 framed by ``http1``.  Bytes left over after an answer close the
-connection, so they are never read as a later request's answer.
+connection, and so do bytes that arrive while it is idle, found by a
+zero-timeout ``poll`` before it is reused: neither is read as a later
+request's answer.  Bytes that arrive after the next request went out are
+still read as its answer; only their content can fail it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ import functools
 import http.client
 import os
 import re
+import select
+import socket
+import ssl
 import threading
 import time
 import urllib.parse
@@ -221,12 +227,17 @@ def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
     connection; so does an answer after which the server closes it, or
     after which bytes are left over (sent beyond the answer's length, or
     unasked for), so they are never read as a later request's answer.  A
-    reused connection that fails before any answer byte arrives (the server
-    closed it while idle) is reopened once; a new connection is not
+    kept-alive connection on which anything arrived while it was idle
+    (``_stale``) is closed and a new one opened in its place.  A reused
+    connection that fails before any answer byte arrives (the server
+    closed it just now) is reopened once; a new connection is not
     retried.  A time-out after the request went out whole is an
     ``_AnswerTimeout``."""
     while True:
         link = _POOL.links.get(key)
+        if link is not None and _stale(link.wire.sock):
+            _close(key)
+            link = None
         reused = link is not None
         if reused:
             link.wire.sock.settimeout(timeout)
@@ -251,6 +262,41 @@ def _send(key: tuple[str, str], method: str, target: str, body: bytes | None,
         if not keep or wire.pending():
             _close(key)
         return status, data, location
+
+
+def _stale(sock: socket.socket) -> bool:
+    """Whether anything arrived on an idle kept-alive connection: bytes
+    nobody asked for (say, an answer sent after its round gave up on it)
+    or the server's close.  On TLS, records after the handshake (TLS 1.3
+    session tickets) make the socket readable without carrying data; they
+    are read through ``ssl`` without blocking, and a connection that then
+    wants more to read is kept.  Leaves a TLS socket non-blocking."""
+    tls = isinstance(sock, ssl.SSLSocket)
+    if tls and sock.pending():
+        return True
+    if not _readable(sock):
+        return False
+    if not tls:
+        return True
+    sock.setblocking(False)
+    try:
+        sock.recv(1)  # data, or b"" once the server closed it
+    except ssl.SSLWantReadError:
+        return False
+    except OSError:
+        pass
+    return True
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has something to read, or was closed, without
+    waiting.  ``select`` cannot take a descriptor from ``FD_SETSIZE`` (1024
+    on Linux) up, so it serves only where there is no ``poll``."""
+    if not hasattr(select, "poll"):
+        return bool(select.select((sock,), (), (), 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _open(scheme: str, hostport: str, timeout: float) -> _Link:

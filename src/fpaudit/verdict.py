@@ -233,9 +233,10 @@ def build_report(log: DecisionLog, db: Database, target: Version | None = None,
     picks and observation keys, and that sequence fixes each plan's
     sub-tests, which of them were exchanged and which implied, the rows'
     versions and deltas, and the observations; ``compute_bounds`` reads
-    nothing else.  Any other log, one appended to after its audit or one
-    reported against another database, is folded afresh.  Compliance and
-    the transport-error and budget rules read the log on every call.
+    nothing else, so the fold holds however the audit stopped there.  Any
+    other log, one appended to after its audit or one reported against
+    another database, is folded afresh.  Compliance and the rule on what
+    earns it read the log on every call.
     """
     end = log._end
     if end is not None and end[0] is db:
@@ -252,11 +253,13 @@ def build_report(log: DecisionLog, db: Database, target: Version | None = None,
             rows=tuple(log.rows),
         )
     b, c = fold
-    # An audit cut short by its budget, or one whose exchange failed in
-    # transport (which observed nothing of the provider), has not earned a
-    # compliance verdict.
+    # Compliance is earned only by an audit that ran to convergence with
+    # every sub-test answered.  A budget stop has not converged; a sub-test
+    # left unanswered (timed out on every try, or failed in transport, which
+    # observed nothing of the provider) is no evidence either way, and it
+    # stops the audit with "unanswered".
     decided = (target is not None and log.stop_reason != "budget"
-               and log.transport_error() is None)
+               and log.unanswered() is None)
     compliant = target in c if decided else None
     return VerdictReport(
         strategy=log.strategy, bounds=b, candidate_set=c, target=target,

@@ -563,18 +563,38 @@ def test_audit_malformed_sim_config_is_one_error_line(document, named, tmp_path,
     assert named in captured.err
 
 
-def test_simulated_proxy_fails_timing(tmp_path, capsys, db):
+def _proxy_config(tmp_path) -> str:
+    """A simulated proxy whose every answer comes 500 ms late."""
     sim_doc = json.loads(Path(SIM_HONEST).read_text())
     sim_doc["provider"] = {"source": "7.2.14", "behavior": "proxy",
                            "proxy_floor_ms": 500,
                            "latency": {"base_ms": 1, "jitter_ms": 0}, "seed": 2}
     cfgfile = tmp_path / "proxy.json"
     cfgfile.write_text(json.dumps(sim_doc))
-    code = run(["audit", "--database", DB, "--sim-config", str(cfgfile),
+    return str(cfgfile)
+
+
+def test_simulated_proxy_fails_timing(tmp_path, capsys, db):
+    # Every answer comes after the deadline, on the retry too: the audit
+    # stops on the first sub-test and earns no verdict either way.
+    code = run(["audit", "--database", DB, "--sim-config", _proxy_config(tmp_path),
                 "--strategy", "HTL", "--target", "7.2.14", "--seed", "4",
                 "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert doc["compliance"] is False
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2
+    assert doc["compliance"] is None
     assert all(row["Result"] is False for row in doc["tests"])
     assert any(row.get("reason") == "timeout" for row in doc["tests"])
+    assert captured.err.splitlines() == [
+        "no answer in time: 7.3.0rc4 timed out on every try; compliance is undecided"]
+
+
+def test_an_unanswered_audit_without_a_target_exits_2(tmp_path, capsys):
+    code = run(["audit", "--database", DB, "--sim-config", _proxy_config(tmp_path),
+                "--strategy", "BS", "--seed", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["compliance"] is None
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("no answer in time: ")

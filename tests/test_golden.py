@@ -15,12 +15,15 @@ the lower and upper bound, and a short SHA-256 of the exchanged challenge
 bytes.  To re-record the file after a deliberate change of verdicts::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each provider behaviour, how many of its lines changed.
 """
 
 import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from fpaudit.challenge import RandomnessSource
@@ -118,6 +121,19 @@ def test_audit_matrix_matches_golden_file():
     assert len(actual) == len(expected)
 
 
+def _behavior(line: str) -> str:
+    return line.split(" | ")[0].split()[2]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(audit_lines()) + "\n", encoding="utf-8")
+    old = GOLDEN.read_text(encoding="utf-8").splitlines() if GOLDEN.exists() else []
+    new = audit_lines()
+    GOLDEN.write_text("\n".join(new) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    total = Counter(map(_behavior, new))
+    changed = Counter(_behavior(line) for i, line in enumerate(new)
+                      if i >= len(old) or old[i] != line)
+    for behavior in total:
+        print(f"{behavior}: {changed[behavior]} of {total[behavior]} lines changed")
+    if len(old) != len(new):
+        print(f"{len(old)} lines before, {len(new)} now")

@@ -2,6 +2,8 @@ import base64
 import datetime
 import http.client
 import ipaddress
+import os
+import select
 import socket
 import socketserver
 import ssl
@@ -21,6 +23,7 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.x509.oid import NameOID
 
+from fpaudit import transport
 from fpaudit.challenge import RandomnessSource, judge, render_test
 from fpaudit.simulator import LatencyModel, SimProviderConfig, produce
 from fpaudit.simserver import SimHTTPServer, _Handler, _message, start_server
@@ -735,6 +738,57 @@ def test_https_exchange_round_trip_with_a_trusted_certificate(https_server, db, 
         assert record.response_bytes == b"bool(false)\n"
 
 
+def test_https_exchanges_share_one_connection(https_server, monkeypatch):
+    server, cert_file = https_server
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+    accepted = _count_connections(server, monkeypatch)
+    chl, rsp = _endpoints(f"https://127.0.0.1:{server.port}", CREDS)
+    records = [exchange(chl, rsp, CLAIM_PAYLOAD, 2.0) for _ in range(3)]
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"7.2.14")] * 3
+    assert len(accepted) == 1
+
+
+def test_a_connection_on_a_descriptor_past_the_select_limit_is_checked_and_reused(
+        http_server, monkeypatch):
+    # select() takes no descriptor from FD_SETSIZE (1024) up.
+    resource = pytest.importorskip("resource")
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("too few file descriptors allowed")
+    accepted = _count_connections(http_server, monkeypatch)
+    chl, rsp = _endpoints(http_server.url(""), CREDS)
+    held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1030)]
+    try:
+        records = [exchange(chl, rsp, CLAIM_PAYLOAD, 1.0) for _ in range(3)]
+        link = transport._POOL.links[("http", f"127.0.0.1:{http_server.port}")]
+        assert link.wire.sock.fileno() >= 1024
+    finally:
+        close_connections()
+        for fd in held:
+            os.close(fd)
+    assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"7.2.14")] * 3
+    assert len(accepted) == 1
+
+
+def test_session_tickets_on_an_idle_tls_connection_keep_it_and_an_answer_does_not(
+        https_server, monkeypatch):
+    # TLS 1.3 servers send their session tickets after the handshake: they
+    # make the socket readable, but carry nothing a request could misread.
+    server, cert_file = https_server
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+    link = transport._open("https", f"127.0.0.1:{server.port}", 2.0)
+    sock = link.wire.sock
+    try:
+        assert sock.version() == "TLSv1.3"
+        _wait_until(lambda: select.select([sock], [], [], 0)[0])
+        assert not transport._stale(sock)
+        sock.settimeout(2.0)
+        sock.sendall(b"GET /response HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")  # answered 401
+        _wait_until(lambda: select.select([sock], [], [], 0)[0])
+        assert transport._stale(sock)
+    finally:
+        sock.close()
+
+
 def test_https_exchange_with_an_untrusted_certificate_fails_delivery(https_server, tmp_path,
                                                                      monkeypatch):
     server, _ = https_server
@@ -919,6 +973,48 @@ def test_an_answer_on_the_put_that_keeps_the_connection_reuses_it(monkeypatch):
         records = [exchange(chl, rsp, b"payload", 1.0) for _ in range(3)]
     assert [(r.transport_error, r.response_bytes) for r in records] == [(None, b"fresh")] * 3
     assert len(accepted) == 1
+
+
+class _LateUnasked(_CannedAnswers):
+    """``_CannedAnswers``, which also sends ``server.unasked`` 20 ms after
+    the first answer to a ``server.late_after`` request, and then sets
+    ``server.sent``."""
+
+    disable_nagle_algorithm = True  # else the late bytes wait for a delayed ACK
+
+    def handle(self) -> None:
+        write, server = self.wfile.write, self.server
+
+        def answer(data: bytes) -> None:
+            write(data)
+            if data is server.answers[server.late_after] and not server.sent.is_set():
+                time.sleep(0.02)
+                write(server.unasked)
+                server.sent.set()
+
+        self.wfile.write = answer
+        super().handle()
+
+
+@pytest.mark.parametrize("answers, late_after", [
+    ({"PUT": ANSWERED, "GET": FRESH}, "PUT"),
+    ({"PUT": NO_CONTENT, "GET": FRESH}, "GET"),
+], ids=["put-path", "get-path"])
+def test_an_answer_nobody_asked_for_that_arrives_while_idle_is_never_the_next_rounds(
+        answers, late_after, monkeypatch):
+    # A late answer to a round that already ended waits on the kept-alive
+    # connection; the next round opens a new one rather than read it.
+    unasked = _answer(b"stale", b"Content-Location: /response")
+    with _serving(_LateUnasked, answers=answers, late_after=late_after, unasked=unasked,
+                  sent=threading.Event()) as server:
+        accepted = _count_connections(server, monkeypatch)
+        chl, rsp = _endpoints(f"http://127.0.0.1:{server.server_address[1]}")
+        first = exchange(chl, rsp, b"round 1", 1.0)
+        assert server.sent.wait(5)
+        time.sleep(0.01)
+        second = exchange(chl, rsp, b"round 2", 1.0)
+    assert [(r.transport_error, r.response_bytes) for r in (first, second)] == [(None, b"fresh")] * 2
+    assert len(accepted) == 2
 
 
 def test_a_put_that_times_out_connecting_is_a_failed_delivery(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from fpaudit.challenge import RandomnessSource, render_test
 from fpaudit.database import fold_constraints, load_database, resolve_plan
-from fpaudit.protocol import SubOutcome
+from fpaudit.protocol import SubOutcome, Unanswered
 from fpaudit.protocol import TestOutcome as PlanOutcome
 from fpaudit.simulator import (HonestResponder, LatencyModel, RecordingResponder, SimProviderConfig,
                                produce, sim_family_from_doc)
@@ -197,7 +197,7 @@ def test_an_exchange_failed_in_transport_leaves_compliance_undecided(db):
     record = ExchangeRecord(b"challenge", None, 0.0, 0.0, 0.0, "connection refused")
     log = synthetic_log([("7.2.0", True)])
     log.append_outcome(PlanOutcome(failed, False, (sub,), (record,)))
-    assert log.transport_error() == "connection refused"
+    assert log.unanswered() == Unanswered(failed, "transport-error", "connection refused")
     report = build_report(log, db, target=pv("7.2.14"))
     assert pv("7.2.14") in report.candidate_set
     assert report.compliant is None
@@ -206,6 +206,20 @@ def test_an_exchange_failed_in_transport_leaves_compliance_undecided(db):
                            target=pv("7.2.14"))
     assert decided.candidate_set.members == report.candidate_set.members
     assert decided.compliant is True
+
+
+@pytest.mark.parametrize("reason, compliant", [("mismatch", False), ("timeout", None)])
+def test_only_a_wrong_answer_in_time_excludes_the_target(db, reason, compliant):
+    # 7.3.0rc4 failing excludes a 7.3.0rc4 target: on a mismatch that is
+    # "not compliant", but a timeout on every try observed nothing.
+    tested = pv("7.3.0rc4")
+    sub = SubOutcome(tested, True, False, reason, "exchanged")
+    log = synthetic_log([("7.2.0", True)])
+    log.append_outcome(PlanOutcome(tested, False, (sub,), ()))
+    report = build_report(log, db, target=tested)
+    assert tested not in report.candidate_set
+    assert report.compliant is compliant
+    assert log.unanswered() == (Unanswered(tested, "timeout", None) if compliant is None else None)
 
 
 def test_budget_stopped_audit_leaves_compliance_undecided(db, honest_endpoints, rng):
